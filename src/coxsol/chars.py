@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg
 from .coxeter import CoxeterGroup, Subgroup
 from .cyclo import Cyclo, scalar_conj, scalar_eq, scalar_json, zeta
 
@@ -28,6 +27,10 @@ class CarrierMismatch(ValueError):
 
 class NotInComplement(KeyError):
     """A linear character was evaluated outside its carrier."""
+
+
+class NotLinear(ValueError):
+    """Values that do not form a degree one character of their carrier."""
 
 
 class ClassFunction:
@@ -144,13 +147,15 @@ class LinearCharacter:
         self.values = dict(values)
         if validate:
             W = carrier.parent
-            assert set(self.values) == carrier.members
-            assert scalar_eq(self.values[W.identity], 1)
+            if set(self.values) != carrier.members:
+                raise NotLinear("values must be given on exactly the carrier")
+            if not scalar_eq(self.values[W.identity], 1):
+                raise NotLinear("value at the identity is not 1")
             for a in carrier.sorted_members:
                 for b in carrier.sorted_members:
                     got = self.values[W.mult(a, b)]
                     if not scalar_eq(got, self.values[a] * self.values[b]):
-                        raise ValueError("values are not multiplicative")
+                        raise NotLinear("values are not multiplicative")
 
     def __call__(self, w: int):
         try:
@@ -216,7 +221,7 @@ def sign_character(carrier: Subgroup) -> LinearCharacter:
 
 
 def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> LinearCharacter:
-    """Determinant on an invariant subspace with the given rref basis."""
+    """Determinant on an invariant subspace with the given rref basis; a test oracle."""
     return LinearCharacter(
         carrier,
         {w: W.det_on_subspace(w, basis) for w in carrier.members},
@@ -225,19 +230,33 @@ def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> LinearCharacter:
 
 def alpha_parabolic(W: CoxeterGroup, J) -> LinearCharacter:
     """Determinant on the fixed space of W_J, on the normalizer of W_J."""
-    return det_character(W, W.normalizer_of_parabolic(J), W.parabolic_fixed_space(J))
+    return _fixed_space_det(W, W.normalizer_of_parabolic(J), J, W.identity)
 
 
 def alpha_element(W: CoxeterGroup, w: int) -> LinearCharacter:
-    """Determinant on the fixed space of w, on the centralizer of w."""
-    return det_character(W, W.centralizer(w), W.fixed_space(w))
+    """Determinant on the fixed space of w, on the centralizer of w.
+
+    With x W_J x^-1 the parabolic closure of w, x maps the fixed space of W_J
+    onto that of w, and x^-1 c x normalizes W_J for c centralizing w.
+    """
+    x, J = W.parabolic_closure(w)
+    return _fixed_space_det(W, W.centralizer(w), J, x)
 
 
 def sigma_parabolic(W: CoxeterGroup, J) -> LinearCharacter:
     """Determinant on the span of the roots of J, on the complement N_J."""
-    rows = [W.roots[W.simple_root[j]] for j in J]
-    basis, _ = linalg.rref(rows)
-    return det_character(W, W.complement_subgroup(J), list(basis))
+    NJ = W.complement_subgroup(J)
+    return LinearCharacter(NJ, {n: W.det_on_root_span(n, J) for n in NJ.members},
+                           validate=False)
+
+
+def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> LinearCharacter:
+    """Determinant on x times the fixed space of W_J, for a carrier that
+    normalizes x W_J x^-1: the sign over the determinant on the root span."""
+    sign = sign_character(carrier)
+    return LinearCharacter(
+        carrier, {c: sign(c) * W.det_on_root_span(W.conj(c, x), J) for c in carrier.members},
+        validate=False)
 
 
 def reflection_fix_character(carrier: Subgroup) -> ClassFunction:

@@ -5,8 +5,8 @@ A group is built from a Coxeter matrix.  The bilinear form has entries
 off-diagonal orders, the root system is closed up from the simple roots,
 and every element is stored as the permutation it induces on the roots.
 Lengths, reduced words, conjugacy classes, coset transversals, shapes,
-normalizers and fixed spaces are all derived from that data with exact
-arithmetic throughout.
+normalizers, fixed-space dimensions and determinants on root spans are all
+derived from that data; fixed spaces over Q(zeta_n) remain as test oracles.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ class InvalidMatrix(ValueError):
 
 class InfiniteOrTooLarge(RuntimeError):
     """Enumeration exceeded the configured element bound."""
+
+
+class NotNormalizing(ValueError):
+    """An element does not normalize the parabolic subgroup it was paired with."""
 
 
 DEFAULT_MAX_ELEMENTS = 10000
@@ -134,7 +138,6 @@ class CoxeterGroup:
         self.conductor = matrix.conductor()
         self._subgroups = {}
         self._parabolics = {}
-        self._fixdim = {}
         self._build_form()
         self._build_roots(max_elements)
         self._build_elements(max_elements)
@@ -311,15 +314,18 @@ class CoxeterGroup:
             members = {self.conj(w, x) for x in range(self.order)}
             for x in members:
                 seen[x] = True
-            rep = min(members)
-            cusp = self.fix_dim(rep) == 0 if self.rank else True
-            classes.append(ConjugacyClass(rep, frozenset(members), cusp))
+            classes.append(ConjugacyClass(min(members), frozenset(members)))
         classes.sort(key=lambda c: c.rep)
         self.classes = classes
         self.class_index = {}
         for k, c in enumerate(classes):
             for x in c.members:
                 self.class_index[x] = k
+        # the rank of the parabolic closure: the smallest support in the class
+        self._closure_rank = [min(len(set(self.words[x])) for x in c.members)
+                              for c in classes]
+        for c, k in zip(classes, self._closure_rank):
+            c.is_cuspidal = k == self.rank
 
     def _build_reflections(self):
         refl = set()
@@ -394,32 +400,22 @@ class CoxeterGroup:
         pw = self.perms[w]
         return [self.roots[pw[self.simple_root[i]]] for i in range(self.rank)]
 
-    def fixed_space(self, w: int):
-        """Canonical basis (rref rows) of the fixed space of w."""
+    def _minus_identity(self, w: int):
         m = self.matrix_of(w)
-        rows = []
-        for j in range(self.rank):
-            rows.append(tuple(m[i][j] - (self._one if i == j else self._zero)
-                              for i in range(self.rank)))
-        return linalg.nullspace(rows, self.rank)
+        return [tuple(m[i][j] - (self._one if i == j else self._zero)
+                      for i in range(self.rank)) for j in range(self.rank)]
 
-    def fix_dim(self, w: int) -> int:
-        if w not in self._fixdim:
-            self._fixdim[w] = len(self.fixed_space(w))
-        return self._fixdim[w]
+    def fixed_space(self, w: int):
+        """Canonical basis (rref rows) of the fixed space of w; a test oracle."""
+        return linalg.nullspace(self._minus_identity(w), self.rank)
 
     def parabolic_fixed_space(self, J):
-        """Basis of the common fixed space of the standard parabolic W_J."""
-        rows = []
-        for s in J:
-            m = self.matrix_of(self.generators[s])
-            for j in range(self.rank):
-                rows.append(tuple(m[i][j] - (self._one if i == j else self._zero)
-                                  for i in range(self.rank)))
+        """Basis of the common fixed space of the standard parabolic W_J; a test oracle."""
+        rows = [r for s in J for r in self._minus_identity(self.generators[s])]
         return linalg.nullspace(rows, self.rank)
 
     def det_on_subspace(self, w: int, basis):
-        """Determinant of w acting on an invariant subspace with rref basis rows."""
+        """Determinant of w on an invariant subspace with rref basis rows; a test oracle."""
         if not basis:
             return Fraction(1)
         pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
@@ -436,17 +432,47 @@ class CoxeterGroup:
         q = d.as_rational() if isinstance(d, Cyclo) else d
         return q if q is not None else d
 
-    # -- subsets, transversals, shapes -------------------------------------------
+    def parabolic_closure(self, w: int):
+        """An x and a J such that x W_J x^-1 is the smallest parabolic containing w.
 
-    def subset_key(self, J):
-        return (len(J), tuple(sorted(J)))
+        J is the support of a conjugate x^-1 w x of smallest support.  By
+        Steinberg's theorem x W_J x^-1 is the pointwise stabilizer of the fixed
+        space of w, which therefore has dimension rank - |J|.
+        """
+        k = self._closure_rank[self.class_index[w]]
+        for x in range(self.order):
+            J = set(self.words[self.conj(w, x)])
+            if len(J) == k:
+                return x, tuple(sorted(J))
+
+    def fix_dim(self, w: int) -> int:
+        """Dimension of the fixed space of w."""
+        return self.rank - self._closure_rank[self.class_index[w]]
+
+    def det_on_root_span(self, c: int, J) -> Fraction:
+        """Determinant of c on the span of the roots of J, for c normalizing W_J.
+
+        Write c = u * d with u in W_J and d the shortest element of W_J c.  Then
+        d permutes the simple roots of J, and the determinant is sign(u) =
+        (-1)^(l(c) - l(d)) times the sign of that permutation.
+        """
+        J = tuple(sorted(J))
+        d = min((self.mult_table[u][c] for u in self.parabolic(J).members),
+                key=self.lengths.__getitem__)
+        where = {self.simple_root[s]: i for i, s in enumerate(J)}
+        try:
+            image = [where[self.perms[d][self.simple_root[s]]] for s in J]
+        except KeyError:
+            raise NotNormalizing(f"{self.word_str(c)} does not normalize W_J for J={J}")
+        flips = self.lengths[c] - self.lengths[d]
+        flips += sum(1 for i, a in enumerate(image) for b in image[i + 1:] if a > b)
+        return Fraction(-1 if flips % 2 else 1)
+
+    # -- subsets, transversals, shapes -------------------------------------------
 
     def all_subsets(self):
         """All subsets of the generator index set, by size then lexicographically."""
-        out = [[]]
-        for s in range(self.rank):
-            out += [j + [s] for j in out]
-        return sorted((tuple(j) for j in out), key=lambda j: (len(j), j))
+        return subsets(range(self.rank))
 
     def transversal(self, J, within=None):
         """Minimal right coset transversal X_J, optionally inside a parabolic."""
@@ -508,15 +534,9 @@ class CoxeterGroup:
 
     def shapes(self, within=None):
         """Partition of the subsets (of S, or of within's generator set) by conjugacy."""
-        if within is None:
-            universe = self.all_subsets()
-            L = tuple(range(self.rank))
-            inside = None
-        else:
-            L = within
-            universe = sorted(
-                (tuple(sorted(j)) for j in _subsets(L)), key=lambda j: (len(j), j))
-            inside = self.parabolic(L)
+        L = tuple(range(self.rank)) if within is None else within
+        universe = subsets(L)
+        inside = None if within is None else self.parabolic(L)
         assigned = {}
         shapes = []
         for J in universe:
@@ -597,11 +617,12 @@ class CoxeterGroup:
         return self.subgroup(members)
 
 
-def _subsets(L):
-    out = [[]]
-    for s in L:
-        out += [j + [s] for j in out]
-    return [tuple(j) for j in out]
+def subsets(L):
+    """All subsets of L as sorted tuples, by size then lexicographically."""
+    out = [()]
+    for s in sorted(L):
+        out += [j + (s,) for j in out]
+    return sorted(out, key=lambda j: (len(j), j))
 
 
 class Shape:
@@ -628,17 +649,10 @@ class Subgroup:
         self.parabolic_subset = None
         self._classes = None
         self._class_index = None
-        self._linear_chars = None
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, w: int) -> bool:
-        return w in self.members
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.members <= other.members
 
     @property
     def classes(self):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import linalg
 from .chars import ClassFunction
-from .coxeter import CoxeterGroup, Subgroup
+from .coxeter import CoxeterGroup, Subgroup, subsets
 from .cyclo import scalar_eq, scalar_is_zero, zeta
 
 
@@ -148,7 +148,7 @@ class DescentAlgebra:
         self.W = W
         self.L = tuple(range(W.rank)) if L is None else tuple(sorted(L))
         self.universe = W.parabolic(self.L)
-        self.subsets = sorted(_subsets(self.L), key=lambda j: (len(j), j))
+        self.subsets = subsets(self.L)
         self._subset_pos = {J: i for i, J in enumerate(self.subsets)}
         self._x = {J: x_element(W, J, within=self.universe) for J in self.subsets}
         self.shapes = W.shapes(within=self.L)
@@ -264,8 +264,13 @@ class DescentAlgebra:
         raise KeyError(J)
 
 
-@lru_cache(maxsize=None)
 def descent_algebra(W: CoxeterGroup, L=None) -> DescentAlgebra:
+    """The cached descent algebra of W_L; L = None means all of S."""
+    return _descent_algebra(W, tuple(range(W.rank)) if L is None else tuple(sorted(L)))
+
+
+@lru_cache(maxsize=None)
+def _descent_algebra(W: CoxeterGroup, L) -> DescentAlgebra:
     return DescentAlgebra(W, L)
 
 
@@ -313,9 +318,3 @@ def rotation_idempotent(W: CoxeterGroup, L, j: int) -> GroupAlgebraElement:
         x = W.mult(x, W.inv(rot))
     return GroupAlgebraElement(W, coeffs)
 
-
-def _subsets(L):
-    out = [()]
-    for s in L:
-        out += [j + (s,) for j in out]
-    return out

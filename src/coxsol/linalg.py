@@ -126,10 +126,6 @@ def det(rows):
     return result
 
 
-def transpose(rows, ncols: int):
-    return [tuple(r[j] for r in rows) for j in range(ncols)]
-
-
 def coords_in_span(rows, vec):
     """Coefficients writing vec as a combination of the given independent rows.
 

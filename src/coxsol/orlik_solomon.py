@@ -1,20 +1,21 @@
 """The Orlik-Solomon algebra of a reflection arrangement.
 
-Hyperplanes are identified with the reflections of the group; the matroid
-data (ranks, closures, circuits) is read off exact row reductions of the
-corresponding root vectors.  The algebra is presented on no-broken-circuit
-monomials with respect to a linear order of the hyperplanes; arbitrary
-monomials are rewritten into that basis by the circuit boundary relations.
-Flats decompose the algebra into components permuted the same way the group
-permutes the flats themselves, which yields one character per orbit.
+Hyperplanes are identified with the reflections of the group.  By Steinberg's
+theorem a flat is the reflection set of a conjugate x^-1 W_J x, of rank |J|, so
+the matroid data (ranks, closures, circuits) comes from the group, not from
+linear algebra.  The algebra is presented on no-broken-circuit monomials
+with respect to a linear order of the hyperplanes; arbitrary monomials are
+rewritten into that basis by the circuit boundary relations.  Flats decompose
+the algebra into components permuted the same way the group permutes the
+flats themselves, which yields one character per orbit.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
-from . import linalg
 from .chars import ClassFunction
 from .coxeter import CoxeterGroup, Subgroup
 from .cyclo import scalar_is_zero, scalar_eq
@@ -28,11 +29,23 @@ class StraighteningFailure(RuntimeError):
     """No rewriting step applies; the monomial order logic is broken."""
 
 
+class NotParabolic(ValueError):
+    """The hyperplanes are not the reflections of a parabolic subgroup."""
+
+
+class NotInvariant(ValueError):
+    """A set of flats is not invariant under the acting subgroup."""
+
+
+class OrbitMismatch(RuntimeError):
+    """The orbits of flats do not match the shapes one to one."""
+
+
 MAX_RANK = 4
 
 
 class Arrangement:
-    """An ordered set of reflecting hyperplanes of a Coxeter group."""
+    """An ordered set of the reflecting hyperplanes of W or of a parabolic subgroup."""
 
     def __init__(self, W: CoxeterGroup, reflections=None, seed_order=None):
         self.W = W
@@ -42,69 +55,42 @@ class Arrangement:
         self.hyperplanes = list(order)      # position -> reflection
         self.position = {t: i for i, t in enumerate(order)}
         self.n = len(order)
-        self.rows = [W.roots[W.reflection_root[t]] for t in order]
 
     def act(self, pos: int, w: int) -> int:
         """Position of the image hyperplane under right action by w."""
         return self.position[self.W.conj(self.hyperplanes[pos], w)]
 
 
-class Flat:
-    __slots__ = ("id", "key", "rank", "basis", "pivots")
-
-    def __init__(self, fid, key, rank, basis, pivots):
-        self.id = fid
-        self.key = key          # frozenset of hyperplane positions
-        self.rank = rank
-        self.basis = basis      # rref rows of the root span
-        self.pivots = pivots
+# a flat: its index, the frozenset of positions of its hyperplanes, its rank
+Flat = namedtuple("Flat", "id key rank")
 
 
 class IntersectionLattice:
-    """All intersections of hyperplanes, organised by their root spans."""
+    """All intersections of hyperplanes, as reflection sets of parabolic subgroups."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        self.flats = []
-        self._by_span = {}
-        self.by_key = {}
-        self.child = {}
-        self._build()
+        W = arr.W
+        ranks = {}
+        for J in W.all_subsets():
+            refl = [t for t in W.reflections if t in W.parabolic(J).members]
+            for x in W.transversal(J):
+                flat = {W.conj(t, x) for t in refl}
+                if flat <= arr.position.keys():
+                    ranks[frozenset(arr.position[t] for t in flat)] = len(J)
+        if frozenset(range(arr.n)) not in ranks:
+            raise NotParabolic("the hyperplanes do not form a flat")
+        order = sorted(ranks, key=lambda k: (ranks[k], sorted(k)))
+        self.flats = [Flat(fid, key, ranks[key]) for fid, key in enumerate(order)]
+        self.by_key = {f.key: f.id for f in self.flats}
         self.top_rank = max(f.rank for f in self.flats)
-
-    def _add_flat(self, basis, pivots):
-        spankey = tuple(linalg.vec_key(row) for row in basis)
-        if spankey in self._by_span:
-            return self._by_span[spankey]
-        key = frozenset(
-            p for p in range(self.arr.n)
-            if linalg.coords_in_rowspace(basis, pivots, self.arr.rows[p])
-            is not None)
-        fid = len(self.flats)
-        flat = Flat(fid, key, len(basis), basis, pivots)
-        self.flats.append(flat)
-        self._by_span[spankey] = fid
-        self.by_key[key] = fid
-        return fid
-
-    def _build(self):
-        queue = [self._add_flat((), [])]
-        done = set()
-        while queue:
-            fid = queue.pop()
-            if fid in done:
-                continue
-            done.add(fid)
-            flat = self.flats[fid]
-            for p in range(self.arr.n):
-                if p in flat.key:
-                    self.child[fid, p] = fid
-                    continue
-                basis, pivots = linalg.rref(list(flat.basis) + [self.arr.rows[p]])
-                cid = self._add_flat(basis, pivots)
-                self.child[fid, p] = cid
-                if cid not in done:
-                    queue.append(cid)
+        # the join of F with p outside it is the flat of rank one more above both
+        self.child = {(f.id, p): f.id for f in self.flats for p in f.key}
+        for f in self.flats:
+            for g in self.flats:
+                if g.rank == f.rank + 1 and f.key < g.key:
+                    for p in g.key - f.key:
+                        self.child[f.id, p] = g.id
 
     def flat_of(self, positions) -> int:
         fid = 0
@@ -162,14 +148,6 @@ class OSAlgebra:
             if circuit is not None:
                 return h, circuit
         return None
-
-    def is_nbc(self, mono) -> bool:
-        mono = tuple(sorted(mono))
-        if not mono:
-            return True
-        if not self.lattice.independent(mono):
-            return False
-        return self._broken_circuit_witness(mono) is None
 
     @property
     def nbc_basis(self):
@@ -273,9 +251,8 @@ class OSAlgebra:
             t = Fraction(0)
             for mono in basis:
                 img = self.act_monomial(mono, c.rep)
-                for m2 in img:
-                    assert self.lattice.flat_of(m2) in wanted, \
-                        "component is not invariant under the acting subgroup"
+                if any(self.lattice.flat_of(m2) not in wanted for m2 in img):
+                    raise NotInvariant("component is not invariant under the acting subgroup")
                 t = t + img.get(mono, Fraction(0))
             traces.append(t)
         return ClassFunction(acting, traces)
@@ -383,16 +360,11 @@ def _wedge_sign(a, b):
 
 
 def os_algebra(W: CoxeterGroup, seed_order=None) -> OSAlgebra:
-    cache = getattr(W, "_os_algebras", None)
-    if cache is None:
-        cache = W._os_algebras = {}
-    key = (None, seed_order)
-    if key not in cache:
-        cache[key] = OSAlgebra(Arrangement(W, seed_order=seed_order))
-    return cache[key]
+    return sub_os_algebra(W, range(W.rank), seed_order)
 
 
 def sub_os_algebra(W: CoxeterGroup, L, seed_order=None) -> OSAlgebra:
+    """The cached algebra of the arrangement of W_L."""
     cache = getattr(W, "_os_algebras", None)
     if cache is None:
         cache = W._os_algebras = {}
@@ -410,16 +382,11 @@ def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
     parabolic; the orbits of flats match the shapes one to one."""
     alg = algebra if algebra is not None else os_algebra(W)
     lat = alg.lattice
-    shapes = W.shapes()
     label = {}
-    for sh in shapes:
-        J = sh.canonical
-        basis, pivots = linalg.rref([W.roots[W.simple_root[j]] for j in J])
-        key = frozenset(
-            p for p in range(alg.arr.n)
-            if linalg.coords_in_rowspace(basis, pivots, alg.arr.rows[p])
-            is not None)
-        seed = lat.by_key[key]
+    for sh in W.shapes():
+        members = W.parabolic(sh.canonical).members
+        seed = lat.by_key[frozenset(
+            p for p, t in enumerate(alg.arr.hyperplanes) if t in members)]
         orbit, frontier = {seed}, [seed]
         while frontier:
             fid = frontier.pop()
@@ -429,9 +396,11 @@ def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
                     orbit.add(nid)
                     frontier.append(nid)
         for fid in orbit:
-            assert fid not in label, "flat orbits must not overlap"
+            if fid in label:
+                raise OrbitMismatch("flat orbits must not overlap")
             label[fid] = sh.index
-    assert len(label) == len(lat.flats), "every flat belongs to a shape orbit"
+    if len(label) != len(lat.flats):
+        raise OrbitMismatch("every flat belongs to a shape orbit")
     return label
 
 

@@ -186,6 +186,16 @@ def test_verify_a_rank_le_2(spec):
     assert report.check("element-twist")
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
+def test_verify_a_rank3(spec):
+    report = verify_a(build_group(spec))
+    assert report.status == "verified", "\n".join(report.lines())
+    for label in ("class-partition", "regular-sum", "arrangement-sum",
+                  "element-twist"):
+        assert report.check(label), label
+    assert len(report.subreports) == len(report.W.shapes())
+
+
 def test_verify_a_subreports_cover_all_shapes():
     W = build_group("I2(6)")
     report = verify_a(W)

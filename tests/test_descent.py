@@ -170,3 +170,10 @@ def test_rotation_idempotents():
         assert f.translate(st) == zeta(5, j) * f
         total = f if total is None else total + f
     assert total == unit(W)
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3", "I2(3)xI2(4)"])
+def test_full_algebra_is_built_once(spec):
+    W = build_group(spec)
+    assert descent_algebra(W) is descent_algebra(W, range(W.rank))
+    assert descent_algebra(W) is descent_algebra(W, tuple(reversed(range(W.rank))))

@@ -1,0 +1,63 @@
+"""Root permutation data against the cyclotomic linear algebra it replaced.
+
+Flats, fixed-space dimensions and the determinant characters alpha and sigma
+are read off root permutations.  Here each of them is recomputed by exact row
+reduction over the cyclotomic field, for every dihedral group up to I2(12),
+the rank 3 groups and A1xI2(5).
+"""
+
+import pytest
+
+from coxsol import linalg
+from coxsol.chars import (alpha_element, alpha_parabolic, det_character,
+                          sigma_parabolic)
+from coxsol.coxeter import build_group
+from coxsol.orlik_solomon import sub_os_algebra
+
+GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_flats_are_closed_root_spans(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        alg = sub_os_algebra(W, L)
+        lat, arr = alg.lattice, alg.arr
+        rows = [W.roots[W.reflection_root[t]] for t in arr.hyperplanes]
+        for f in lat.flats:
+            basis, pivots = linalg.rref([rows[p] for p in f.key])
+            assert len(basis) == f.rank, (spec, L, f.key)
+            closure = {p for p in range(arr.n)
+                       if linalg.coords_in_rowspace(basis, pivots, rows[p]) is not None}
+            assert closure == f.key, (spec, L, f.key)
+            # the join with a new hyperplane covers the flat, so it is the closure
+            for p in set(range(arr.n)) - f.key:
+                g = lat.flats[lat.child[f.id, p]]
+                assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, L, p)
+        assert lat.flats[alg.top_flat()].rank == len(L)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
+    W = build_group(spec)
+    for J in W.all_subsets():
+        N = W.normalizer_of_parabolic(J)
+        assert alpha_parabolic(W, J) == \
+            det_character(W, N, W.parabolic_fixed_space(J)), (spec, J)
+        span, _ = linalg.rref([W.roots[W.simple_root[j]] for j in J])
+        assert sigma_parabolic(W, J) == \
+            det_character(W, W.complement_subgroup(J), span), (spec, J)
+    for c in W.classes:
+        oracle = det_character(W, W.centralizer(c.rep), W.fixed_space(c.rep))
+        assert alpha_element(W, c.rep) == oracle, (spec, c.rep)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_fix_dim_and_closure_match_fixed_spaces(spec):
+    W = build_group(spec)
+    for w in range(W.order):
+        assert W.fix_dim(w) == len(W.fixed_space(w)), (spec, w)
+    for c in W.classes:
+        x, J = W.parabolic_closure(c.rep)
+        assert set(W.word(W.conj(c.rep, x))) == set(J)
+        assert len(J) == W.rank - W.fix_dim(c.rep)

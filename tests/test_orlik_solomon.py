@@ -180,3 +180,11 @@ def test_act_sum_with_group_algebra():
     assert x.act_sum(e) == x
     both = group_sum(W, [W.identity, W.identity])
     assert x.act_sum(both) == 2 * x
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3", "I2(3)xI2(4)"])
+def test_full_arrangement_is_built_once(spec):
+    W = build_group(spec)
+    assert os_algebra(W) is sub_os_algebra(W, range(W.rank))
+    assert os_algebra(W, seed_order=3) is sub_os_algebra(W, range(W.rank), seed_order=3)
+    assert os_algebra(W) is not os_algebra(W, seed_order=3)
