@@ -33,6 +33,10 @@ class NotLinear(ValueError):
     """Values that do not form a degree one character of their carrier."""
 
 
+class NotInvariant(ValueError):
+    """A module is not invariant under the subgroup taken to act on it."""
+
+
 class ClassFunction:
     """A function on a subgroup that is constant on conjugacy classes."""
 

@@ -8,8 +8,9 @@ Subcommands:
   table    the dihedral character table of both families
 
 Exit status is 0 on success (for verify: when the run verified), 1 when a
-verification fails, 2 on usage errors.  Output is JSON except for the table
-subcommand, which defaults to markdown; --format selects explicitly.
+verification fails, 2 on usage errors and 3 on an internal error, whose
+traceback goes to stderr.  Output is JSON except for the table subcommand,
+which defaults to markdown; --format selects explicitly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .conjectures import UnsupportedCase, dihedral_table, subset_label, verify
@@ -340,10 +342,13 @@ def main(argv=None) -> int:
     fmt = args.format or ("markdown" if args.command == "table" else "json")
     try:
         out = COMMANDS[args.command](args)
+        text = RENDERERS[fmt](out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = RENDERERS[fmt](out)
+    except Exception:
+        traceback.print_exc()
+        return 3
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -15,6 +15,7 @@ reported rather than raised.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, build_group
@@ -187,7 +188,9 @@ def construct_parabolic_B(W: CoxeterGroup, L):
         out = _search_B(W, L)
     covered = {WL.class_of(a.element) for a in out}
     wanted = {WL.class_of(c.rep) for c in WL.cuspidal_classes()}
-    assert covered == wanted and len(out) == len(wanted)
+    if covered != wanted or len(out) != len(wanted):
+        raise PrerequisiteFailed(
+            "the assignments do not cover each cuspidal class once")
     return out
 
 
@@ -225,7 +228,6 @@ def _search_B(W: CoxeterGroup, L):
     phi_top = D.ideal_character(D.shape_of(L))
     psi_top = top_component_character(W, L)
     pools = []
-    total = 1
     for cl in WL.cuspidal_classes():
         C = W.centralizer(cl.rep, within=WL)
         eps = sign_character(C)
@@ -235,7 +237,16 @@ def _search_B(W: CoxeterGroup, L):
             opts.append((cl.rep, C, chi, psi,
                          chi.induce(WL), psi.induce(WL)))
         pools.append(opts)
-        total *= len(opts)
+    return _search(L, phi_top, psi_top, pools)
+
+
+def _search(L, phi_top, psi_top, pools):
+    """The first combination, one option per cuspidal class, whose induced
+    characters add up to phi_top and psi_top.
+
+    An option is (element, centralizer, phi, psi, induced phi, induced psi).
+    """
+    total = math.prod(len(opts) for opts in pools)
     if total > SEARCH_CAP:
         raise SearchExhausted(f"{total} combinations exceed the search cap")
     zero = phi_top * 0
@@ -365,7 +376,6 @@ def _search_C(W: CoxeterGroup, L, N: Subgroup):
     psi_top = top_component_tilde(W, L)
     alphaL = alpha_parabolic(W, L)
     pools = []
-    total = 1
     for cl in W.parabolic(L).cuspidal_classes():
         C = W.centralizer(cl.rep)
         if not C.members <= N.members:
@@ -377,19 +387,7 @@ def _search_C(W: CoxeterGroup, L, N: Subgroup):
             psi = chi * twist
             opts.append((cl.rep, C, chi, psi, chi.induce(N), psi.induce(N)))
         pools.append(opts)
-        total *= len(opts)
-    if total > SEARCH_CAP:
-        raise SearchExhausted(f"{total} combinations exceed the search cap")
-    zero = phi_top * 0
-    for combo in itertools.product(*pools):
-        sphi, spsi = zero, zero
-        for _, _, _, _, iphi, ipsi in combo:
-            sphi, spsi = sphi + iphi, spsi + ipsi
-        if sphi == phi_top and spsi == psi_top:
-            return [Assignment(L, w, C, phi, psi, "search")
-                    for w, C, phi, psi, _, _ in combo]
-    raise SearchExhausted(
-        f"no combination of {total} centralizer characters matches")
+    return _search(L, phi_top, psi_top, pools)
 
 
 # -- the verifications ------------------------------------------------------------------

@@ -31,6 +31,10 @@ class NotNormalizing(ValueError):
     """An element does not normalize the parabolic subgroup it was paired with."""
 
 
+class NotClosed(ArithmeticError):
+    """An element set taken for a subgroup is not closed under multiplication."""
+
+
 DEFAULT_MAX_ELEMENTS = 10000
 
 
@@ -138,6 +142,7 @@ class CoxeterGroup:
         self.conductor = matrix.conductor()
         self._subgroups = {}
         self._parabolics = {}
+        self.algebras = {}  # filled by descent_algebra and sub_os_algebra
         self._build_form()
         self._build_roots(max_elements)
         self._build_elements(max_elements)
@@ -520,7 +525,8 @@ class CoxeterGroup:
         sub = self.subgroup(elems)
         for a in elems:
             for b in elems:
-                assert self.mult_table[a][b] in sub.members
+                if self.mult_table[a][b] not in sub.members:
+                    raise NotClosed(f"the complement for J = {J} is not closed")
         return sub
 
     def is_bulky(self, J) -> bool:
@@ -649,6 +655,7 @@ class Subgroup:
         self.parabolic_subset = None
         self._classes = None
         self._class_index = None
+        self._positions = None
 
     @property
     def order(self) -> int:
@@ -677,6 +684,13 @@ class Subgroup:
             self._classes = classes
             self._class_index = {x: k for k, c in enumerate(classes) for x in c.members}
         return self._classes
+
+    @property
+    def positions(self):
+        """The index of each member in sorted_members."""
+        if self._positions is None:
+            self._positions = {w: i for i, w in enumerate(self.sorted_members)}
+        return self._positions
 
     def class_of(self, w: int) -> int:
         self.classes

@@ -4,8 +4,10 @@ The basis elements x_J sum the inverses of the minimal coset representatives
 X_J.  Counting how the X_J meet the sets X_K of representatives that conjugate
 K into the generator set gives an invertible triangular matrix; its inverse
 turns the x_J into a complete family of idempotents, one per subset, whose
-sums over a conjugacy class of subsets are orthogonal.  Characters of the
-resulting right ideals are read off exact row echelon bases of their spans.
+sums over a conjugacy class of subsets are orthogonal.  The character of the
+right ideal eQU of an idempotent e is the trace formula
+chi(w) = sum_{g in U} e(g w^-1 g^-1) (Solomon 1976), so it is a sum of
+coefficients of e over one conjugacy class; no ideal is row-reduced.
 
 The same construction runs relative to a parabolic subgroup by restricting
 every transversal to it.
@@ -14,16 +16,23 @@ every transversal to it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
-from .chars import ClassFunction
+from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup, subsets
 from .cyclo import scalar_eq, scalar_is_zero, zeta
 
 
 class SingularM(ArithmeticError):
     """The subset incidence matrix was not invertible."""
+
+
+class NotIdempotent(ArithmeticError):
+    """An element taken for an idempotent does not square to itself."""
+
+
+class NotAResolution(ArithmeticError):
+    """Shape idempotents that are not orthogonal or do not add up to 1."""
 
 
 class GroupAlgebraElement:
@@ -98,7 +107,7 @@ class GroupAlgebraElement:
 
     def vector(self, universe: Subgroup):
         """Coefficient vector along the sorted members of a subgroup."""
-        pos = _positions(universe)
+        pos = universe.positions
         out = [Fraction(0)] * universe.order
         for w, c in self.coeffs.items():
             out[pos[w]] = c
@@ -131,14 +140,6 @@ def averaging(H: Subgroup) -> GroupAlgebraElement:
 def x_element(W: CoxeterGroup, J, within: Subgroup | None = None) -> GroupAlgebraElement:
     """Sum of the inverses of the minimal coset representatives X_J."""
     return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
-
-
-def _positions(universe: Subgroup):
-    cached = getattr(universe, "_positions", None)
-    if cached is None:
-        cached = {w: i for i, w in enumerate(universe.sorted_members)}
-        universe._positions = cached
-    return cached
 
 
 class DescentAlgebra:
@@ -206,52 +207,36 @@ class DescentAlgebra:
         es = [self.e_shape(sh) for sh in self.shapes]
         total = GroupAlgebraElement(self.W, {})
         for i, a in enumerate(es):
-            assert a * a == a
+            if a * a != a:
+                raise NotIdempotent(f"e of {self.shapes[i]} does not square to itself")
             total = total + a
             for b in es[i + 1:]:
-                assert (a * b).is_zero() and (b * a).is_zero()
-        assert total == unit(self.W)
+                if not ((a * b).is_zero() and (b * a).is_zero()):
+                    raise NotAResolution("two shape idempotents are not orthogonal")
+        if total != unit(self.W):
+            raise NotAResolution("the shape idempotents do not add up to 1")
 
     # -- characters of the right ideals -------------------------------------------
 
-    def _module(self, elem: GroupAlgebraElement):
-        """Echelon basis and pivots of the right ideal spanned by elem."""
-        vecs = [elem.translate(g).vector(self.universe)
-                for g in self.universe.sorted_members]
-        return linalg.rref(vecs)
-
     def ideal_character(self, shape) -> ClassFunction:
-        """Character of the right ideal generated by the shape idempotent."""
-        if shape.index not in self._phi:
-            self._phi[shape.index] = self.module_character(self.e_shape(shape))
-        return self._phi[shape.index]
+        """Character of the right ideal generated by the shape idempotent.
 
-    def module_character(self, elem: GroupAlgebraElement,
-                         acting: Subgroup | None = None) -> ClassFunction:
-        """Trace of right translation on the span of the translates of elem.
-
-        By default the group elements range over the algebra's universe and so
-        does the acting subgroup; passing a different acting subgroup gives the
-        character of its action on the same span, provided it preserves it.
+        For an idempotent e, right translation by w on eQU has trace
+        sum_{g in U} e(g w^-1 g^-1) = |U| / |C| * sum_{h in C} e(h), where C
+        is the class of w^-1 in U.  The formula needs e * e = e.
         """
-        W, uni = self.W, self.universe
-        if acting is None:
-            acting = uni
-        pos = _positions(uni)
-        members = uni.sorted_members
-        basis, pivots = self._module(elem)
-        traces = []
-        for c in acting.classes:
-            winv = W.inv(c.rep)
-            t = Fraction(0)
-            for b, p in zip(basis, pivots):
-                t = b[pos[W.mult(members[p], winv)]] + t
-            traces.append(t)
-            # stability: the span really is invariant under the acting element
-            if basis:
-                moved = [basis[0][pos[W.mult(g, winv)]] for g in members]
-                assert linalg.coords_in_rowspace(basis, pivots, moved) is not None
-        return ClassFunction(acting, traces)
+        if shape.index not in self._phi:
+            e = self.e_shape(shape)
+            if e * e != e:
+                raise NotIdempotent(f"e of {shape} does not square to itself")
+            W, uni = self.W, self.universe
+            traces = []
+            for c in uni.classes:
+                cl = uni.classes[uni.class_of(W.inv(c.rep))]
+                t = sum((e.coefficient(h) for h in cl.members), Fraction(0))
+                traces.append(Fraction(uni.order, cl.size) * t)
+            self._phi[shape.index] = ClassFunction(uni, traces)
+        return self._phi[shape.index]
 
     def character_family(self):
         return {sh.index: self.ideal_character(sh) for sh in self.shapes}
@@ -265,13 +250,11 @@ class DescentAlgebra:
 
 
 def descent_algebra(W: CoxeterGroup, L=None) -> DescentAlgebra:
-    """The cached descent algebra of W_L; L = None means all of S."""
-    return _descent_algebra(W, tuple(range(W.rank)) if L is None else tuple(sorted(L)))
-
-
-@lru_cache(maxsize=None)
-def _descent_algebra(W: CoxeterGroup, L) -> DescentAlgebra:
-    return DescentAlgebra(W, L)
+    """The descent algebra of W_L, built once per group; L = None means all of S."""
+    L = tuple(range(W.rank)) if L is None else tuple(sorted(L))
+    if ("descent", L) not in W.algebras:
+        W.algebras["descent", L] = DescentAlgebra(W, L)
+    return W.algebras["descent", L]
 
 
 def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
@@ -287,7 +270,7 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     WL = W.parabolic(L)
     N = W.normalizer_of_parabolic(L)
     uni = W.full()
-    pos = _positions(uni)
+    pos = uni.positions
     members = uni.sorted_members
     vecs = [eL.translate(u).vector(uni) for u in WL.sorted_members]
     basis, pivots = linalg.rref(vecs)
@@ -298,7 +281,8 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
         for i, b in enumerate(basis):
             moved = [b[pos[W.mult(g, winv)]] for g in members]
             coords = linalg.coords_in_rowspace(basis, pivots, moved)
-            assert coords is not None, "ideal is not normalizer invariant"
+            if coords is None:
+                raise NotInvariant("ideal is not normalizer invariant")
             t = t + coords[i]
         traces.append(t)
     return ClassFunction(N, traces)

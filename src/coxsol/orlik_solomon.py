@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .chars import ClassFunction
+from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup
 from .cyclo import scalar_is_zero, scalar_eq
 
@@ -31,10 +31,6 @@ class StraighteningFailure(RuntimeError):
 
 class NotParabolic(ValueError):
     """The hyperplanes are not the reflections of a parabolic subgroup."""
-
-
-class NotInvariant(ValueError):
-    """A set of flats is not invariant under the acting subgroup."""
 
 
 class OrbitMismatch(RuntimeError):
@@ -364,17 +360,14 @@ def os_algebra(W: CoxeterGroup, seed_order=None) -> OSAlgebra:
 
 
 def sub_os_algebra(W: CoxeterGroup, L, seed_order=None) -> OSAlgebra:
-    """The cached algebra of the arrangement of W_L."""
-    cache = getattr(W, "_os_algebras", None)
-    if cache is None:
-        cache = W._os_algebras = {}
+    """The algebra of the arrangement of W_L, built once per group."""
     L = tuple(sorted(L))
-    key = (L, seed_order)
-    if key not in cache:
+    key = ("os", L, seed_order)
+    if key not in W.algebras:
         refl = sorted(set(W.parabolic(L).members) & set(W.reflections))
-        cache[key] = OSAlgebra(Arrangement(W, reflections=refl,
-                                           seed_order=seed_order))
-    return cache[key]
+        W.algebras[key] = OSAlgebra(Arrangement(W, reflections=refl,
+                                                seed_order=seed_order))
+    return W.algebras[key]
 
 
 def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:

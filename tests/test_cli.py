@@ -184,3 +184,16 @@ def test_help_exits_zero(capsys):
 
 def test_max_elements_guard(capsys):
     assert run(capsys, "group", "H3", "--max-elements", "10")[0] == 2
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import coxsol.cli
+
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setitem(coxsol.cli.COMMANDS, "group", broken)
+    code, out, err = run(capsys, "group", "A1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: broken on purpose" in err

@@ -1,17 +1,21 @@
-"""Root permutation data against the cyclotomic linear algebra it replaced.
+"""Structural shortcuts against the exact linear algebra they replaced.
 
 Flats, fixed-space dimensions and the determinant characters alpha and sigma
-are read off root permutations.  Here each of them is recomputed by exact row
-reduction over the cyclotomic field, for every dihedral group up to I2(12),
-the rank 3 groups and A1xI2(5).
+are read off root permutations, and the descent ideal characters Phi come
+from a trace formula.  Here each of them is recomputed by exact row
+reduction, for every dihedral group up to I2(12), the rank 3 groups and
+A1xI2(5).
 """
+
+from fractions import Fraction
 
 import pytest
 
 from coxsol import linalg
-from coxsol.chars import (alpha_element, alpha_parabolic, det_character,
-                          sigma_parabolic)
+from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
+                          det_character, sigma_parabolic)
 from coxsol.coxeter import build_group
+from coxsol.descent import DescentAlgebra, descent_algebra
 from coxsol.orlik_solomon import sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
@@ -61,3 +65,44 @@ def test_fix_dim_and_closure_match_fixed_spaces(spec):
         x, J = W.parabolic_closure(c.rep)
         assert set(W.word(W.conj(c.rep, x))) == set(J)
         assert len(J) == W.rank - W.fix_dim(c.rep)
+
+
+def row_reduced_character(D, shape):
+    """Trace of right translation on a row echelon basis of the span of the
+    right translates of the shape idempotent."""
+    W, uni = D.W, D.universe
+    pos, members = uni.positions, uni.sorted_members
+    e = D.e_shape(shape)
+    basis, pivots = linalg.rref([e.translate(g).vector(uni) for g in members])
+    traces = []
+    for c in uni.classes:
+        winv = W.inv(c.rep)
+        t = Fraction(0)
+        for b, p in zip(basis, pivots):
+            t = b[pos[W.mult(members[p], winv)]] + t
+        traces.append(t)
+    return ClassFunction(uni, traces)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_ideal_characters_match_row_reduction(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        for sh in D.shapes:
+            got = D.ideal_character(sh).values
+            want = row_reduced_character(D, sh).values
+            assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L, sh)
+
+
+def test_ideal_characters_need_no_row_reduction(monkeypatch):
+    W = build_group("H3")
+    algebras = [DescentAlgebra(W, L) for L in W.all_subsets()]
+
+    def refuse(rows):
+        raise AssertionError("Phi must not row-reduce")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for D in algebras:
+        assert sum(phi.degree for phi in D.character_family().values()) == \
+            D.universe.order
