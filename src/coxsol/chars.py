@@ -2,10 +2,11 @@
 
 Every character is carried by an explicit subgroup and stores one value per
 conjugacy class of that subgroup.  Induction uses the averaged conjugation
-formula, so it needs nothing beyond the multiplication table.  Linear
-characters are kept elementwise; the full set for a subgroup is obtained by
-factoring through the quotient modulo the commutator subgroup and extending
-characters one cyclic step at a time.
+formula, so it needs nothing beyond the multiplication table.  A linear
+character is a class function too: `linear_character` checks elementwise
+values for multiplicativity before keeping one value per class.  The full set
+for a subgroup is obtained by factoring through the quotient modulo the
+commutator subgroup and extending characters one cyclic step at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class CarrierMismatch(ValueError):
 
 
 class NotInComplement(KeyError):
-    """A linear character was evaluated outside its carrier."""
+    """A class function was evaluated outside its carrier."""
 
 
 class NotLinear(ValueError):
@@ -54,7 +55,12 @@ class ClassFunction:
         return cls(carrier, [fn(c.rep) for c in carrier.classes])
 
     def value(self, w: int):
-        return self.values[self.carrier.class_of(w)]
+        try:
+            return self.values[self.carrier.class_of(w)]
+        except KeyError:
+            raise NotInComplement(f"element {w} is outside the carrier")
+
+    __call__ = value
 
     @property
     def degree(self):
@@ -76,8 +82,6 @@ class ClassFunction:
                              [a - b for a, b in zip(self.values, other.values)])
 
     def __mul__(self, other):
-        if isinstance(other, LinearCharacter):
-            other = other.as_class_function()
         if isinstance(other, ClassFunction):
             self._same_carrier(other)
             return ClassFunction(self.carrier,
@@ -124,8 +128,6 @@ class ClassFunction:
 
     def inner(self, other) -> Fraction:
         """Hermitian inner product of class functions."""
-        if isinstance(other, LinearCharacter):
-            other = other.as_class_function()
         self._same_carrier(other)
         acc = Fraction(0)
         for c, a, b in zip(self.carrier.classes, self.values, other.values):
@@ -141,103 +143,46 @@ class ClassFunction:
         return f"ClassFunction({list(self.values)!r})"
 
 
-class LinearCharacter:
-    """A degree one character stored elementwise on its carrier."""
-
-    __slots__ = ("carrier", "values")
-
-    def __init__(self, carrier: Subgroup, values: dict, validate: bool = True):
-        self.carrier = carrier
-        self.values = dict(values)
-        if validate:
-            W = carrier.parent
-            if set(self.values) != carrier.members:
-                raise NotLinear("values must be given on exactly the carrier")
-            if not scalar_eq(self.values[W.identity], 1):
-                raise NotLinear("value at the identity is not 1")
-            for a in carrier.sorted_members:
-                for b in carrier.sorted_members:
-                    got = self.values[W.mult(a, b)]
-                    if not scalar_eq(got, self.values[a] * self.values[b]):
-                        raise NotLinear("values are not multiplicative")
-
-    def __call__(self, w: int):
-        try:
-            return self.values[w]
-        except KeyError:
-            raise NotInComplement(f"element {w} is outside the carrier")
-
-    def __mul__(self, other):
-        if isinstance(other, LinearCharacter):
-            if self.carrier.members != other.carrier.members:
-                raise CarrierMismatch("linear characters on different carriers")
-            return LinearCharacter(
-                self.carrier,
-                {w: v * other.values[w] for w, v in self.values.items()},
-                validate=False)
-        if isinstance(other, ClassFunction):
-            return self.as_class_function() * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCharacter):
-            return NotImplemented
-        return self.carrier.members == other.carrier.members and all(
-            scalar_eq(v, other.values[w]) for w, v in self.values.items())
-
-    def __hash__(self):
-        return hash(id(self.carrier))
-
-    def as_class_function(self) -> ClassFunction:
-        return ClassFunction(self.carrier,
-                             [self.values[c.rep] for c in self.carrier.classes])
-
-    def restrict(self, target: Subgroup) -> "LinearCharacter":
-        if not target.members <= self.carrier.members:
-            raise NotASubgroup("can only restrict to a subgroup")
-        return LinearCharacter(target,
-                               {w: self.values[w] for w in target.members},
-                               validate=False)
-
-    def induce(self, target: Subgroup) -> ClassFunction:
-        return self.as_class_function().induce(target)
-
-    def __repr__(self):
-        reps = {w: v for w, v in sorted(self.values.items())[:4]}
-        return f"LinearCharacter({reps!r}...)"
+def linear_character(carrier: Subgroup, values: dict) -> ClassFunction:
+    """The class function of values given elementwise, after checking that they
+    form a degree one character of the carrier."""
+    W = carrier.parent
+    if set(values) != carrier.members:
+        raise NotLinear("values must be given on exactly the carrier")
+    if not scalar_eq(values[W.identity], 1):
+        raise NotLinear("value at the identity is not 1")
+    for a in carrier.sorted_members:
+        for b in carrier.sorted_members:
+            if not scalar_eq(values[W.mult(a, b)], values[a] * values[b]):
+                raise NotLinear("values are not multiplicative")
+    return ClassFunction(carrier, [values[c.rep] for c in carrier.classes])
 
 
 # -- standard characters ---------------------------------------------------------
 
 
-def trivial_character(carrier: Subgroup) -> LinearCharacter:
-    return LinearCharacter(carrier, {w: Fraction(1) for w in carrier.members},
-                           validate=False)
+def trivial_character(carrier: Subgroup) -> ClassFunction:
+    return ClassFunction(carrier, [Fraction(1)] * len(carrier.classes))
 
 
-def sign_character(carrier: Subgroup) -> LinearCharacter:
+def sign_character(carrier: Subgroup) -> ClassFunction:
     """Determinant on the reflection representation, (-1)^length."""
     W = carrier.parent
-    return LinearCharacter(
-        carrier,
-        {w: Fraction(-1 if W.lengths[w] % 2 else 1) for w in carrier.members},
-        validate=False)
+    return ClassFunction.from_function(
+        carrier, lambda w: Fraction(-1 if W.lengths[w] % 2 else 1))
 
 
-def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> LinearCharacter:
+def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> ClassFunction:
     """Determinant on an invariant subspace with the given rref basis; a test oracle."""
-    return LinearCharacter(
-        carrier,
-        {w: W.det_on_subspace(w, basis) for w in carrier.members},
-        validate=False)
+    return ClassFunction.from_function(carrier, lambda w: W.det_on_subspace(w, basis))
 
 
-def alpha_parabolic(W: CoxeterGroup, J) -> LinearCharacter:
+def alpha_parabolic(W: CoxeterGroup, J) -> ClassFunction:
     """Determinant on the fixed space of W_J, on the normalizer of W_J."""
     return _fixed_space_det(W, W.normalizer_of_parabolic(J), J, W.identity)
 
 
-def alpha_element(W: CoxeterGroup, w: int) -> LinearCharacter:
+def alpha_element(W: CoxeterGroup, w: int) -> ClassFunction:
     """Determinant on the fixed space of w, on the centralizer of w.
 
     With x W_J x^-1 the parabolic closure of w, x maps the fixed space of W_J
@@ -247,20 +192,18 @@ def alpha_element(W: CoxeterGroup, w: int) -> LinearCharacter:
     return _fixed_space_det(W, W.centralizer(w), J, x)
 
 
-def sigma_parabolic(W: CoxeterGroup, J) -> LinearCharacter:
+def sigma_parabolic(W: CoxeterGroup, J) -> ClassFunction:
     """Determinant on the span of the roots of J, on the complement N_J."""
-    NJ = W.complement_subgroup(J)
-    return LinearCharacter(NJ, {n: W.det_on_root_span(n, J) for n in NJ.members},
-                           validate=False)
+    return ClassFunction.from_function(W.complement_subgroup(J),
+                                       lambda n: W.det_on_root_span(n, J))
 
 
-def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> LinearCharacter:
+def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> ClassFunction:
     """Determinant on x times the fixed space of W_J, for a carrier that
     normalizes x W_J x^-1: the sign over the determinant on the root span."""
     sign = sign_character(carrier)
-    return LinearCharacter(
-        carrier, {c: sign(c) * W.det_on_root_span(W.conj(c, x), J) for c in carrier.members},
-        validate=False)
+    return ClassFunction.from_function(
+        carrier, lambda c: sign(c) * W.det_on_root_span(W.conj(c, x), J))
 
 
 def reflection_fix_character(carrier: Subgroup) -> ClassFunction:
@@ -274,7 +217,7 @@ def reflection_fix_character(carrier: Subgroup) -> ClassFunction:
     return ClassFunction.from_function(carrier, count)
 
 
-def rotation_character(W: CoxeterGroup, L, j: int) -> LinearCharacter:
+def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:
     """The character of the rotation subgroup of a dihedral parabolic sending
     the standard rotation to the j-th power of a primitive root of unity."""
     a, b = sorted(L)
@@ -287,7 +230,7 @@ def rotation_character(W: CoxeterGroup, L, j: int) -> LinearCharacter:
     for k in range(m):
         values[x] = zeta(m, j * k)
         x = W.mult(x, rot)
-    return LinearCharacter(carrier, values, validate=False)
+    return ClassFunction.from_function(carrier, values.__getitem__)
 
 
 # -- all linear characters of a subgroup ------------------------------------------
@@ -361,7 +304,7 @@ def linear_characters(H: Subgroup):
         else:
             values = {h: zeta(M, chi[coset_of[h]]) for h in H.sorted_members}
         key = tuple(chi[coset_of[h]] for h in H.sorted_members)
-        out.append((key, LinearCharacter(H, values)))
+        out.append((key, linear_character(H, values)))
     out.sort(key=lambda p: p[0])
     return [lc for _, lc in out]
 
@@ -391,11 +334,3 @@ def class_function_from_json(data: dict, carrier: Subgroup) -> ClassFunction:
     if any(v is None for v in vals):
         raise ValueError("serialized classes do not cover the carrier")
     return ClassFunction(carrier, vals)
-
-
-def as_linear_character(cf: ClassFunction) -> LinearCharacter:
-    """Reinterpret a degree one class function as a linear character."""
-    if not scalar_eq(cf.degree, 1):
-        raise ValueError("not a degree one class function")
-    return LinearCharacter(cf.carrier,
-                           {w: cf.value(w) for w in cf.carrier.members})

@@ -8,8 +8,9 @@ Subcommands:
   table    the dihedral character table of both families
 
 Exit status is 0 on success (for verify: when the run verified), 1 when a
-verification fails, 2 on usage errors and 3 on an internal error, whose
-traceback goes to stderr.  Output is JSON except for the table subcommand,
+verification fails, 2 on usage errors, 3 on an internal error, whose
+traceback goes to stderr, and 4 when a verify search is exhausted (status
+search-exhausted).  Output is JSON except for the table subcommand,
 which defaults to markdown; --format selects explicitly.
 """
 
@@ -227,8 +228,11 @@ def cmd_verify(args) -> CommandOutput:
         tables.append((f"case L={subset_label(sub.L) or '-'}",
                        ["check", "ok", "detail"],
                        [[lab, ok, detail] for lab, ok, detail in sub.checks]))
-    return CommandOutput(payload, tables, report.lines(),
-                         code=0 if report.ok else 1)
+    if report.ok:
+        code = 0
+    else:
+        code = 4 if report.status == "search-exhausted" else 1
+    return CommandOutput(payload, tables, report.lines(), code=code)
 
 
 def cmd_table(args) -> CommandOutput:

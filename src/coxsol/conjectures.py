@@ -20,10 +20,9 @@ from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, build_group
 from .cyclo import scalar_eq
-from .chars import (LinearCharacter, alpha_element, alpha_parabolic,
-                    as_linear_character, class_function_json, linear_characters,
-                    regular_character, rotation_character, sign_character,
-                    trivial_character)
+from .chars import (alpha_element, alpha_parabolic, class_function_json,
+                    linear_character, linear_characters, regular_character,
+                    rotation_character, sign_character, trivial_character)
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (shape_component_character, sub_os_algebra,
                             top_component_character, top_component_tilde,
@@ -41,6 +40,10 @@ class SearchExhausted(RuntimeError):
 
 class PrerequisiteFailed(RuntimeError):
     """A structural fact the constructions rely on does not hold."""
+
+
+class MalformedTable(ValueError):
+    """A dihedral table entry is not an integer, or its columns miss a class."""
 
 
 SEARCH_CAP = 100000
@@ -68,8 +71,8 @@ class Assignment:
                 "element": W.word_str(self.element),
                 "centralizer_order": self.centralizer.order,
                 "route": self.route,
-                "phi": class_function_json(self.phi.as_class_function()),
-                "psi": class_function_json(self.psi.as_class_function())}
+                "phi": class_function_json(self.phi),
+                "psi": class_function_json(self.psi)}
 
     def __repr__(self):
         return f"Assignment(L={self.L}, element={self.element}, route={self.route})"
@@ -208,13 +211,16 @@ def _dihedral_B(W: CoxeterGroup, L):
         w = W.power(st, j)
         C = W.centralizer(w, within=WL)
         chi = rotation_character(W, L, exponent)
-        assert C.members == chi.carrier.members
+        if C.members != chi.carrier.members:
+            raise PrerequisiteFailed(
+                "a rotation centralizer is not the rotation subgroup")
         out.append(Assignment(L, w, chi.carrier, chi,
                               chi * sign_character(chi.carrier), "dihedral"))
     if m % 2 == 0:
         w0 = WL.longest_element()
         C = W.centralizer(w0, within=WL)
-        assert C.members == WL.members
+        if C.members != WL.members:
+            raise PrerequisiteFailed("the longest element is not central")
         out.append(Assignment(L, w0, C, sign_character(C),
                               trivial_character(C), "dihedral"))
     return out
@@ -287,30 +293,23 @@ def construct_C(W: CoxeterGroup, L):
     return _search_C(W, L, N)
 
 
-def _wl_part(W: CoxeterGroup, c: int, WL: Subgroup, NL: Subgroup) -> int:
-    """The W_L factor of c under the unique product W_L * N_L."""
-    hits = [W.mult(c, W.inv(n)) for n in NL.sorted_members
-            if W.mult(c, W.inv(n)) in WL.members]
-    assert len(hits) == 1
-    return hits[0]
-
-
 def _lift_product(W: CoxeterGroup, L, N: Subgroup, base: Assignment) -> Assignment:
-    WL = W.parabolic(L)
-    NL = W.complement_subgroup(L)
     C = W.centralizer(base.element)
     if not C.members <= N.members:
         raise PrerequisiteFailed(
             "centralizer of a cuspidal element leaves the normalizer")
     values = {}
     for c in C.sorted_members:
-        u = _wl_part(W, c, WL, NL)
-        assert u in base.centralizer.members
+        u, _ = W.normalizer_factors(c, L)
+        if u not in base.centralizer.members:
+            raise PrerequisiteFailed(
+                "the W_L factor of a centralizing element leaves the base centralizer")
         values[c] = base.phi(u)
-    phi = LinearCharacter(C, values)
+    phi = linear_character(C, values)
     psi = phi * sign_character(C) * alpha_parabolic(W, L).restrict(C)
-    assert phi.restrict(base.centralizer) == base.phi
-    assert psi.restrict(base.centralizer) == base.psi
+    if phi.restrict(base.centralizer) != base.phi or \
+            psi.restrict(base.centralizer) != base.psi:
+        raise PrerequisiteFailed("the lift does not restrict to the base assignment")
     return Assignment(L, base.element, C, phi, psi, "product")
 
 
@@ -318,14 +317,16 @@ def _module_route(W: CoxeterGroup, L, N: Subgroup):
     """Both normalizer modules are lines here, so they are their own characters."""
     WL = W.parabolic(L)
     cusp = WL.cuspidal_classes()
-    assert len(cusp) == 1
     w = WL.longest_element()
-    assert w in cusp[0].members
+    if len(cusp) != 1 or w not in cusp[0].members:
+        raise PrerequisiteFailed(
+            "the longest element is not the one cuspidal class of W_L")
     C = W.centralizer(w)
     if C.members != N.members:
         return _search_C(W, L, N)
-    phi = as_linear_character(parabolic_ideal_character(W, L))
-    psi = as_linear_character(top_component_tilde(W, L))
+    phi, psi = (linear_character(C, {c: cf(c) for c in C.members})
+                for cf in (parabolic_ideal_character(W, L),
+                           top_component_tilde(W, L)))
     return [Assignment(L, w, C, phi, psi, "module")]
 
 
@@ -334,12 +335,11 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
 
     For c = u * n with u in W_L and n in the complement, the value is the
     rotation character at u when u is a rotation, and at u * w_L when u is a
-    reflection; multiplicativity of the result is asserted.
+    reflection; the result is checked to be multiplicative.
     """
     a, b = L
     m = W.matrix[a, b]
     WL = W.parabolic(L)
-    NL = W.complement_subgroup(L)
     st = W.mult(W.generators[a], W.generators[b])
     rotations = W.cyclic(st).members
     wL = WL.longest_element()
@@ -352,13 +352,13 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
             raise PrerequisiteFailed(
                 "centralizer of a cuspidal element leaves the normalizer")
         chi = rotation_character(W, L, j)
-        parts = {c: _wl_part(W, c, WL, NL) for c in C.sorted_members}
+        parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
         phi = None
         for side in (lambda u: W.mult(u, wL), lambda u: W.mult(wL, u)):
             values = {c: chi(u if u in rotations else side(u))
                       for c, u in parts.items()}
             try:
-                phi = LinearCharacter(C, values)
+                phi = linear_character(C, values)
                 break
             except ValueError:
                 continue
@@ -606,10 +606,10 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
 
 
 def _as_int(value) -> int:
-    if not isinstance(value, Fraction):
-        value = value.as_rational()
-    assert value is not None and value.denominator == 1
-    return int(value)
+    q = value if isinstance(value, Fraction) else value.as_rational()
+    if q is None or q.denominator != 1:
+        raise MalformedTable(f"table entry {value!r} is not an integer")
+    return int(q)
 
 
 def dihedral_table(m: int, max_elements: int = 10000) -> dict:
@@ -636,7 +636,8 @@ def dihedral_table(m: int, max_elements: int = 10000) -> dict:
         cols += [(W.power(st, i), f"(s1*s2)^{i}")
                  for i in range(1, (m - 1) // 2 + 1)]
     reps = [full.class_of(w) for w, _ in cols]
-    assert len(set(reps)) == len(cols) == len(full.classes)
+    if not len(set(reps)) == len(cols) == len(full.classes):
+        raise MalformedTable("the table columns do not list each class once")
 
     rows = []
 

@@ -121,10 +121,10 @@ def matrix_from_spec(spec: str, rank_bound: int = 4) -> CoxeterMatrix:
 class ConjugacyClass:
     __slots__ = ("rep", "members", "is_cuspidal")
 
-    def __init__(self, rep, members, is_cuspidal=None):
+    def __init__(self, rep, members):
         self.rep = rep
         self.members = members
-        self.is_cuspidal = is_cuspidal
+        self.is_cuspidal = None  # set for the classes of the whole group only
 
     @property
     def size(self):
@@ -454,21 +454,39 @@ class CoxeterGroup:
         """Dimension of the fixed space of w."""
         return self.rank - self._closure_rank[self.class_index[w]]
 
+    def normalizer_factors(self, c: int, J):
+        """u and d with c = u * d, u in W_J and d the shortest element of W_J c.
+
+        d is reached from c by stripping left descents in J.  It permutes the
+        simple roots of J exactly when c normalizes W_J; otherwise this raises
+        NotNormalizing.
+        """
+        mt, lengths = self.mult_table, self.lengths
+        gens = [self.generators[s] for s in J]
+        u, d = self.identity, c
+        stripped = True
+        while stripped:
+            stripped = False
+            for g in gens:
+                if lengths[mt[g][d]] < lengths[d]:
+                    u, d = mt[u][g], mt[g][d]
+                    stripped = True
+        simple = {self.simple_root[s] for s in J}
+        if any(self.perms[d][a] not in simple for a in simple):
+            raise NotNormalizing(f"{self.word_str(c)} does not normalize W_J for J={tuple(J)}")
+        return u, d
+
     def det_on_root_span(self, c: int, J) -> Fraction:
         """Determinant of c on the span of the roots of J, for c normalizing W_J.
 
-        Write c = u * d with u in W_J and d the shortest element of W_J c.  Then
-        d permutes the simple roots of J, and the determinant is sign(u) =
-        (-1)^(l(c) - l(d)) times the sign of that permutation.
+        With c = u * d as in normalizer_factors, d permutes the simple roots of
+        J, and the determinant is sign(u) = (-1)^(l(c) - l(d)) times the sign
+        of that permutation.
         """
         J = tuple(sorted(J))
-        d = min((self.mult_table[u][c] for u in self.parabolic(J).members),
-                key=self.lengths.__getitem__)
+        _, d = self.normalizer_factors(c, J)
         where = {self.simple_root[s]: i for i, s in enumerate(J)}
-        try:
-            image = [where[self.perms[d][self.simple_root[s]]] for s in J]
-        except KeyError:
-            raise NotNormalizing(f"{self.word_str(c)} does not normalize W_J for J={J}")
+        image = [where[self.perms[d][self.simple_root[s]]] for s in J]
         flips = self.lengths[c] - self.lengths[d]
         flips += sum(1 for i, a in enumerate(image) for b in image[i + 1:] if a > b)
         return Fraction(-1 if flips % 2 else 1)
@@ -667,19 +685,12 @@ class Subgroup:
             W = self.parent
             seen = set()
             classes = []
-            cusp_dim = None
-            if self.parabolic_subset is not None:
-                cusp_dim = W.rank - len(self.parabolic_subset)
             for w in self.sorted_members:
                 if w in seen:
                     continue
                 members = frozenset(W.conj(w, x) for x in self.sorted_members)
                 seen |= members
-                rep = min(members)
-                cusp = None
-                if cusp_dim is not None:
-                    cusp = W.fix_dim(rep) == cusp_dim
-                classes.append(ConjugacyClass(rep, members, cusp))
+                classes.append(ConjugacyClass(min(members), members))
             classes.sort(key=lambda c: c.rep)
             self._classes = classes
             self._class_index = {x: k for k, c in enumerate(classes) for x in c.members}
@@ -700,7 +711,6 @@ class Subgroup:
         """Classes with no fixed points beyond the fixed space of the parabolic."""
         if self.parabolic_subset is None:
             raise ValueError("cuspidal classes need parabolic root data")
-        # computed from scratch: the subgroup may predate its parabolic identity
         dim = self.parent.rank - len(self.parabolic_subset)
         return [c for c in self.classes if self.parent.fix_dim(c.rep) == dim]
 

@@ -145,7 +145,7 @@ def test_criterion_04_os_suite():
         W = build_group(spec)
         full = W.full()
         pi_a = reflection_fix_character(full)
-        one = trivial_character(full).as_class_function()
+        one = trivial_character(full)
         assert whole_space_character(W) == pi_a * 2, spec
         D = descent_algebra(W)
         top = D.shape_of((0, 1))

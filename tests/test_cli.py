@@ -197,3 +197,13 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "Traceback" in err and "RuntimeError: broken on purpose" in err
+
+
+def test_search_exhausted_exits_four(capsys, monkeypatch):
+    from coxsol import conjectures
+
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 0)
+    code, out, err = run(capsys, "verify", "b", "A3")
+    assert code == 4, err
+    data = json.loads(out)
+    assert data["status"] == "search-exhausted" and not data["ok"]

@@ -41,19 +41,26 @@ def test_flats_are_closed_root_spans(spec):
         assert lat.flats[alg.top_flat()].rank == len(L)
 
 
+def _matches_determinant(chi, carrier, basis) -> bool:
+    """chi lives on the carrier and agrees with the determinant on the subspace
+    at every member, not only at class representatives."""
+    W = carrier.parent
+    return chi == det_character(W, carrier, basis) and all(
+        chi(w) == W.det_on_subspace(w, basis) for w in carrier.sorted_members)
+
+
 @pytest.mark.parametrize("spec", GROUPS)
 def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
     W = build_group(spec)
     for J in W.all_subsets():
-        N = W.normalizer_of_parabolic(J)
-        assert alpha_parabolic(W, J) == \
-            det_character(W, N, W.parabolic_fixed_space(J)), (spec, J)
+        assert _matches_determinant(alpha_parabolic(W, J), W.normalizer_of_parabolic(J),
+                                    W.parabolic_fixed_space(J)), (spec, J)
         span, _ = linalg.rref([W.roots[W.simple_root[j]] for j in J])
-        assert sigma_parabolic(W, J) == \
-            det_character(W, W.complement_subgroup(J), span), (spec, J)
+        assert _matches_determinant(sigma_parabolic(W, J),
+                                    W.complement_subgroup(J), span), (spec, J)
     for c in W.classes:
-        oracle = det_character(W, W.centralizer(c.rep), W.fixed_space(c.rep))
-        assert alpha_element(W, c.rep) == oracle, (spec, c.rep)
+        assert _matches_determinant(alpha_element(W, c.rep), W.centralizer(c.rep),
+                                    W.fixed_space(c.rep)), (spec, c.rep)
 
 
 @pytest.mark.parametrize("spec", GROUPS)

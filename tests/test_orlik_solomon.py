@@ -145,7 +145,7 @@ def test_top_shape_equals_descent_times_sign(spec):
     L = tuple(range(W.rank))
     psi = shape_component_character(W, W.shape_of(L))
     phi = D.ideal_character(D.shape_of(L))
-    eps = sign_character(W.full()).as_class_function()
+    eps = sign_character(W.full())
     assert psi == phi * eps
 
 

@@ -1,5 +1,6 @@
 """Checks the verifier depends on raise typed exceptions, also under python -O."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import pytest
 
 import coxsol
 from coxsol import conjectures
-from coxsol.chars import LinearCharacter, NotInvariant, NotLinear
-from coxsol.conjectures import construct_parabolic_B, PrerequisiteFailed, verify_b
+from coxsol.chars import (NotInvariant, NotLinear, linear_character,
+                          rotation_character, sign_character)
+from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verify_b,
+                                verify_c)
 from coxsol.coxeter import (CoxeterGroup, NotClosed, NotNormalizing, build_group,
                             matrix_from_spec)
 from coxsol.descent import parabolic_ideal_character
@@ -20,16 +23,17 @@ from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic
 BAD_INPUTS = """
 import sys
 from fractions import Fraction
-from coxsol.chars import LinearCharacter, NotLinear
+from coxsol.chars import NotLinear, linear_character
 from coxsol.coxeter import build_group
 from coxsol.descent import DescentAlgebra, NotAResolution, NotIdempotent
+from coxsol.conjectures import MalformedTable, _as_int
 from coxsol.orlik_solomon import NotInvariant, os_algebra
 
 W = build_group("A2")
 G = W.full()
 caught = ["optimize=%d" % sys.flags.optimize]
 try:
-    LinearCharacter(G, {w: Fraction(0) for w in G.members})
+    linear_character(G, {w: Fraction(0) for w in G.members})
 except NotLinear:
     caught.append("zero-function")
 alg = os_algebra(W)
@@ -50,6 +54,10 @@ try:
     D.check_idempotent_family()
 except NotAResolution:
     caught.append("shape-left-out")
+try:
+    _as_int(Fraction(1, 2))
+except MalformedTable:
+    caught.append("half-in-table")
 print(" ".join(caught))
 """
 
@@ -63,16 +71,17 @@ def test_bad_inputs_raise_under_optimize():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize=1", "zero-function", "one-line",
-                                   "doubled-idempotent", "shape-left-out"]
+                                   "doubled-idempotent", "shape-left-out",
+                                   "half-in-table"]
 
 
 def test_linear_character_carrier_and_identity():
     W = build_group("A2")
     G = W.full()
     with pytest.raises(NotLinear):
-        LinearCharacter(G, {w: Fraction(0) for w in G.members})
+        linear_character(G, {w: Fraction(0) for w in G.members})
     with pytest.raises(NotLinear):
-        LinearCharacter(G, {W.identity: Fraction(1)})
+        linear_character(G, {W.identity: Fraction(1)})
 
 
 def test_component_of_one_line_is_not_invariant():
@@ -92,6 +101,25 @@ def test_root_span_sign_needs_a_normalizing_element():
     assert W.det_on_root_span(s1, (0,)) == -1
     with pytest.raises(NotNormalizing):
         W.det_on_root_span(s2, (0,))
+    with pytest.raises(NotNormalizing):
+        W.normalizer_factors(s2, (0,))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "I2(7)", "A1xI2(5)"])
+def test_normalizer_factors(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        WL = W.parabolic(L)
+        N = W.normalizer_of_parabolic(L)
+        complement = W.complement_subgroup(L).members
+        for c in range(W.order):
+            if c not in N.members:
+                with pytest.raises(NotNormalizing):
+                    W.normalizer_factors(c, L)
+                continue
+            u, d = W.normalizer_factors(c, L)
+            assert W.mult(u, d) == c and u in WL.members and d in complement
+            assert W.lengths[d] == min(W.lengths[W.mult(v, c)] for v in WL.members)
 
 
 def test_arrangement_must_be_parabolic():
@@ -126,3 +154,49 @@ def test_uncovered_cuspidal_class_fails_verification(monkeypatch):
         construct_parabolic_B(W, (0, 1))
     report = verify_b(W)
     assert report.status == "failed" and not report.check("construction")
+
+
+def test_rotation_on_the_wrong_carrier_fails_verification(monkeypatch):
+    W = build_group("I2(5)")
+    monkeypatch.setattr(conjectures, "rotation_character",
+                        lambda W, L, j: rotation_character(W, L, j).restrict(
+                            W.parabolic(())))
+    with pytest.raises(PrerequisiteFailed):
+        construct_parabolic_B(W, (0, 1))
+    report = verify_b(W)
+    assert report.status == "failed" and not report.check("construction")
+
+
+def test_lift_that_misses_its_base_fails_verification(monkeypatch):
+    W = build_group("A3")
+    assert W.is_bulky((0,))
+    # the sign in place of alpha: psi no longer restricts to the base psi
+    monkeypatch.setattr(conjectures, "alpha_parabolic",
+                        lambda W, L: sign_character(W.normalizer_of_parabolic(L)))
+    report = verify_c(W, (0,))
+    assert report.status == "failed" and not report.check("construction")
+    assert "restrict" in report.checks[0][2]
+
+
+PARITY = [("verify", "a", "A3"), ("verify", "a", "B3"), ("table", "I2(7)")]
+
+
+def test_cli_output_is_the_same_under_optimize():
+    """The product, module and coset-split routes, with the dihedral base
+    assignments under the product lifts, print the same under python -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxsol.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    routes = set()
+    for argv in PARITY:
+        runs = [subprocess.run([sys.executable, *flags, "-m", "coxsol.cli", *argv],
+                               capture_output=True, env=env, timeout=300)
+                for flags in ([], ["-O"])]
+        plain, optimized = runs
+        assert plain.returncode == optimized.returncode == 0, argv
+        assert plain.stdout == optimized.stdout, argv
+        if argv[0] == "verify":
+            for case in json.loads(plain.stdout)["cases"]:
+                routes |= {a["route"] for a in case.get("assignments", {}).values()}
+    assert {"product", "module", "coset-split"} <= routes
