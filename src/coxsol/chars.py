@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup
-from .cyclo import Cyclo, scalar_conj, scalar_eq, scalar_json, zeta
+from .cyclo import Cyclo, scalar_json, zeta
 
 
 class NotASubgroup(ValueError):
@@ -96,13 +96,13 @@ class ClassFunction:
         if self.carrier is not other.carrier and \
                 self.carrier.members != other.carrier.members:
             return False
-        return all(scalar_eq(a, b) for a, b in zip(self.values, other.values))
+        return all(a == b for a, b in zip(self.values, other.values))
 
     def __hash__(self):
         return hash(id(self.carrier))
 
     def is_zero(self) -> bool:
-        return all(scalar_eq(v, 0) for v in self.values)
+        return not any(self.values)
 
     def induce(self, target: Subgroup) -> "ClassFunction":
         """Induced class function, by averaging over conjugators."""
@@ -131,7 +131,7 @@ class ClassFunction:
         self._same_carrier(other)
         acc = Fraction(0)
         for c, a, b in zip(self.carrier.classes, self.values, other.values):
-            acc = acc + c.size * a * scalar_conj(b)
+            acc = acc + c.size * a * b.conjugate()
         acc = acc * Fraction(1, self.carrier.order)
         if not isinstance(acc, Fraction):
             q = acc.as_rational()
@@ -149,11 +149,17 @@ def linear_character(carrier: Subgroup, values: dict) -> ClassFunction:
     W = carrier.parent
     if set(values) != carrier.members:
         raise NotLinear("values must be given on exactly the carrier")
-    if not scalar_eq(values[W.identity], 1):
+    if values[W.identity] != 1:
         raise NotLinear("value at the identity is not 1")
+    # chi(a g) = chi(a) chi(g) for g in a generating set gives every product
+    gens, span = [], {W.identity}
+    for g in carrier.sorted_members:
+        if g not in span:
+            gens.append(g)
+            span = W.generated_subgroup(gens).members
     for a in carrier.sorted_members:
-        for b in carrier.sorted_members:
-            if not scalar_eq(values[W.mult(a, b)], values[a] * values[b]):
+        for g in gens:
+            if values[W.mult(a, g)] != values[a] * values[g]:
                 raise NotLinear("values are not multiplicative")
     return ClassFunction(carrier, [values[c.rep] for c in carrier.classes])
 

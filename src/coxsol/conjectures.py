@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, build_group
-from .cyclo import scalar_eq
 from .chars import (alpha_element, alpha_parabolic, class_function_json,
                     linear_character, linear_characters, regular_character,
                     rotation_character, sign_character, trivial_character)
@@ -424,9 +423,8 @@ def verify_b(W: CoxeterGroup) -> ConjectureReport:
         a.psi == a.phi * sign_character(a.centralizer)
         * alpha_element(W, a.element).restrict(a.centralizer)
         for a in assignments))
-    report.add("degrees", scalar_eq(
-        phi_top.degree,
-        sum(Fraction(full.order, a.centralizer.order) for a in assignments)))
+    report.add("degrees", phi_top.degree == sum(
+        Fraction(full.order, a.centralizer.order) for a in assignments))
     return report
 
 
@@ -496,9 +494,8 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
             mackey = False
             break
     report.add("mackey", mackey)
-    report.add("degrees", scalar_eq(
-        phi_tilde.degree,
-        sum(Fraction(N.order, a.centralizer.order) for a in assignments)))
+    report.add("degrees", phi_tilde.degree == sum(
+        Fraction(N.order, a.centralizer.order) for a in assignments))
     if len(L) == 2 and W.matrix[L[0], L[1]] % 2:
         report.add("intertwiner", check_intertwiner(W, L))
     return report
@@ -596,8 +593,7 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
             acoords = linalg.coords_in_span(avecs, avec(afs[j].act(w)))
             if ecoords is None or acoords is None:
                 return False
-            if not all(scalar_eq(ac, factor * ec)
-                       for ac, ec in zip(acoords, ecoords)):
+            if not all(ac == factor * ec for ac, ec in zip(acoords, ecoords)):
                 return False
     return True
 

@@ -332,25 +332,6 @@ def cos_pi_over(m: int, conductor: int) -> Cyclo:
     return z.lifted(conductor) * Fraction(1, 2)
 
 
-def scalar_eq(a, b) -> bool:
-    """Exact equality between any mix of int, Fraction and Cyclo."""
-    if isinstance(a, Cyclo) or isinstance(b, Cyclo):
-        return a == b if isinstance(a, Cyclo) else b == a
-    return a == b
-
-
-def scalar_is_zero(a) -> bool:
-    if isinstance(a, Cyclo):
-        return a.is_zero()
-    return not a
-
-
-def scalar_conj(a):
-    if isinstance(a, Cyclo):
-        return a.conjugate()
-    return a
-
-
 def scalar_json(a) -> dict:
     if not isinstance(a, Cyclo):
         a = rational(a)

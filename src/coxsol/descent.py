@@ -10,7 +10,9 @@ chi(w) = sum_{g in U} e(g w^-1 g^-1) (Solomon 1976), so it is a sum of
 coefficients of e over one conjugacy class; no ideal is row-reduced.
 
 The same construction runs relative to a parabolic subgroup by restricting
-every transversal to it.
+every transversal to it.  The normalizer N of W_L acts on e_L * QW_L; that
+module is isomorphic to the right ideal of an idempotent of QN, checked by a
+certificate, so its character is the same trace formula.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from . import linalg
 from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup, subsets
-from .cyclo import scalar_eq, scalar_is_zero, zeta
+from .cyclo import zeta
 
 
 class SingularM(ArithmeticError):
@@ -42,7 +44,7 @@ class GroupAlgebraElement:
 
     def __init__(self, group: CoxeterGroup, coeffs: dict):
         self.group = group
-        self.coeffs = {w: c for w, c in coeffs.items() if not scalar_is_zero(c)}
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def coefficient(self, w: int):
         return self.coeffs.get(w, Fraction(0))
@@ -94,10 +96,9 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(scalar_eq(self.coefficient(w), other.coefficient(w)) for w in keys)
+        return all(self.coefficient(w) == other.coefficient(w) for w in keys)
 
-    def __hash__(self):
-        return hash(id(self))
+    __hash__ = None  # equality is by value, and Cyclo coefficients have no hash
 
     def translate(self, g: int) -> "GroupAlgebraElement":
         """Right translate: the product self * g."""
@@ -219,23 +220,9 @@ class DescentAlgebra:
     # -- characters of the right ideals -------------------------------------------
 
     def ideal_character(self, shape) -> ClassFunction:
-        """Character of the right ideal generated by the shape idempotent.
-
-        For an idempotent e, right translation by w on eQU has trace
-        sum_{g in U} e(g w^-1 g^-1) = |U| / |C| * sum_{h in C} e(h), where C
-        is the class of w^-1 in U.  The formula needs e * e = e.
-        """
+        """Character of the right ideal generated by the shape idempotent."""
         if shape.index not in self._phi:
-            e = self.e_shape(shape)
-            if e * e != e:
-                raise NotIdempotent(f"e of {shape} does not square to itself")
-            W, uni = self.W, self.universe
-            traces = []
-            for c in uni.classes:
-                cl = uni.classes[uni.class_of(W.inv(c.rep))]
-                t = sum((e.coefficient(h) for h in cl.members), Fraction(0))
-                traces.append(Fraction(uni.order, cl.size) * t)
-            self._phi[shape.index] = ClassFunction(uni, traces)
+            self._phi[shape.index] = _trace_character(self.e_shape(shape), self.universe)
         return self._phi[shape.index]
 
     def character_family(self):
@@ -257,35 +244,58 @@ def descent_algebra(W: CoxeterGroup, L=None) -> DescentAlgebra:
     return W.algebras["descent", L]
 
 
-def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
-    """Character of the normalizer of W_L on the span of e_L * QW_L.
+def _trace_character(e: GroupAlgebraElement, U: Subgroup) -> ClassFunction:
+    """Character of U acting by right translation on eQU, for e in QU.
 
-    e_L is the subset idempotent of the ambient descent algebra; the span of
-    its right translates by members of W_L is invariant under right
-    translation by the full normalizer.
+    For an idempotent e, right translation by w on eQU has trace
+    sum_{g in U} e(g w^-1 g^-1) = |U| / |C| * sum_{h in C} e(h), where C is
+    the class of w^-1 in U.  The formula needs e * e = e.
+    """
+    if e * e != e:
+        raise NotIdempotent(f"an element of the algebra of a subgroup of order "
+                            f"{U.order} does not square to itself")
+    W = U.parent
+    traces = []
+    for c in U.classes:
+        cl = U.classes[U.class_of(W.inv(c.rep))]
+        t = sum((e.coefficient(h) for h in cl.members), Fraction(0))
+        traces.append(Fraction(U.order, cl.size) * t)
+    return ClassFunction(U, traces)
+
+
+def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
+    """Character of the normalizer N of W_L on the span of e_L * QW_L.
+
+    e_L is the subset idempotent of the ambient descent algebra.  With eps_L
+    the top idempotent of the descent algebra of W_L and a_L the averaging
+    idempotent of the complement N_L, f = eps_L * a_L lies in QN, and
+    x -> e_L * x is an isomorphism of right QN-modules from fQN onto
+    e_L * QW_L once these hold (pi restricts a support to N):
+      (i)   N = W_L * N_L;
+      (ii)  f * f = f, checked with the trace formula for f;
+      (iii) e_L * f = e_L, so N_L fixes e_L, and e_L * QW_L = e_L * QN is
+            N-invariant and the image of fQN;
+      (iv)  f * pi(e_L) * f = c * f for a rational c != 0, so y -> pi(f * y)
+            is c times an inverse.
     """
     L = tuple(sorted(L))
-    amb = descent_algebra(W)
-    eL = amb.e(L)
-    WL = W.parabolic(L)
+    eL = descent_algebra(W).e(L)
+    NL = W.complement_subgroup(L)
     N = W.normalizer_of_parabolic(L)
-    uni = W.full()
-    pos = uni.positions
-    members = uni.sorted_members
-    vecs = [eL.translate(u).vector(uni) for u in WL.sorted_members]
-    basis, pivots = linalg.rref(vecs)
-    traces = []
-    for c in N.classes:
-        winv = W.inv(c.rep)
-        t = Fraction(0)
-        for i, b in enumerate(basis):
-            moved = [b[pos[W.mult(g, winv)]] for g in members]
-            coords = linalg.coords_in_rowspace(basis, pivots, moved)
-            if coords is None:
-                raise NotInvariant("ideal is not normalizer invariant")
-            t = t + coords[i]
-        traces.append(t)
-    return ClassFunction(N, traces)
+    if {W.mult(u, n) for u in W.parabolic(L).members for n in NL.members} != N.members:
+        raise NotInvariant("the normalizer is not W_L times its complement")
+    f = descent_algebra(W, L).e(L) * averaging(NL)
+    chi = _trace_character(f, N)
+    if eL * f != eL:
+        raise NotInvariant("e_L is not fixed by the complement")
+    # f lies in QN, so pi(e_L) * f = pi(e_L * f) = pi(e_L): g is f * pi(e_L) * f
+    g = f * GroupAlgebraElement(W, {w: c for w, c in eL.coeffs.items()
+                                    if w in N.members})
+    w = min(f.coeffs)  # f is not zero: e_L * f = e_L and e_L is not zero
+    c = g.coefficient(w) / f.coefficient(w)
+    if not c or g != c * f:
+        raise NotInvariant("f * pi(e_L) * f is not a nonzero multiple of f")
+    return chi
 
 
 def rotation_idempotent(W: CoxeterGroup, L, j: int) -> GroupAlgebraElement:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup
-from .cyclo import scalar_is_zero, scalar_eq
 
 
 class RankGuard(RuntimeError):
@@ -212,7 +211,7 @@ class OSAlgebra:
                     for m3, c3 in self._straighten_sorted(m2).items():
                         acc = out.get(m3, Fraction(0)) + coeff * c3
                         out[m3] = acc
-                out = {m: c for m, c in out.items() if not scalar_is_zero(c)}
+                out = {m: c for m, c in out.items() if c}
         self._memo[mono] = out
         return out
 
@@ -267,7 +266,7 @@ class OSElement:
 
     def __init__(self, algebra: OSAlgebra, coeffs: dict):
         self.algebra = algebra
-        self.coeffs = {m: c for m, c in coeffs.items() if not scalar_is_zero(c)}
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
 
     def coefficient(self, mono):
         return self.coeffs.get(tuple(mono), Fraction(0))
@@ -323,11 +322,9 @@ class OSElement:
         if not isinstance(other, OSElement):
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(scalar_eq(self.coefficient(m), other.coefficient(m))
-                   for m in keys)
+        return all(self.coefficient(m) == other.coefficient(m) for m in keys)
 
-    def __hash__(self):
-        return hash(id(self))
+    __hash__ = None  # equality is by value, and Cyclo coefficients have no hash
 
     def __repr__(self):
         return f"OSElement({self.coeffs!r})"

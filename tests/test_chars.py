@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxsol.chars import (
-    CarrierMismatch, ClassFunction, NotASubgroup, NotInComplement,
+    CarrierMismatch, ClassFunction, NotASubgroup, NotInComplement, NotLinear,
     alpha_element, alpha_parabolic, commutator_subgroup, linear_character,
     linear_characters, reflection_fix_character, rotation_character,
     sigma_parabolic, sign_character, trivial_character,
@@ -76,6 +76,18 @@ def test_linear_character_validation():
     bad[W.generators[0]] = Fraction(-1)  # not constant on the reflection class
     with pytest.raises(ValueError):
         linear_character(G, bad)
+
+
+def test_linear_character_checks_every_generator():
+    # -1 on one coset x<g> of the first non-identity member g, 1 elsewhere:
+    # chi(a g) = chi(a) chi(g) for every a, yet chi is not multiplicative
+    W = build_group("A3")
+    G = W.full()
+    H = W.cyclic(min(G.members - {W.identity}))
+    x = next(w for w in G.sorted_members if w not in H.members)
+    coset = {W.mult(x, h) for h in H.members}
+    with pytest.raises(NotLinear):
+        linear_character(G, {w: Fraction(-1 if w in coset else 1) for w in G.members})
 
 
 def test_not_in_complement():

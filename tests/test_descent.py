@@ -33,6 +33,14 @@ def test_group_algebra_arithmetic():
     assert s.translate(W.generators[0]) == e
 
 
+def test_group_algebra_elements_are_unhashable():
+    W = build_group("A2")
+    a, b = unit(W), group_sum(W, [W.identity])
+    assert a == b and a is not b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_averaging_idempotent():
     W = build_group("B2")
     for J in [(), (0,), (0, 1)]:

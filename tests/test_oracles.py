@@ -1,10 +1,10 @@
 """Structural shortcuts against the exact linear algebra they replaced.
 
 Flats, fixed-space dimensions and the determinant characters alpha and sigma
-are read off root permutations, and the descent ideal characters Phi come
-from a trace formula.  Here each of them is recomputed by exact row
-reduction, for every dihedral group up to I2(12), the rank 3 groups and
-A1xI2(5).
+are read off root permutations, and the descent ideal characters Phi and
+the normalizer characters Phi~ come from a trace formula.  Here each of them
+is recomputed by exact row reduction, for every dihedral group up to I2(12),
+the rank 3 groups and A1xI2(5).
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from coxsol import linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
                           det_character, sigma_parabolic)
 from coxsol.coxeter import build_group
-from coxsol.descent import DescentAlgebra, descent_algebra
+from coxsol.descent import DescentAlgebra, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
@@ -113,3 +113,50 @@ def test_ideal_characters_need_no_row_reduction(monkeypatch):
     for D in algebras:
         assert sum(phi.degree for phi in D.character_family().values()) == \
             D.universe.order
+
+
+def row_reduced_parabolic_character(W, L):
+    """Trace of right translation by the normalizer of W_L on a row echelon
+    basis of the span of the translates e_L * u, u in W_L."""
+    eL = descent_algebra(W).e(L)
+    N = W.normalizer_of_parabolic(L)
+    uni = W.full()
+    pos, members = uni.positions, uni.sorted_members
+    basis, pivots = linalg.rref([eL.translate(u).vector(uni)
+                                 for u in W.parabolic(L).sorted_members])
+    traces = []
+    for c in N.classes:
+        winv = W.inv(c.rep)
+        t = Fraction(0)
+        for i, b in enumerate(basis):
+            moved = [b[pos[W.mult(g, winv)]] for g in members]
+            coords = linalg.coords_in_rowspace(basis, pivots, moved)
+            assert coords is not None, "the span is not normalizer invariant"
+            t = t + coords[i]
+        traces.append(t)
+    return ClassFunction(N, traces)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_parabolic_ideal_characters_match_row_reduction(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        got = parabolic_ideal_character(W, L).values
+        want = row_reduced_parabolic_character(W, L).values
+        assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L)
+
+
+def test_parabolic_ideal_characters_need_no_row_reduction(monkeypatch):
+    W = build_group("H3")
+    for L in [None] + W.all_subsets():  # the m-matrix inverses do row-reduce
+        descent_algebra(W, L)
+
+    def refuse(*args):
+        raise AssertionError("Phi~ must not row-reduce")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "coords_in_rowspace", refuse)
+    for L in W.all_subsets():
+        rel = descent_algebra(W, L)
+        assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \
+            rel.ideal_character(rel.shape_of(L)), L

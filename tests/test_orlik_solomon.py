@@ -95,6 +95,14 @@ def test_wedge_and_element_algebra():
     assert a0.wedge(a1.wedge(a2)) == (a0.wedge(a1)).wedge(a2)
 
 
+def test_os_elements_are_unhashable():
+    alg = os_algebra(build_group("A2"))
+    a, b = alg.one(), alg.one().wedge(alg.one())
+    assert a == b and a is not b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_action_is_multiplicative():
     W = build_group("B2")
     alg = os_algebra(W)

@@ -16,7 +16,8 @@ from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verif
                                 verify_c)
 from coxsol.coxeter import (CoxeterGroup, NotClosed, NotNormalizing, build_group,
                             matrix_from_spec)
-from coxsol.descent import parabolic_ideal_character
+from coxsol.descent import (NotIdempotent, averaging, descent_algebra,
+                            parabolic_ideal_character, unit)
 from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic,
                                   os_algebra)
 
@@ -25,7 +26,8 @@ import sys
 from fractions import Fraction
 from coxsol.chars import NotLinear, linear_character
 from coxsol.coxeter import build_group
-from coxsol.descent import DescentAlgebra, NotAResolution, NotIdempotent
+from coxsol.descent import (DescentAlgebra, NotAResolution, NotIdempotent,
+                            parabolic_ideal_character)
 from coxsol.conjectures import MalformedTable, _as_int
 from coxsol.orlik_solomon import NotInvariant, os_algebra
 
@@ -54,6 +56,12 @@ try:
     D.check_idempotent_family()
 except NotAResolution:
     caught.append("shape-left-out")
+W3 = build_group("A3")
+W3.complement_subgroup = lambda J: W3.parabolic(())
+try:
+    parabolic_ideal_character(W3, (0,))
+except NotInvariant:
+    caught.append("trivial-complement")
 try:
     _as_int(Fraction(1, 2))
 except MalformedTable:
@@ -72,7 +80,7 @@ def test_bad_inputs_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize=1", "zero-function", "one-line",
                                    "doubled-idempotent", "shape-left-out",
-                                   "half-in-table"]
+                                   "trivial-complement", "half-in-table"]
 
 
 def test_linear_character_carrier_and_identity():
@@ -134,6 +142,42 @@ def test_parabolic_ideal_needs_the_normalizer(monkeypatch):
     monkeypatch.setattr(W, "normalizer_of_parabolic", lambda J: W.full())
     with pytest.raises(NotInvariant):
         parabolic_ideal_character(W, (0,))
+
+
+def _traceless_e(W, L, rel):
+    """e_L - t * f with t chosen so that the identity coefficient is 0: still
+    fixed by f on the right, but f * pi(e) * f = 0 * f."""
+    amb = descent_algebra(W)
+    f = rel.e(L) * averaging(W.complement_subgroup(L))
+    eL = amb.e(L)
+    amb._e[L] = eL - (eL.coefficient(W.identity) / f.coefficient(W.identity)) * f
+
+
+# Each way of breaking the certificate for Phi~ of A3, L = (s1,), with the
+# check that catches it: N = W_L * N_L, f * f = f, e_L * f = e_L, and
+# f * pi(e_L) * f a nonzero multiple of f.
+BROKEN_CERTIFICATES = {
+    "trivial-complement": (
+        lambda W, L, rel: setattr(W, "complement_subgroup", lambda J: W.parabolic(())),
+        NotInvariant, "W_L times its complement"),
+    "doubled-eps": (lambda W, L, rel: rel._e.update({L: 2 * rel.e(L)}),
+                    NotIdempotent, "square to itself"),
+    "empty-eps": (lambda W, L, rel: rel._e.update({L: rel.e(())}),
+                  NotInvariant, "fixed by the complement"),
+    "unit-eps": (lambda W, L, rel: rel._e.update({L: unit(W)}),
+                 NotInvariant, "nonzero multiple"),
+    "traceless-e": (_traceless_e, NotInvariant, "nonzero multiple"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_CERTIFICATES))
+def test_broken_normalizer_certificate(broken):
+    W = CoxeterGroup(matrix_from_spec("A3"))
+    L = (0,)
+    breaker, error, match = BROKEN_CERTIFICATES[broken]
+    breaker(W, L, descent_algebra(W, L))
+    with pytest.raises(error, match=match):
+        parabolic_ideal_character(W, L)
 
 
 def test_complement_must_be_closed(monkeypatch):
