@@ -66,9 +66,14 @@ class ClassFunction:
     def degree(self):
         return self.value(self.carrier.parent.identity)
 
+    def _carried_alike(self, other) -> bool:
+        """Same parent group, same members, and one value per class for both."""
+        a, b = self.carrier, other.carrier
+        return (a is b or (a.parent is b.parent and a.members == b.members)) \
+            and len(self.values) == len(other.values)
+
     def _same_carrier(self, other):
-        if self.carrier is not other.carrier and \
-                self.carrier.members != other.carrier.members:
+        if not self._carried_alike(other):
             raise CarrierMismatch("class functions live on different subgroups")
 
     def __add__(self, other):
@@ -93,10 +98,8 @@ class ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        if self.carrier is not other.carrier and \
-                self.carrier.members != other.carrier.members:
-            return False
-        return all(a == b for a, b in zip(self.values, other.values))
+        return self._carried_alike(other) and \
+            all(a == b for a, b in zip(self.values, other.values))
 
     def __hash__(self):
         return hash(id(self.carrier))

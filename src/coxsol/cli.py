@@ -10,8 +10,10 @@ Subcommands:
 Exit status is 0 on success (for verify: when the run verified), 1 when a
 verification fails, 2 on usage errors, 3 on an internal error, whose
 traceback goes to stderr, and 4 when a verify search is exhausted (status
-search-exhausted).  Output is JSON except for the table subcommand,
-which defaults to markdown; --format selects explicitly.
+search-exhausted): the search meets in the middle, and the larger of its two
+halves has more than conjectures.SEARCH_CAP combinations.  Output is JSON
+except for the table subcommand, which defaults to markdown; --format selects
+explicitly.
 """
 
 from __future__ import annotations

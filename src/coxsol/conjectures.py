@@ -14,14 +14,15 @@ reported rather than raised.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, build_group
 from .chars import (alpha_element, alpha_parabolic, class_function_json,
                     linear_character, linear_characters, regular_character,
                     rotation_character, sign_character, trivial_character)
+from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (shape_component_character, sub_os_algebra,
                             top_component_character, top_component_tilde,
@@ -246,24 +247,88 @@ def _search_B(W: CoxeterGroup, L):
 
 
 def _search(L, phi_top, psi_top, pools):
-    """The first combination, one option per cuspidal class, whose induced
-    characters add up to phi_top and psi_top.
+    """The first combination in `itertools.product` order, one option per
+    cuspidal class, whose induced characters add up to phi_top and psi_top.
 
     An option is (element, centralizer, phi, psi, induced phi, induced psi).
+    The search meets in the middle on integer vectors (`integer_vectors`):
+    the pools are cut into a left and a right part of nearly equal products,
+    every right combination is hashed by target minus its sum, and the left
+    combinations are looked up in product order.  Product order is
+    lexicographic in (left, right), so the first hit is the first match of
+    the whole product.  SEARCH_CAP bounds the larger of the two parts.
     """
-    total = math.prod(len(opts) for opts in pools)
-    if total > SEARCH_CAP:
-        raise SearchExhausted(f"{total} combinations exceed the search cap")
-    zero = phi_top * 0
-    for combo in itertools.product(*pools):
-        sphi, spsi = zero, zero
-        for _, _, _, _, iphi, ipsi in combo:
-            sphi, spsi = sphi + iphi, spsi + ipsi
-        if sphi == phi_top and spsi == psi_top:
+    sizes = [len(opts) for opts in pools]
+    total = math.prod(sizes)
+
+    def larger_half(k):
+        return max(math.prod(sizes[:k]), math.prod(sizes[k:]))
+
+    cut = min(range(len(pools) + 1), key=larger_half)
+    larger = larger_half(cut)
+    if larger > SEARCH_CAP:
+        raise SearchExhausted(
+            f"{larger} combinations in the larger search half exceed the search cap")
+    target, *flat = integer_vectors(
+        [phi_top.values + psi_top.values]
+        + [iphi.values + ipsi.values for opts in pools for *_, iphi, ipsi in opts])
+    flat = iter(flat)
+    keys = [[next(flat) for _ in opts] for opts in pools]
+    first = {}
+    for right, rest in _walk([[tuple(-x for x in key) for key in pool]
+                              for pool in keys[cut:]], target):
+        first.setdefault(rest, right)
+    zero = (0,) * len(target)
+    for left, partial in _walk(keys[:cut], zero):
+        right = first.get(partial)
+        if right is not None:
+            combo = [opts[i] for opts, i in zip(pools, left + right)]
             return [Assignment(L, w, C, phi, psi, "search")
                     for w, C, phi, psi, _, _ in combo]
     raise SearchExhausted(
         f"no combination of {total} centralizer characters matches")
+
+
+def integer_vectors(rows):
+    """One integer vector per row of class values, canonical for the values.
+
+    Every value, a Fraction or a Cyclo, is written in Q(zeta_n) for n the lcm
+    of all conductors in the rows, where its power-basis coefficients are
+    unique, and every coefficient is scaled by one common denominator.  So
+    two rows get equal vectors exactly when their values are equal, and the
+    vector of a sum of rows is the sum of their vectors.
+    """
+    n = math.lcm(1, *(v.conductor for row in rows for v in row
+                      if isinstance(v, Cyclo)))
+    rows = [[c for v in row
+             for c in (v.lifted(n) if isinstance(v, Cyclo) else rational(v, n)).coeffs]
+            for row in rows]
+    den = math.lcm(1, *(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows]
+
+
+def _walk(pools, start):
+    """(indices, start + sum of the chosen vectors) for every choice of one
+    vector per pool, in `itertools.product` order.  Only the partial sums of
+    the pools after the last index that moved are recomputed."""
+    if not all(pools):
+        return
+    k = len(pools)
+    index = [0] * k
+    sums = [start]
+    for pool in pools:
+        sums.append(tuple(map(operator.add, sums[-1], pool[0])))
+    while True:
+        yield tuple(index), sums[k]
+        d = k - 1
+        while d >= 0 and index[d] == len(pools[d]) - 1:
+            index[d] = 0
+            d -= 1
+        if d < 0:
+            return
+        index[d] += 1
+        for e in range(d, k):
+            sums[e + 1] = tuple(map(operator.add, sums[e], pools[e][index[e]]))
 
 
 # -- assignments on ambient centralizers, one route per kind of subset -----------------

@@ -85,6 +85,10 @@ _NAMED = {
     "B2": [[1, 4], [4, 1]],
     "B3": [[1, 4, 2], [4, 1, 3], [2, 3, 1]],
     "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+    "A4": [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "B4": [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+    "F4": [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],
 }
 
 

@@ -40,6 +40,18 @@ def test_carrier_mismatch():
         a.restrict(build_group("B2").full())
 
 
+def test_equality_needs_the_same_parent():
+    # B2 has 5 classes and A1xA1xA1 has 8; neither a prefix nor equal member
+    # sets in different groups may make them equal
+    b2 = trivial_character(build_group("B2").full())
+    a1cubed = trivial_character(build_group("A1xA1xA1").full())
+    assert b2 != a1cubed
+    assert trivial_character(build_group("A1").full()) != \
+        trivial_character(build_group("I2(2)").parabolic((0,)))
+    with pytest.raises(CarrierMismatch):
+        b2 + a1cubed
+
+
 def test_induction_degree_and_reciprocity():
     W = build_group("B3")
     G = W.full()

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.chars import rotation_character, sign_character, trivial_character
+from coxsol.chars import (linear_characters, rotation_character, sign_character,
+                          trivial_character)
 from coxsol.conjectures import (Assignment, SearchExhausted, UnsupportedCase,
                                 check_intertwiner, construct_C,
                                 construct_parabolic_B, dihedral_table,
-                                subset_label, verify, verify_a, verify_b,
-                                verify_c)
-from coxsol.cyclo import zeta
+                                integer_vectors, subset_label, verify, verify_a,
+                                verify_b, verify_c)
+from coxsol.cyclo import Cyclo, zeta
 
 
 # -- base assignments --------------------------------------------------------------
@@ -175,6 +176,19 @@ def test_verify_c_report_structure():
     assert data["ok"] is True
 
 
+@pytest.mark.parametrize("which,spec,order", [
+    ("a", "A4", 120), ("a", "D4", 192), ("b", "B4", 384), ("b", "I2(5)xI2(4)", 80),
+])
+def test_verify_rank4(which, spec, order):
+    W = build_group(spec)
+    assert W.order == order
+    report = verify(W, which)
+    assert report.status == "verified", "\n".join(report.lines())
+    reports = [report] + report.subreports
+    assert all(diff.is_zero() for r in reports for diff in r.residuals.values())
+    assert all(r.residuals for r in reports)
+
+
 @pytest.mark.parametrize("spec", ["A1", "I2(2)", "I2(4)", "I2(5)", "I2(6)",
                                   "I2(9)"])
 def test_verify_a_rank_le_2(spec):
@@ -299,3 +313,31 @@ def test_assignment_as_dict():
                                   {"conductor": 1, "coeffs": [["-1", "1"]]}]
     assert d["psi"]["values"] == [{"conductor": 1, "coeffs": [["1", "1"]]},
                                   {"conductor": 1, "coeffs": [["1", "1"]]}]
+
+
+# -- the integer vectors behind the search -----------------------------------------
+
+
+def test_integer_vectors_are_canonical():
+    q = Fraction(-3, 4)
+    a, b = integer_vectors([[q, Fraction(1)], [Cyclo(7, [q]), Cyclo(3, [1])]])
+    assert a == b
+    z = zeta(5, 2) * Fraction(1, 3) + 1
+    a, b = integer_vectors([[z], [z.lifted(10)]])
+    assert a == b
+    # a sum of rows has the sum of their vectors
+    x, y = zeta(4) + Fraction(1, 2), zeta(6, 5)
+    vx, vy, vs = integer_vectors([[x], [y], [x + y]])
+    assert vs == tuple(map(sum, zip(vx, vy)))
+
+
+def test_integer_vectors_tell_class_functions_apart():
+    W = build_group("B3")
+    C = W.centralizer(W.prod(W.generators))
+    cfs = [chi.induce(W.full()) for chi in linear_characters(C)]
+    cfs += [chi * 2 for chi in cfs]
+    keys = integer_vectors([cf.values for cf in cfs])
+    assert len(set(keys)) > 2
+    for a, ka in zip(cfs, keys):
+        for b, kb in zip(cfs, keys):
+            assert (ka == kb) == (a == b)

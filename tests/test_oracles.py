@@ -4,16 +4,21 @@ Flats, fixed-space dimensions and the determinant characters alpha and sigma
 are read off root permutations, and the descent ideal characters Phi and
 the normalizer characters Phi~ come from a trace formula.  Here each of them
 is recomputed by exact row reduction, for every dihedral group up to I2(12),
-the rank 3 groups and A1xI2(5).
+the rank 3 groups and A1xI2(5).  The assignment search meets in the middle
+on integer vectors; it is checked against the plain walk through
+`itertools.product` that it replaced.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from coxsol import linalg
+from coxsol import conjectures, linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
                           det_character, sigma_parabolic)
+from coxsol.conjectures import SearchExhausted, verify_a, verify_b
 from coxsol.coxeter import build_group
 from coxsol.descent import DescentAlgebra, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import sub_os_algebra
@@ -160,3 +165,100 @@ def test_parabolic_ideal_characters_need_no_row_reduction(monkeypatch):
         rel = descent_algebra(W, L)
         assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \
             rel.ideal_character(rel.shape_of(L)), L
+
+
+def product_search(phi_top, psi_top, pools):
+    """The first combination in `itertools.product` order whose induced
+    characters add up to phi_top and psi_top, found by adding class functions;
+    None when there is none."""
+    zero = phi_top * 0
+    for combo in itertools.product(*pools):
+        sphi, spsi = zero, zero
+        for _, _, _, _, iphi, ipsi in combo:
+            sphi, spsi = sphi + iphi, spsi + ipsi
+        if sphi == phi_top and spsi == psi_top:
+            return combo
+    return None
+
+
+def _chosen(assignments):
+    return [(a.element, a.phi, a.psi) for a in assignments]
+
+
+@pytest.mark.parametrize("verify,spec", [
+    (verify_a, "A3"), (verify_a, "B3"), (verify_a, "H3"),
+    (verify_b, "A1xA1xI2(5)"), (verify_b, "I2(3)xI2(4)"), (verify_b, "A1xB3"),
+])
+def test_search_matches_product_order(monkeypatch, verify, spec):
+    search, calls = conjectures._search, []
+
+    def both(L, phi_top, psi_top, pools):
+        got = search(L, phi_top, psi_top, pools)
+        want = product_search(phi_top, psi_top, pools)
+        assert want is not None
+        assert _chosen(got) == [(w, phi, psi) for w, _, phi, psi, _, _ in want]
+        calls.append(L)
+        return got
+
+    monkeypatch.setattr(conjectures, "_search", both)
+    assert verify(build_group(spec)).status == "verified"
+    assert calls
+
+
+def _synthetic_pools(values):
+    """The class function (v, -v) on A1 as a function of v, and pools of
+    options whose induced characters are v's, tagged (pool, position)."""
+    G = build_group("A1").full()
+
+    def cf(v):
+        return ClassFunction(G, [Fraction(v), Fraction(-v)])
+
+    return cf, [[((p, i), G, None, None, cf(v), cf(2 * v))
+                 for i, v in enumerate(vals)] for p, vals in enumerate(values)]
+
+
+@pytest.mark.parametrize("values,target,first", [
+    # the pools cut after two; only the last left combination (1, 1) reaches
+    # 21, and of the right combinations (0, 1), (0, 2), (1, 0), (2, 0) with
+    # sum 1 the first one wins, though (0, 2) has the same sum
+    ([[0, 10], [0, 10], [0, 1, 1], [0, 1, 1]], 21, (1, 1, 0, 1)),
+    # four matches, one per position of the zero
+    ([[0, 1]] * 4, 3, (0, 1, 1, 1)),
+    # a single pool, matched twice
+    ([[2, 5, 1, 5]], 5, (1,)),
+    # the empty combination
+    ([], 0, ()),
+])
+def test_search_returns_the_first_match(values, target, first):
+    cf, pools = _synthetic_pools(values)
+    got = conjectures._search((0,), cf(target), cf(2 * target), pools)
+    assert [a.element for a in got] == list(enumerate(first))
+    want = product_search(cf(target), cf(2 * target), pools)
+    assert [w for w, *_ in want] == [a.element for a in got]
+
+
+def test_search_agrees_with_product_order_on_random_pools():
+    rng = random.Random(7)
+    for _ in range(200):
+        values = [[rng.randrange(-2, 3) for _ in range(rng.randrange(1, 4))]
+                  for _ in range(rng.randrange(1, 6))]
+        target = rng.randrange(-3, 4)
+        cf, pools = _synthetic_pools(values)
+        want = product_search(cf(target), cf(2 * target), pools)
+        if want is None:
+            with pytest.raises(SearchExhausted):
+                conjectures._search((0,), cf(target), cf(2 * target), pools)
+        else:
+            got = conjectures._search((0,), cf(target), cf(2 * target), pools)
+            assert [a.element for a in got] == [w for w, *_ in want], values
+
+
+def test_search_cap_bounds_the_larger_half(monkeypatch):
+    # 5 * 5 * 4 * 4 = 400 combinations, cut into halves of 25 and 16
+    cf, pools = _synthetic_pools([[0, 1, 2, 3, 4]] * 2 + [[0, 1, 2, 3]] * 2)
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 25)
+    got = conjectures._search((0,), cf(14), cf(28), pools)
+    assert [a.element for a in got] == [(0, 4), (1, 4), (2, 3), (3, 3)]
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 24)
+    with pytest.raises(SearchExhausted, match="25 combinations"):
+        conjectures._search((0,), cf(14), cf(28), pools)
