@@ -86,8 +86,9 @@ def _build(args):
 
 def cmd_group(args) -> CommandOutput:
     W = _build(args)
+    cuspidal = W.full().cuspidal_classes()
     classes = [{"rep": W.word_str(c.rep), "size": c.size,
-                "length": W.length(c.rep), "cuspidal": bool(c.is_cuspidal)}
+                "length": W.length(c.rep), "cuspidal": c in cuspidal}
                for c in W.classes]
     shapes = []
     for sh in W.shapes():

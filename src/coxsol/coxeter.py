@@ -123,12 +123,11 @@ def matrix_from_spec(spec: str, rank_bound: int = 4) -> CoxeterMatrix:
 
 
 class ConjugacyClass:
-    __slots__ = ("rep", "members", "is_cuspidal")
+    __slots__ = ("rep", "members")
 
     def __init__(self, rep, members):
         self.rep = rep
         self.members = members
-        self.is_cuspidal = None  # set for the classes of the whole group only
 
     @property
     def size(self):
@@ -148,8 +147,12 @@ class CoxeterGroup:
         self._parabolics = {}
         self.algebras = {}  # filled by descent_algebra and sub_os_algebra
         self._build_form()
-        self._build_roots(max_elements)
-        self._build_elements(max_elements)
+        self._build_elements(self._build_roots(max_elements), max_elements)
+        self.classes = self.full().classes
+        # the rank of the parabolic closure: the smallest support in the class
+        self._closure_rank = [min(len(set(self.words[x])) for x in c.members)
+                              for c in self.classes]
+        self._build_reflections()
 
     # -- construction --------------------------------------------------------
 
@@ -193,6 +196,7 @@ class CoxeterGroup:
         self.root_positive = []
         self.root_negative_of = []
         self.simple_root = []
+        image = [{} for _ in range(r)]  # image[i][k]: the index of s_i(root k)
 
         def add_root(vec, positive):
             key = linalg.vec_key(vec)
@@ -212,6 +216,7 @@ class CoxeterGroup:
             self.root_negative_of[self.simple_root[i]] = ni
             self.root_negative_of[ni] = self.simple_root[i]
 
+        # every root passes through the frontier once, so every image is recorded
         frontier = list(range(len(self.roots)))
         while frontier:
             nxt = []
@@ -221,6 +226,7 @@ class CoxeterGroup:
                     img = self._apply_gen(i, vec)
                     key = linalg.vec_key(img)
                     if key in self.root_index:
+                        image[i][ri] = self.root_index[key]
                         continue
                     # a simple reflection flips the sign only of its own root pair
                     if ri == self.simple_root[i]:
@@ -230,6 +236,7 @@ class CoxeterGroup:
                     else:
                         positive = self.root_positive[ri]
                     idx = add_root(img, positive)
+                    image[i][ri] = idx
                     neg = tuple(-x for x in img)
                     nkey = linalg.vec_key(neg)
                     if nkey in self.root_index:
@@ -241,27 +248,22 @@ class CoxeterGroup:
                         raise InfiniteOrTooLarge(
                             f"root system exceeded {2 * max_elements} roots")
             frontier = nxt
+        # -w(a) = w(-a) lies in the orbit too, and the later of the two links them
         assert all(n is not None for n in self.root_negative_of)
         self.n_roots = len(self.roots)
         self.positive_roots = [i for i in range(self.n_roots) if self.root_positive[i]]
+        # the sign rule is exact, and each pair +-b has one positive member
         assert 2 * len(self.positive_roots) == self.n_roots
+        return [tuple(row[k] for k in range(self.n_roots)) for row in image]
 
-    def _gen_perm(self, i: int):
-        perm = []
-        for vec in self.roots:
-            img = self._apply_gen(i, vec)
-            perm.append(self.root_index[linalg.vec_key(img)])
-        return tuple(perm)
-
-    def _build_elements(self, max_elements):
+    def _build_elements(self, gen_perms, max_elements):
         r = self.rank
-        nroots = self.n_roots
-        gen_perms = [self._gen_perm(i) for i in range(r)]
-        ident = tuple(range(nroots))
-
+        ident = tuple(range(self.n_roots))
         self.perms = [ident]
         self.words = [()]
         self.lengths = [0]
+        parent, last = [None], [None]
+        right = [[None] for _ in range(r)]  # right[s][w] = w * s
         index = {ident: 0}
 
         frontier = [0]
@@ -270,82 +272,53 @@ class CoxeterGroup:
             for w in frontier:
                 pw = self.perms[w]
                 for s in range(r):
-                    # ascent iff w(alpha_s) is positive
+                    # ascent iff w(alpha_s) is positive; each descent w * s is
+                    # shorter, so it was reached earlier, with s as an ascent
                     if not self.root_positive[pw[self.simple_root[s]]]:
                         continue
-                    ps = gen_perms[s]
-                    child = tuple(pw[ps[j]] for j in range(nroots))
-                    if child in index:
-                        continue
-                    if len(self.perms) >= max_elements:
-                        raise InfiniteOrTooLarge(
-                            f"group exceeded {max_elements} elements")
-                    index[child] = len(self.perms)
-                    self.perms.append(child)
-                    self.words.append(self.words[w] + (s,))
-                    self.lengths.append(self.lengths[w] + 1)
-                    nxt.append(index[child])
+                    child = tuple(pw[j] for j in gen_perms[s])
+                    c = index.get(child)
+                    if c is None:
+                        if len(self.perms) >= max_elements:
+                            raise InfiniteOrTooLarge(
+                                f"group exceeded {max_elements} elements")
+                        c = index[child] = len(self.perms)
+                        self.perms.append(child)
+                        self.words.append(self.words[w] + (s,))
+                        self.lengths.append(self.lengths[w] + 1)
+                        parent.append(w)
+                        last.append(s)
+                        for row in right:
+                            row.append(None)
+                        nxt.append(c)
+                    right[s][w] = c
+                    right[s][c] = w
             frontier = nxt
 
         self.order = len(self.perms)
-        self.elem_index = index
-        self.generators = [index[g] for g in gen_perms] if r else []
         self.identity = 0
-
-        # multiplication and inverse tables
-        mult = []
-        for pa in self.perms:
-            row = [0] * self.order
-            for b, pb in enumerate(self.perms):
-                row[b] = index[tuple(pa[pb[j]] for j in range(nroots))]
-            mult.append(row)
-        self.mult_table = mult
-        inv = [0] * self.order
-        for a, pa in enumerate(self.perms):
-            q = [0] * nroots
-            for j in range(nroots):
-                q[pa[j]] = j
-            inv[a] = index[tuple(q)]
-        self.inv_table = inv
+        self.generators = [right[s][0] for s in range(r)]
+        # a * b = (a * parent(b)) * last(b), and parent(b) comes before b
+        cols = [list(range(self.order))]  # cols[b][a] = a * b
+        for b in range(1, self.order):
+            step = right[last[b]]
+            cols.append([step[x] for x in cols[parent[b]]])
+        self.mult_table = [list(row) for row in zip(*cols)]
+        self.inv_table = [row.index(self.identity) for row in self.mult_table]
 
         self.longest = max(range(self.order), key=lambda w: self.lengths[w])
+        # the longest element sends every positive root to a negative one
         assert self.lengths[self.longest] == len(self.positive_roots)
 
-        self._build_classes()
-        self._build_reflections()
-
-    def _build_classes(self):
-        seen = [False] * self.order
-        classes = []
-        for w in range(self.order):
-            if seen[w]:
-                continue
-            members = {self.conj(w, x) for x in range(self.order)}
-            for x in members:
-                seen[x] = True
-            classes.append(ConjugacyClass(min(members), frozenset(members)))
-        classes.sort(key=lambda c: c.rep)
-        self.classes = classes
-        self.class_index = {}
-        for k, c in enumerate(classes):
-            for x in c.members:
-                self.class_index[x] = k
-        # the rank of the parabolic closure: the smallest support in the class
-        self._closure_rank = [min(len(set(self.words[x])) for x in c.members)
-                              for c in classes]
-        for c, k in zip(classes, self._closure_rank):
-            c.is_cuspidal = k == self.rank
-
     def _build_reflections(self):
-        refl = set()
-        for s in self.generators:
-            for x in range(self.order):
-                refl.add(self.conj(s, x))
-        self.reflections = sorted(refl)
+        full = self.full()
+        self.reflections = sorted({t for g in self.generators
+                                   for t in self.classes[full.class_of(g)].members})
         self.reflection_root = {}
         for t in self.reflections:
             pt = self.perms[t]
             own = [i for i in self.positive_roots if pt[i] == self.root_negative_of[i]]
+            # s_a sends a root b to -b only when b is a multiple of a, that is +-a
             assert len(own) == 1, "a reflection negates exactly one positive root"
             self.reflection_root[t] = own[0]
 
@@ -448,7 +421,7 @@ class CoxeterGroup:
         Steinberg's theorem x W_J x^-1 is the pointwise stabilizer of the fixed
         space of w, which therefore has dimension rank - |J|.
         """
-        k = self._closure_rank[self.class_index[w]]
+        k = self._closure_rank[self.full().class_of(w)]
         for x in range(self.order):
             J = set(self.words[self.conj(w, x)])
             if len(J) == k:
@@ -456,7 +429,7 @@ class CoxeterGroup:
 
     def fix_dim(self, w: int) -> int:
         """Dimension of the fixed space of w."""
-        return self.rank - self._closure_rank[self.class_index[w]]
+        return self.rank - self._closure_rank[self.full().class_of(w)]
 
     def normalizer_factors(self, c: int, J):
         """u and d with c = u * d, u in W_J and d the shortest element of W_J c.
@@ -573,11 +546,11 @@ class CoxeterGroup:
             members = set()
             for x in self.transversal_sharp(J, L=L, within=inside):
                 members.add(self.subset_conjugate(J, x))
-            assert J in members
+            assert J in members  # x = 1 lies in every transversal and fixes J
             idx = len(shapes)
             shapes.append(Shape(J, frozenset(members), idx))
             for K in members:
-                assert K not in assigned
+                assert K not in assigned  # conjugacy of subsets is an equivalence
                 assigned[K] = idx
         return shapes
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup, subsets
 from .cyclo import zeta
@@ -175,13 +174,16 @@ class DescentAlgebra:
                 if set(J) <= set(K):
                     m[i][j] = Fraction(len(trans[K] & sharp[J]))
         self.m_matrix = m
-
-        aug = [tuple(m[i]) + tuple(Fraction(1 if k == i else 0) for k in range(n))
-               for i in range(n)]
-        basis, pivots = linalg.rref(aug)
-        if pivots != list(range(n)):
-            raise SingularM("subset incidence matrix is singular")
-        self.m_inverse = [list(row[n:]) for row in basis]
+        # an entry needs J inside K, and J then comes first in (size, lex)
+        # order: m is lower triangular, with x = 1 counted on its diagonal
+        inv = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            if not m[i][i]:
+                raise SingularM("subset incidence matrix is singular")
+            for c in range(i + 1):
+                inv[i][c] = (int(c == i) - sum(m[i][j] * inv[j][c]
+                                               for j in range(c, i))) / m[i][i]
+        self.m_inverse = inv
 
     # -- idempotents -------------------------------------------------------------
 

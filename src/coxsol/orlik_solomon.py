@@ -36,6 +36,10 @@ class OrbitMismatch(RuntimeError):
     """The orbits of flats do not match the shapes one to one."""
 
 
+class NotDihedral(ValueError):
+    """A dihedral construction was given a group of rank other than 2."""
+
+
 MAX_RANK = 4
 
 
@@ -425,7 +429,8 @@ def dihedral_hyperplane_angles(W: CoxeterGroup) -> dict:
     The hyperplane of s gets label 0 and the hyperplane of t label m-1; the
     remaining labels follow by rotating with ts.
     """
-    assert W.rank == 2
+    if W.rank != 2:
+        raise NotDihedral(f"hyperplane angles need rank 2, not rank {W.rank}")
     m = W.matrix[0, 1]
     s, t = W.generators
     ts = W.mult(t, s)
@@ -435,7 +440,7 @@ def dihedral_hyperplane_angles(W: CoxeterGroup) -> dict:
         out[W.conj(s, x)] = (2 * p) % m
         out[W.conj(t, x)] = (m - 1 + 2 * p) % m
         x = W.mult(x, ts)
-    assert len(out) == m
+    assert len(out) == m  # I2(m) has m reflections, all conjugate to s or t
     return out
 
 

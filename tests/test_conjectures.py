@@ -178,6 +178,7 @@ def test_verify_c_report_structure():
 
 @pytest.mark.parametrize("which,spec,order", [
     ("a", "A4", 120), ("a", "D4", 192), ("b", "B4", 384), ("b", "I2(5)xI2(4)", 80),
+    pytest.param("b", "F4", 1152, marks=pytest.mark.slow),
 ])
 def test_verify_rank4(which, spec, order):
     W = build_group(spec)

@@ -60,6 +60,10 @@ GROUP_FACTS = [
     ("I2(6)", 12, 6, 6),
     ("I2(12)", 24, 12, 9),
     ("A1xI2(5)", 20, 6, 8),
+    ("A4", 120, 10, 7),
+    ("B4", 384, 16, 20),
+    ("D4", 192, 12, 13),
+    ("F4", 1152, 24, 25),
 ]
 
 
@@ -248,15 +252,17 @@ def test_fixed_space_dims(spec):
 
 def test_cuspidal_classes():
     W = build_group("I2(5)")
-    cusp = [c for c in W.classes if c.is_cuspidal]
+    cusp = W.full().cuspidal_classes()
     # exactly the two rotation classes
     assert len(cusp) == 2
     assert all(W.lengths[c.rep] % 2 == 0 and c.rep != W.identity for c in cusp)
     W = build_group("H3")
-    assert sum(1 for c in W.classes if c.is_cuspidal) == 4
+    assert len(W.full().cuspidal_classes()) == 4
     WL = W.parabolic((0, 1))
     cusp = WL.cuspidal_classes()
     assert all(W.fix_dim(c.rep) == 1 for c in cusp)
+    for spec, count in [("A4", 1), ("B4", 5), ("D4", 3), ("F4", 9)]:
+        assert len(build_group(spec).full().cuspidal_classes()) == count, spec
 
 
 def test_centralizer_orbit_counting():

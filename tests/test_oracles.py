@@ -4,9 +4,11 @@ Flats, fixed-space dimensions and the determinant characters alpha and sigma
 are read off root permutations, and the descent ideal characters Phi and
 the normalizer characters Phi~ come from a trace formula.  Here each of them
 is recomputed by exact row reduction, for every dihedral group up to I2(12),
-the rank 3 groups and A1xI2(5).  The assignment search meets in the middle
-on integer vectors; it is checked against the plain walk through
-`itertools.product` that it replaced.
+the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
+substitution.  The assignment search meets in the middle on integer vectors;
+it is checked against the plain walk through `itertools.product` that it
+replaced.  The group tables, filled from a right-multiplication table, are
+checked against composing root permutations.
 """
 
 import itertools
@@ -19,11 +21,54 @@ from coxsol import conjectures, linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
                           det_character, sigma_parabolic)
 from coxsol.conjectures import SearchExhausted, verify_a, verify_b
-from coxsol.coxeter import build_group
+from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import DescentAlgebra, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
+
+
+def composed_tables(W):
+    """The multiplication and inverse tables, by composing root permutations."""
+    index = {p: w for w, p in enumerate(W.perms)}
+    mult = [[index[tuple(pa[j] for j in pb)] for pb in W.perms] for pa in W.perms]
+    inv = []
+    for pa in W.perms:
+        q = [0] * W.n_roots
+        for j, k in enumerate(pa):
+            q[k] = j
+        inv.append(index[tuple(q)])
+    return mult, inv
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(12)", "A1xI2(5)", "B4", "D4"])
+def test_group_tables_match_composed_permutations(spec):
+    W = build_group(spec)
+    mult, inv = composed_tables(W)
+    assert W.mult_table == mult
+    assert W.inv_table == inv
+    for i, g in enumerate(W.generators):
+        images = [W.root_index[linalg.vec_key(W._apply_gen(i, v))] for v in W.roots]
+        assert W.perms[g] == tuple(images), (spec, i)
+    conjugates = {W.conj(g, x) for g in W.generators for x in range(W.order)}
+    assert W.reflections == sorted(conjugates)
+    assert W.classes is W.full().classes
+
+
+def rref_inverse(m):
+    n = len(m)
+    basis, pivots = linalg.rref([tuple(row) + tuple(Fraction(int(k == i)) for k in range(n))
+                                 for i, row in enumerate(m)])
+    assert pivots == list(range(n))
+    return [list(row[n:]) for row in basis]
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_m_inverse_matches_row_reduction(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        assert D.m_inverse == rref_inverse(D.m_matrix), (spec, L)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -108,14 +153,12 @@ def test_ideal_characters_match_row_reduction(spec):
 
 
 def test_ideal_characters_need_no_row_reduction(monkeypatch):
-    W = build_group("H3")
-    algebras = [DescentAlgebra(W, L) for L in W.all_subsets()]
-
     def refuse(rows):
         raise AssertionError("Phi must not row-reduce")
 
     monkeypatch.setattr(linalg, "rref", refuse)
-    for D in algebras:
+    W = CoxeterGroup(matrix_from_spec("H3"))
+    for D in [DescentAlgebra(W, L) for L in W.all_subsets()]:
         assert sum(phi.degree for phi in D.character_family().values()) == \
             D.universe.order
 
@@ -152,15 +195,12 @@ def test_parabolic_ideal_characters_match_row_reduction(spec):
 
 
 def test_parabolic_ideal_characters_need_no_row_reduction(monkeypatch):
-    W = build_group("H3")
-    for L in [None] + W.all_subsets():  # the m-matrix inverses do row-reduce
-        descent_algebra(W, L)
-
     def refuse(*args):
         raise AssertionError("Phi~ must not row-reduce")
 
     monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(linalg, "coords_in_rowspace", refuse)
+    W = CoxeterGroup(matrix_from_spec("H3"))  # a fresh group with no algebras built
     for L in W.all_subsets():
         rel = descent_algebra(W, L)
         assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \

@@ -29,7 +29,8 @@ from coxsol.coxeter import build_group
 from coxsol.descent import (DescentAlgebra, NotAResolution, NotIdempotent,
                             parabolic_ideal_character)
 from coxsol.conjectures import MalformedTable, _as_int
-from coxsol.orlik_solomon import NotInvariant, os_algebra
+from coxsol.orlik_solomon import (NotDihedral, NotInvariant, dihedral_hyperplane_angles,
+                                  os_algebra)
 
 W = build_group("A2")
 G = W.full()
@@ -66,6 +67,10 @@ try:
     _as_int(Fraction(1, 2))
 except MalformedTable:
     caught.append("half-in-table")
+try:
+    dihedral_hyperplane_angles(build_group("A3"))
+except NotDihedral:
+    caught.append("rank-three-angles")
 print(" ".join(caught))
 """
 
@@ -80,7 +85,8 @@ def test_bad_inputs_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize=1", "zero-function", "one-line",
                                    "doubled-idempotent", "shape-left-out",
-                                   "trivial-complement", "half-in-table"]
+                                   "trivial-complement", "half-in-table",
+                                   "rank-three-angles"]
 
 
 def test_linear_character_carrier_and_identity():
