@@ -42,6 +42,7 @@ class ClassFunction:
     """A function on a subgroup that is constant on conjugacy classes."""
 
     __slots__ = ("carrier", "values")
+    __hash__ = None  # equal class functions may sit on distinct carrier objects
 
     def __init__(self, carrier: Subgroup, values):
         values = tuple(values)
@@ -100,9 +101,6 @@ class ClassFunction:
             return NotImplemented
         return self._carried_alike(other) and \
             all(a == b for a, b in zip(self.values, other.values))
-
-    def __hash__(self):
-        return hash(id(self.carrier))
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -233,7 +231,7 @@ def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:
     m = W.matrix[a, b]
     rot = W.mult(W.generators[a], W.generators[b])
     carrier = W.cyclic(rot)
-    assert carrier.order == m
+    assert carrier.order == m  # s_a s_b has order m_ab in any Coxeter group
     values = {}
     x = W.identity
     for k in range(m):
@@ -290,11 +288,12 @@ def linear_characters(H: Subgroup):
             powers.append(x)
             x = qmult[x, g]
         d, gd = len(powers), x
-        assert M % d == 0
+        assert M % d == 0  # d divides the order of g, which divides the exponent M
         new_chars = []
         for chi in chars:
             a = chi[gd]
-            assert a % d == 0  # the character of g^d always has a d-th root
+            # zeta_M^a has order dividing o(g)/d, the order of g^d, and o(g) | M
+            assert a % d == 0
             for t in range(d):
                 ex = (a // d + t * (M // d)) % M
                 ext = dict(chi)
@@ -303,7 +302,7 @@ def linear_characters(H: Subgroup):
                         ext[qmult[h, powers[k]]] = (chi[h] + k * ex) % M
                 new_chars.append(ext)
         chars = new_chars
-    assert len(chars) == len(reps)
+    assert len(chars) == len(reps)  # a finite abelian group has |A| linear characters
 
     out = []
     for chi in chars:

@@ -18,6 +18,7 @@ True
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ class NotCoprime(ValueError):
     """Raised when a Galois conjugation exponent shares a factor with n."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be positive")
@@ -91,16 +93,16 @@ def cyclotomic_polynomial(n: int) -> tuple:
             if r:
                 raise ArithmeticError("cyclotomic division must be exact")
             rem = q
+    # x^n - 1 is the product of Phi_d over d | n, and the degrees add up to n
     assert len(rem) - 1 == euler_phi(n)
     return tuple(rem)
 
 
 def _reduce(p, n: int):
-    """Reduce a coefficient list mod Phi_n, returning a tuple of length phi(n)."""
-    phi = euler_phi(n)
-    _, r = _pdivmod_monic(p, list(cyclotomic_polynomial(n)))
-    r = list(r) + [Fraction(0)] * (phi - len(r))
-    return tuple(r)
+    """Reduce a Fraction coefficient list mod Phi_n, returning a tuple of
+    Fractions of length phi(n)."""
+    _, r = _pdivmod_monic(p, cyclotomic_polynomial(n))
+    return tuple(r) + (Fraction(0),) * (euler_phi(n) - len(r))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,14 @@ class Cyclo:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
+    @classmethod
+    def _from_reduced(cls, conductor: int, coeffs: tuple) -> "Cyclo":
+        """A value from a tuple that is already phi(conductor) Fractions, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "conductor", conductor)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
@@ -152,10 +162,15 @@ class Cyclo:
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo"):
+        """The conductor and coefficient tuples of a and b in a common field."""
+        if a.conductor == b.conductor:
+            return a.conductor, a.coeffs, b.coeffs
         n = math.lcm(a.conductor, b.conductor)
-        return a.lifted(n), b.lifted(n)
+        return n, a.lifted(n).coeffs, b.lifted(n).coeffs
 
     # -- ring operations -----------------------------------------------------
+    # Operands are reduced tuples of Fractions, so sums, differences and
+    # reduced products are too, and _from_reduced stores them as they are.
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -166,35 +181,46 @@ class Cyclo:
         return Cyclo(self.conductor, [q])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, Cyclo):
+            n, a, b = Cyclo._common(self, other)
+            return Cyclo._from_reduced(n, tuple(map(operator.add, a, b)))
+        q = _as_fraction(other)
+        if q is None:
             return NotImplemented
-        a, b = Cyclo._common(self, other)
-        return Cyclo(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        c = self.coeffs
+        return Cyclo._from_reduced(self.conductor, (c[0] + q,) + c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.conductor, [-c for c in self.coeffs])
+        return Cyclo._from_reduced(self.conductor, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, Cyclo):
+            n, a, b = Cyclo._common(self, other)
+            return Cyclo._from_reduced(n, tuple(map(operator.sub, a, b)))
+        q = _as_fraction(other)
+        if q is None:
             return NotImplemented
-        return self + (-other)
+        c = self.coeffs
+        return Cyclo._from_reduced(self.conductor, (c[0] - q,) + c[1:])
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        q = _as_fraction(other)
+        if q is None:
             return NotImplemented
-        return other + (-self)
+        c = self.coeffs
+        return Cyclo._from_reduced(self.conductor,
+                                   (q - c[0],) + tuple(map(operator.neg, c[1:])))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, Cyclo):
+            n, a, b = Cyclo._common(self, other)
+            return Cyclo._from_reduced(n, _reduce(_pmul(a, b), n))
+        q = _as_fraction(other)
+        if q is None:
             return NotImplemented
-        a, b = Cyclo._common(self, other)
-        return Cyclo(a.conductor, _pmul(list(a.coeffs), list(b.coeffs)))
+        return Cyclo._from_reduced(self.conductor, tuple(c * q for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -256,11 +282,13 @@ class Cyclo:
         return not self.is_zero()
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, Cyclo):
+            _, a, b = Cyclo._common(self, other)
+            return a == b
+        q = _as_fraction(other)
+        if q is None:
             return NotImplemented
-        a, b = Cyclo._common(self, other)
-        return a.coeffs == b.coeffs
+        return self.coeffs[0] == q and not any(self.coeffs[1:])
 
     def as_rational(self):
         """The value as a Fraction if it lies in Q, else None."""

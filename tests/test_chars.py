@@ -10,7 +10,7 @@ from coxsol.chars import (
     linear_characters, reflection_fix_character, rotation_character,
     sigma_parabolic, sign_character, trivial_character,
 )
-from coxsol.coxeter import build_group
+from coxsol.coxeter import Subgroup, build_group
 from coxsol.cyclo import zeta
 
 
@@ -50,6 +50,20 @@ def test_equality_needs_the_same_parent():
         trivial_character(build_group("I2(2)").parabolic((0,)))
     with pytest.raises(CarrierMismatch):
         b2 + a1cubed
+
+
+def test_equal_class_functions_are_unhashable():
+    # equality compares carriers by their members, so a hash of the carrier
+    # object would tell equal class functions apart
+    W = build_group("B3")
+    H1 = W.parabolic((0, 1))
+    H2 = Subgroup(W, H1.members)
+    assert H2 is not H1
+    assert trivial_character(H1) == trivial_character(H2)
+    with pytest.raises(TypeError):
+        hash(trivial_character(H1))
+    with pytest.raises(TypeError):
+        {trivial_character(H1), trivial_character(H2)}
 
 
 def test_induction_degree_and_reciprocity():

@@ -1,6 +1,8 @@
 """End to end tests of the command line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +209,17 @@ def test_search_exhausted_exits_four(capsys, monkeypatch):
     assert code == 4, err
     data = json.loads(out)
     assert data["status"] == "search-exhausted" and not data["ok"]
+
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                     .read_text())
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(key, marks=pytest.mark.slow) if key == "verify a I2(11)" else key
+    for key in sorted(DIGESTS)])
+def test_output_matches_recorded_digest(capsys, command):
+    # the benchmark's recorded SHA-256 of each command's stdout
+    code, out, err = run(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]

@@ -8,10 +8,13 @@ the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
 substitution.  The assignment search meets in the middle on integer vectors;
 it is checked against the plain walk through `itertools.product` that it
 replaced.  The group tables, filled from a right-multiplication table, are
-checked against composing root permutations.
+checked against composing root permutations.  Cyclotomic sums, differences,
+products and comparisons, which build their results without re-validating
+them, are checked against the validating constructor.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
                           det_character, sigma_parabolic)
 from coxsol.conjectures import SearchExhausted, verify_a, verify_b
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
+from coxsol.cyclo import Cyclo, euler_phi
 from coxsol.descent import DescentAlgebra, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import sub_os_algebra
 
@@ -302,3 +306,74 @@ def test_search_cap_bounds_the_larger_half(monkeypatch):
     monkeypatch.setattr(conjectures, "SEARCH_CAP", 24)
     with pytest.raises(SearchExhausted, match="25 combinations"):
         conjectures._search((0,), cf(14), cf(28), pools)
+
+
+# -- cyclotomic arithmetic against the validating constructor ----------------------
+
+CONDUCTORS = list(range(1, 31)) + [60]
+
+
+def _in_field(x, n: int) -> list:
+    """The coefficient list of a Cyclo, int or Fraction, written in Q(zeta_n)."""
+    if not isinstance(x, Cyclo):
+        x = Cyclo(n, [x])
+    return list(x.lifted(n).coeffs)
+
+
+def _field_of(x, y) -> int:
+    ns = [v.conductor for v in (x, y) if isinstance(v, Cyclo)]
+    return math.lcm(*ns)
+
+
+def _oracle_sum(x, y, sign):
+    n = _field_of(x, y)
+    return Cyclo(n, [a + sign * b for a, b in zip(_in_field(x, n), _in_field(y, n))])
+
+
+def _oracle_product(x, y):
+    n = _field_of(x, y)
+    a, b = _in_field(x, n), _in_field(y, n)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return Cyclo(n, out)
+
+
+def _assert_built_like(got, want):
+    assert isinstance(got, Cyclo)
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert len(got.coeffs) == euler_phi(got.conductor)
+    with pytest.raises(AttributeError):
+        got.coeffs = want.coeffs
+    with pytest.raises(AttributeError):
+        got.conductor = want.conductor
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_cyclo_fast_paths_match_validating_constructor(n):
+    rng = random.Random(n)
+
+    def draw(k):
+        return Cyclo(k, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(euler_phi(k))])
+
+    a, b, zero = draw(n), draw(n), Cyclo(n, [])
+    # a second conductor, kept to common fields of conductor at most 60
+    other = draw(rng.choice([k for k in CONDUCTORS if k != n and math.lcm(n, k) <= 60]))
+    # a.lifted(2n) equals a across conductors, and the rational value equals 3/2
+    values = [a, b, zero, other, Cyclo(n, [Fraction(3, 2)]), a.lifted(2 * n)]
+    scalars = [0, 3, Fraction(0), Fraction(3, 2), Fraction(-2, 7)]
+    pairs = [(x, y) for x in values for y in values]
+    pairs += [(x, q) for x in values for q in scalars]
+    pairs += [(q, x) for x in values for q in scalars]
+    for x, y in pairs:
+        _assert_built_like(x + y, _oracle_sum(x, y, 1))
+        _assert_built_like(x - y, _oracle_sum(x, y, -1))
+        _assert_built_like(x * y, _oracle_product(x, y))
+        m = _field_of(x, y)
+        assert (x == y) is (_in_field(x, m) == _in_field(y, m)), (x, y)
+        assert (x != y) is not (x == y)
+    for x in values:
+        _assert_built_like(-x, Cyclo(x.conductor, [-c for c in x.coeffs]))
