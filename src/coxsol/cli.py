@@ -8,12 +8,12 @@ Subcommands:
   table    the dihedral character table of both families
 
 Exit status is 0 on success (for verify: when the run verified), 1 when a
-verification fails, 2 on usage errors, 3 on an internal error, whose
-traceback goes to stderr, and 4 when a verify search is exhausted (status
-search-exhausted): the search meets in the middle, and the larger of its two
-halves has more than conjectures.SEARCH_CAP combinations.  Output is JSON
-except for the table subcommand, which defaults to markdown; --format selects
-explicitly.
+verification fails, 2 on usage errors and an unwritable --out, 3 on an
+internal error, whose traceback goes to stderr, and 4 when a verify search is
+exhausted (status search-exhausted): the search meets in the middle, and the
+larger of its two halves has more than conjectures.SEARCH_CAP combinations.
+Output is JSON except for the table subcommand, which defaults to markdown;
+--format selects explicitly.
 """
 
 from __future__ import annotations
@@ -357,8 +357,12 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 3
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return out.code

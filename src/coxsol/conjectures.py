@@ -158,13 +158,21 @@ class ConjectureReport:
         return data
 
 
-def _sum_induced(assignments, which: str, target: Subgroup):
+def _sum_induced(chars, target: Subgroup):
     total = None
-    for a in assignments:
-        chi = a.phi if which == "phi" else a.psi
+    for chi in chars:
         ind = chi.induce(target)
         total = ind if total is None else total + ind
     return total
+
+
+def _centralizer_in(W: CoxeterGroup, w: int, N: Subgroup, within=None) -> Subgroup:
+    """The centralizer of w (inside `within`, or in W), which must lie in N."""
+    C = W.centralizer(w, within=within)
+    if not C.members <= N.members:
+        raise PrerequisiteFailed(
+            "centralizer of a cuspidal element leaves the normalizer")
+    return C
 
 
 # -- base assignments on a parabolic viewed as a group of its own ----------------------
@@ -188,7 +196,10 @@ def construct_parabolic_B(W: CoxeterGroup, L):
     elif len(L) == 2:
         out = _dihedral_B(W, L)
     else:
-        out = _search_B(W, L)
+        D = descent_algebra(W, L)
+        out = _search_pools(W, L, WL, D.ideal_character(D.shape_of(L)),
+                            top_component_character(W, L), sign_character(WL),
+                            within=WL)
     covered = {WL.class_of(a.element) for a in out}
     wanted = {WL.class_of(c.rep) for c in WL.cuspidal_classes()}
     if covered != wanted or len(out) != len(wanted):
@@ -226,22 +237,20 @@ def _dihedral_B(W: CoxeterGroup, L):
     return out
 
 
-def _search_B(W: CoxeterGroup, L):
-    """Search every combination of centralizer characters for the top identities."""
-    L = tuple(sorted(L))
-    WL = W.parabolic(L)
-    D = descent_algebra(W, L)
-    phi_top = D.ideal_character(D.shape_of(L))
-    psi_top = top_component_character(W, L)
+def _search_pools(W: CoxeterGroup, L, target: Subgroup, phi_top, psi_top,
+                  twist, within=None):
+    """Search the linear characters phi of the centralizers (inside `within`,
+    or in W, and inside the target) of the cuspidal classes of W_L, with
+    psi = phi * twist, for inductions to the target adding up to the tops."""
     pools = []
-    for cl in WL.cuspidal_classes():
-        C = W.centralizer(cl.rep, within=WL)
-        eps = sign_character(C)
+    for cl in W.parabolic(L).cuspidal_classes():
+        C = _centralizer_in(W, cl.rep, target, within)
+        tw = twist.restrict(C)
         opts = []
         for chi in linear_characters(C):
-            psi = chi * eps
+            psi = chi * tw
             opts.append((cl.rep, C, chi, psi,
-                         chi.induce(WL), psi.induce(WL)))
+                         chi.induce(target), psi.induce(target)))
         pools.append(opts)
     return _search(L, phi_top, psi_top, pools)
 
@@ -358,10 +367,7 @@ def construct_C(W: CoxeterGroup, L):
 
 
 def _lift_product(W: CoxeterGroup, L, N: Subgroup, base: Assignment) -> Assignment:
-    C = W.centralizer(base.element)
-    if not C.members <= N.members:
-        raise PrerequisiteFailed(
-            "centralizer of a cuspidal element leaves the normalizer")
+    C = _centralizer_in(W, base.element, N)
     values = {}
     for c in C.sorted_members:
         u, _ = W.normalizer_factors(c, L)
@@ -411,10 +417,7 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
     out = []
     for j in range(1, (m - 1) // 2 + 1):
         w = W.power(st, j)
-        C = W.centralizer(w)
-        if not C.members <= N.members:
-            raise PrerequisiteFailed(
-                "centralizer of a cuspidal element leaves the normalizer")
+        C = _centralizer_in(W, w, N)
         chi = rotation_character(W, L, j)
         parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
         phi = None
@@ -435,26 +438,32 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
 
 
 def _search_C(W: CoxeterGroup, L, N: Subgroup):
-    L = tuple(sorted(L))
-    phi_top = parabolic_ideal_character(W, L)
-    psi_top = top_component_tilde(W, L)
-    alphaL = alpha_parabolic(W, L)
-    pools = []
-    for cl in W.parabolic(L).cuspidal_classes():
-        C = W.centralizer(cl.rep)
-        if not C.members <= N.members:
-            raise PrerequisiteFailed(
-                "centralizer of a cuspidal element leaves the normalizer")
-        twist = sign_character(C) * alphaL.restrict(C)
-        opts = []
-        for chi in linear_characters(C):
-            psi = chi * twist
-            opts.append((cl.rep, C, chi, psi, chi.induce(N), psi.induce(N)))
-        pools.append(opts)
-    return _search(L, phi_top, psi_top, pools)
+    return _search_pools(W, L, N, parabolic_ideal_character(W, L),
+                         top_component_tilde(W, L),
+                         sign_character(N) * alpha_parabolic(W, L))
 
 
 # -- the verifications ------------------------------------------------------------------
+
+
+def _construct(report: ConjectureReport, G: Subgroup, construct, W, L):
+    """construct(W, L) into the report, with the construction and
+    cuspidal-coverage checks on G; None when the construction fails."""
+    try:
+        assignments = construct(W, L)
+    except (SearchExhausted, PrerequisiteFailed) as exc:
+        report.add("construction", False, str(exc))
+        if isinstance(exc, SearchExhausted):
+            report.aborted = "search-exhausted"
+        return None
+    report.assignments = assignments
+    report.add("construction", True,
+               ",".join(sorted({a.route for a in assignments})))
+    covered = [G.class_of(a.element) for a in assignments]
+    cusp = {G.class_of(c.rep) for c in G.cuspidal_classes()}
+    report.add("cuspidal-coverage",
+               set(covered) == cusp and len(covered) == len(cusp))
+    return assignments
 
 
 def verify_b(W: CoxeterGroup) -> ConjectureReport:
@@ -466,24 +475,13 @@ def verify_b(W: CoxeterGroup) -> ConjectureReport:
     top = D.shape_of(S)
     phi_top = D.ideal_character(top)
     psi_top = shape_component_character(W, top)
-    try:
-        assignments = construct_parabolic_B(W, S)
-    except (SearchExhausted, PrerequisiteFailed) as exc:
-        report.add("construction", False, str(exc))
-        if isinstance(exc, SearchExhausted):
-            report.aborted = "search-exhausted"
+    assignments = _construct(report, full, construct_parabolic_B, W, S)
+    if assignments is None:
         return report
-    report.assignments = assignments
-    report.add("construction", True,
-               ",".join(sorted({a.route for a in assignments})))
-    covered = [full.class_of(a.element) for a in assignments]
-    cusp = {full.class_of(c.rep) for c in full.cuspidal_classes()}
-    report.add("cuspidal-coverage",
-               set(covered) == cusp and len(covered) == len(cusp))
     report.add_residual("descent-top-sum",
-                        _sum_induced(assignments, "phi", full) - phi_top)
+                        _sum_induced((a.phi for a in assignments), full) - phi_top)
     report.add_residual("arrangement-top-sum",
-                        _sum_induced(assignments, "psi", full) - psi_top)
+                        _sum_induced((a.psi for a in assignments), full) - psi_top)
     report.add("psi-twist", all(
         a.psi == a.phi * sign_character(a.centralizer)
         * alpha_element(W, a.element).restrict(a.centralizer)
@@ -503,26 +501,15 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
     alphaL = alpha_parabolic(W, L)
     phi_tilde = parabolic_ideal_character(W, L)
     psi_tilde = top_component_tilde(W, L)
-    try:
-        assignments = construct_C(W, L)
-    except (SearchExhausted, PrerequisiteFailed) as exc:
-        report.add("construction", False, str(exc))
-        if isinstance(exc, SearchExhausted):
-            report.aborted = "search-exhausted"
+    assignments = _construct(report, WL, construct_C, W, L)
+    if assignments is None:
         return report
-    report.assignments = assignments
-    report.add("construction", True,
-               ",".join(sorted({a.route for a in assignments})))
-    covered = [WL.class_of(a.element) for a in assignments]
-    cusp = {WL.class_of(c.rep) for c in WL.cuspidal_classes()}
-    report.add("cuspidal-coverage",
-               set(covered) == cusp and len(covered) == len(cusp))
     report.add("centralizers-in-normalizer",
                all(a.centralizer.members <= N.members for a in assignments))
     report.add_residual("descent-tilde-sum",
-                        _sum_induced(assignments, "phi", N) - phi_tilde)
+                        _sum_induced((a.phi for a in assignments), N) - phi_tilde)
     report.add_residual("arrangement-tilde-sum",
-                        _sum_induced(assignments, "psi", N) - psi_tilde)
+                        _sum_induced((a.psi for a in assignments), N) - psi_tilde)
     report.add("psi-twist", all(
         a.psi == a.phi * sign_character(a.centralizer) * alphaL.restrict(a.centralizer)
         for a in assignments))
@@ -540,16 +527,13 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
                phi_tilde.induce(W.full()) == Damb.ideal_character(shape)
                and psi_tilde.induce(W.full()) == shape_component_character(W, shape))
 
-    sphi = spsi = phi_rel * 0
-    for a in assignments:
-        CWl = W.centralizer(a.element, within=WL)
-        sphi = sphi + a.phi.restrict(CWl).induce(WL)
-        spsi = spsi + a.psi.restrict(CWl).induce(WL)
+    local = [W.centralizer(a.element, within=WL) for a in assignments]
+    sphi = _sum_induced((a.phi.restrict(CWl) for a, CWl in zip(assignments, local)), WL)
+    spsi = _sum_induced((a.psi.restrict(CWl) for a, CWl in zip(assignments, local)), WL)
     report.add("restriction-assignments", sphi == phi_rel and spsi == psi_rel)
 
     mackey = True
-    for a in assignments:
-        CWl = W.centralizer(a.element, within=WL)
+    for a, CWl in zip(assignments, local):
         product = {W.mult(u, c) for u in WL.sorted_members
                    for c in a.centralizer.sorted_members}
         if product != set(N.members):
@@ -582,9 +566,11 @@ def verify_a(W: CoxeterGroup) -> ConjectureReport:
     report.add("class-partition",
                len(set(classes)) == len(classes) == len(full.classes))
     report.add_residual("regular-sum",
-                        _sum_induced(gathered, "phi", full) - regular_character(full))
+                        _sum_induced((a.phi for a in gathered), full)
+                        - regular_character(full))
     report.add_residual("arrangement-sum",
-                        _sum_induced(gathered, "psi", full) - whole_space_character(W))
+                        _sum_induced((a.psi for a in gathered), full)
+                        - whole_space_character(W))
     report.add("element-twist", all(
         a.psi == a.phi * sign_character(a.centralizer)
         * alpha_element(W, a.element).restrict(a.centralizer)

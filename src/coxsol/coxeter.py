@@ -146,6 +146,10 @@ class CoxeterGroup:
         self._subgroups = {}
         self._parabolics = {}
         self.algebras = {}  # filled by descent_algebra and sub_os_algebra
+        # W_{ij} has order 2 * m_ij; refuse before the field and roots are built
+        if any(2 * matrix[i, j] > max_elements for i in range(self.rank)
+               for j in range(i)):
+            raise InfiniteOrTooLarge(f"group exceeded {max_elements} elements")
         self._build_form()
         self._build_elements(self._build_roots(max_elements), max_elements)
         self.classes = self.full().classes
@@ -485,34 +489,29 @@ class CoxeterGroup:
                 out.append(w)
         return out
 
-    def transversal_sharp(self, J, L=None, within=None):
-        """Members x of X_J with J^x contained in the generator set L."""
-        allowed = set(self.generators[s] for s in (range(self.rank) if L is None else L))
-        out = []
-        for x in self.transversal(J, within):
-            if all(self.conj(self.generators[s], x) in allowed for s in J):
-                out.append(x)
-        return out
+    def subset_images(self, J, within=None):
+        """{x: K} for the x in X_J (inside a parabolic, if given) with J^x = K in S.
 
-    def subset_conjugate(self, J, x):
-        """The set K with W_J^x = W_K, when J^x consists of generators."""
-        gen_pos = {g: i for i, g in enumerate(self.generators)}
-        out = []
-        for s in J:
-            g = self.conj(self.generators[s], x)
-            if g not in gen_pos:
-                raise ValueError("conjugate is not a standard subset")
-            out.append(gen_pos[g])
-        return tuple(sorted(out))
+        x^-1 s x is the reflection of the root x^-1(alpha_s), so it is a
+        generator exactly when that root is simple; these roots are all
+        positive exactly when x lies in X_J.  For J in L and x in W_L, K lies
+        in L, because a generator in W_L is one of L's.
+        """
+        pool = within.sorted_members if within is not None else range(self.order)
+        simple = {a: i for i, a in enumerate(self.simple_root)}
+        roots = [self.simple_root[s] for s in J]
+        out = {}
+        for x in pool:
+            pxi = self.perms[self.inv_table[x]]
+            K = [simple.get(pxi[a]) for a in roots]
+            if None not in K:
+                out[x] = tuple(sorted(K))
+        return out
 
     def complement_in_normalizer(self, J):
         """The complement N_J = {x in X_J : J^x = J} of W_J in its normalizer."""
         J = tuple(sorted(J))
-        out = []
-        for x in self.transversal_sharp(J):
-            if self.subset_conjugate(J, x) == J:
-                out.append(x)
-        return out
+        return [x for x, K in self.subset_images(J).items() if K == J]
 
     def complement_subgroup(self, J) -> "Subgroup":
         """N_J as a subgroup; checks that the element set really is closed."""
@@ -543,9 +542,7 @@ class CoxeterGroup:
         for J in universe:
             if J in assigned:
                 continue
-            members = set()
-            for x in self.transversal_sharp(J, L=L, within=inside):
-                members.add(self.subset_conjugate(J, x))
+            members = set(self.subset_images(J, within=inside).values())
             assert J in members  # x = 1 lies in every transversal and fixes J
             idx = len(shapes)
             shapes.append(Shape(J, frozenset(members), idx))
@@ -553,13 +550,6 @@ class CoxeterGroup:
                 assert K not in assigned  # conjugacy of subsets is an equivalence
                 assigned[K] = idx
         return shapes
-
-    def shape_of(self, J, within=None):
-        J = tuple(sorted(J))
-        for sh in self.shapes(within):
-            if J in sh.members:
-                return sh
-        raise KeyError(J)
 
     # -- subgroups ---------------------------------------------------------------
 

@@ -164,7 +164,7 @@ class DescentAlgebra:
 
     def _build_m(self):
         W, n = self.W, len(self.subsets)
-        sharp = {J: set(W.transversal_sharp(J, L=self.L, within=self.universe))
+        sharp = {J: set(W.subset_images(J, within=self.universe))
                  for J in self.subsets}
         trans = {J: set(W.transversal(J, within=self.universe))
                  for J in self.subsets}

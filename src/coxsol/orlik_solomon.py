@@ -124,28 +124,18 @@ class OSAlgebra:
     # -- the no-broken-circuit basis ------------------------------------------
 
     def _broken_circuit_witness(self, mono):
-        """The least h completing a circuit of which mono holds the rest.
-
-        Returns (h, circuit) with h the minimum of the circuit, or None; mono
-        is assumed independent and sorted.
-        """
+        """(h, circuit) for a sorted circuit whose least element h is not in
+        mono and whose rest is; None when mono, independent and sorted, is NBC.
+        By Bjorner's criterion it is exactly when every suffix starts with the
+        least hyperplane of its closure.  At the last suffix whose closure holds
+        a smaller h, h and the suffix members it depends on form the circuit."""
         lat = self.lattice
-        closure = lat.flats[lat.flat_of(mono)].key
-        inside = set(mono)
-        for h in sorted(closure - inside):
-            if h > mono[-1]:
-                break
-            circuit = [h]
-            for x in mono:
-                if x < h:
-                    # x below h must not take part in the dependency
-                    if lat.independent([y for y in mono if y != x] + [h]):
-                        circuit = None
-                        break
-                elif lat.independent([y for y in mono if y != x] + [h]):
-                    circuit.append(x)
-            if circuit is not None:
-                return h, circuit
+        for i in reversed(range(len(mono))):
+            suffix = mono[i:]
+            h = min(lat.flats[lat.flat_of(suffix)].key)
+            if h < mono[i]:
+                return h, [h] + [x for x in suffix if lat.independent(
+                    [y for y in suffix if y != x] + [h])]
         return None
 
     @property

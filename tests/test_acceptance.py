@@ -308,7 +308,22 @@ def test_criterion_09_brute_force_oracles():
             assert xj == set(W.transversal(J)), (spec, J)
             sharp = {x for x in xj
                      if {W.conj(W.generators[j], x) for j in J} <= gens}
-            assert sharp == set(W.transversal_sharp(J)), (spec, J)
+            images = W.subset_images(J)
+            assert sharp == set(images), (spec, J)
+            for x, K in images.items():
+                assert {W.generators[k] for k in K} == \
+                    {W.conj(W.generators[j], x) for j in J}, (spec, J, x)
+                assert len(K) == len(J), (spec, J, x)
+            # inside W_L, J^x can only consist of generators in L
+            for L in all_subsets(W.rank):
+                if set(J) <= set(L):
+                    WL = W.parabolic(L)
+                    in_L = {W.generators[k] for k in L}
+                    want = {x for x in xj & WL.members
+                            if {W.conj(W.generators[j], x) for j in J} <= in_L}
+                    got = W.subset_images(J, within=WL)
+                    assert set(got) == want, (spec, J, L)
+                    assert all(got[x] == images[x] for x in got), (spec, J, L)
 
         subsets = all_subsets(W.rank)
         conjugate = {J: {J} for J in subsets}

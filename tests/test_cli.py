@@ -8,7 +8,7 @@ import pytest
 
 from coxsol.chars import class_function_from_json
 from coxsol.cli import main
-from coxsol.coxeter import build_group
+from coxsol.coxeter import CoxeterGroup, build_group
 from coxsol.cyclo import Cyclo
 
 
@@ -160,6 +160,14 @@ def test_out_flag(tmp_path, capsys):
     assert data["order"] == 2
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "group", "A1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, "os", "I2(4)", "--format", "csv")
     assert code == 0
@@ -186,6 +194,18 @@ def test_help_exits_zero(capsys):
 
 def test_max_elements_guard(capsys):
     assert run(capsys, "group", "H3", "--max-elements", "10")[0] == 2
+
+
+def test_dihedral_over_the_bound_exits_two(capsys, monkeypatch):
+    # I2(5001) has order 10002: refused before Q(zeta_10002) is built
+    def refuse(self):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(CoxeterGroup, "_build_form", refuse)
+    code, out, err = run(capsys, "group", "I2(5001)")
+    assert code == 2, err
+    assert out == ""
+    assert "10000 elements" in err
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

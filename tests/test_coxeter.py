@@ -94,6 +94,19 @@ def test_too_large_guard():
         CoxeterGroup(affine, max_elements=500)
 
 
+def test_dihedral_bound_checked_before_the_field(monkeypatch):
+    # W_{ij} has order 2 * m_ij, so I2(5001) (order 10002) is refused
+    # before Q(zeta_10002) and its roots are built
+    def refuse(self):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(CoxeterGroup, "_build_form", refuse)
+    with pytest.raises(InfiniteOrTooLarge, match="exceeded 10000 elements"):
+        build_group("I2(5001)")
+    with pytest.raises(InfiniteOrTooLarge, match="exceeded 11 elements"):
+        CoxeterGroup(matrix_from_spec("A1xI2(6)"), max_elements=11)
+
+
 @pytest.mark.parametrize("spec", ["A3", "I2(7)"])
 def test_length_is_inversion_count(spec):
     W = build_group(spec)

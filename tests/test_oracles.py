@@ -8,9 +8,11 @@ the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
 substitution.  The assignment search meets in the middle on integer vectors;
 it is checked against the plain walk through `itertools.product` that it
 replaced.  The group tables, filled from a right-multiplication table, are
-checked against composing root permutations.  Cyclotomic sums, differences,
-products and comparisons, which build their results without re-validating
-them, are checked against the validating constructor.
+checked against composing root permutations.  The NBC basis, found by
+Bjorner's suffix criterion, is checked against the independent sets that
+hold no broken circuit.  Cyclotomic sums, differences, products and
+comparisons, which build their results without re-validating them, are
+checked against the validating constructor.
 """
 
 import itertools
@@ -93,6 +95,28 @@ def test_flats_are_closed_root_spans(spec):
                 g = lat.flats[lat.child[f.id, p]]
                 assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, L, p)
         assert lat.flats[alg.top_flat()].rank == len(L)
+
+
+def brute_nbc(lat, n: int):
+    """Independent sets with no broken circuit, from circuits found by ranks:
+    a circuit is a dependent set whose proper subsets are all independent."""
+    sets = [c for k in range(lat.top_rank + 2)
+            for c in itertools.combinations(range(n), k)]
+    circuits = [c for c in sets if lat.rank(c) == len(c) - 1
+                and all(lat.independent(c[:i] + c[i + 1:]) for i in range(len(c)))]
+    broken = [set(c[1:]) for c in circuits]
+    return sorted(c for c in sets if lat.independent(c)
+                  and not any(b <= set(c) for b in broken))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A1xI2(5)", "I2(7)", "A1xA3", "B4"])
+def test_nbc_basis_matches_broken_circuits(spec):
+    W = build_group(spec)
+    for L in [tuple(range(W.rank))] + list(itertools.combinations(range(W.rank),
+                                                                  W.rank - 1)):
+        alg = sub_os_algebra(W, L)
+        got = sorted(mono for level in alg.nbc_basis for mono in level)
+        assert got == brute_nbc(alg.lattice, alg.arr.n), (spec, L)
 
 
 def _matches_determinant(chi, carrier, basis) -> bool:

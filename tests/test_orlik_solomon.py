@@ -135,7 +135,7 @@ def test_degree_one_is_reflection_fix_character():
 @pytest.mark.parametrize("m", [2, 3, 5, 6, 8])
 def test_dihedral_top_model_matches(m):
     W = build_group(f"I2({m})")
-    assert shape_component_character(W, W.shape_of((0, 1))) == \
+    assert shape_component_character(W, descent_algebra(W).shape_of((0, 1))) == \
         dihedral_top_model(W)
 
 
@@ -151,7 +151,7 @@ def test_top_shape_equals_descent_times_sign(spec):
     W = build_group(spec)
     D = descent_algebra(W)
     L = tuple(range(W.rank))
-    psi = shape_component_character(W, W.shape_of(L))
+    psi = shape_component_character(W, D.shape_of(L))
     phi = D.ideal_character(D.shape_of(L))
     eps = sign_character(W.full())
     assert psi == phi * eps
