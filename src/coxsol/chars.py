@@ -153,13 +153,8 @@ def linear_character(carrier: Subgroup, values: dict) -> ClassFunction:
     if values[W.identity] != 1:
         raise NotLinear("value at the identity is not 1")
     # chi(a g) = chi(a) chi(g) for g in a generating set gives every product
-    gens, span = [], {W.identity}
-    for g in carrier.sorted_members:
-        if g not in span:
-            gens.append(g)
-            span = W.generated_subgroup(gens).members
     for a in carrier.sorted_members:
-        for g in gens:
+        for g in carrier.generators:
             if values[W.mult(a, g)] != values[a] * values[g]:
                 raise NotLinear("values are not multiplicative")
     return ClassFunction(carrier, [values[c.rep] for c in carrier.classes])

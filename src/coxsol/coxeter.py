@@ -514,13 +514,14 @@ class CoxeterGroup:
         return [x for x, K in self.subset_images(J).items() if K == J]
 
     def complement_subgroup(self, J) -> "Subgroup":
-        """N_J as a subgroup; checks that the element set really is closed."""
-        elems = self.complement_in_normalizer(J)
-        sub = self.subgroup(elems)
-        for a in elems:
-            for b in elems:
-                if self.mult_table[a][b] not in sub.members:
-                    raise NotClosed(f"the complement for J = {J} is not closed")
+        """N_J as a subgroup; checks that the element set really is closed.
+
+        The set lies in the group its greedy generators generate, so it is
+        closed exactly when it is all of that group.
+        """
+        sub = self.subgroup(self.complement_in_normalizer(J))
+        if self.closure(sub.generators) != sub.members:
+            raise NotClosed(f"the complement for J = {J} is not closed")
         return sub
 
     def is_bulky(self, J) -> bool:
@@ -560,6 +561,10 @@ class CoxeterGroup:
         return self._subgroups[members]
 
     def generated_subgroup(self, gens) -> "Subgroup":
+        return self.subgroup(self.closure(gens))
+
+    def closure(self, gens) -> set:
+        """The members of the subgroup generated by gens."""
         members = {self.identity}
         frontier = [self.identity]
         gens = list(gens)
@@ -572,7 +577,7 @@ class CoxeterGroup:
                         members.add(b)
                         nxt.append(b)
             frontier = nxt
-        return self.subgroup(members)
+        return members
 
     def parabolic(self, J) -> "Subgroup":
         J = tuple(sorted(J))
@@ -641,6 +646,7 @@ class Subgroup:
         self._classes = None
         self._class_index = None
         self._positions = None
+        self._generators = None
 
     @property
     def order(self) -> int:
@@ -662,6 +668,19 @@ class Subgroup:
             self._classes = classes
             self._class_index = {x: k for k, c in enumerate(classes) for x in c.members}
         return self._classes
+
+    @property
+    def generators(self):
+        """Greedy generators: each member, in sorted order, that the earlier
+        ones do not generate.  They generate at least the member set."""
+        if self._generators is None:
+            gens, span = [], {self.parent.identity}
+            for w in self.sorted_members:
+                if w not in span:
+                    gens.append(w)
+                    span = self.parent.closure(gens)
+            self._generators = tuple(gens)
+        return self._generators
 
     @property
     def positions(self):

@@ -4,19 +4,33 @@ The basis elements x_J sum the inverses of the minimal coset representatives
 X_J.  Counting how the X_J meet the sets X_K of representatives that conjugate
 K into the generator set gives an invertible triangular matrix; its inverse
 turns the x_J into a complete family of idempotents, one per subset, whose
-sums over a conjugacy class of subsets are orthogonal.  The character of the
-right ideal eQU of an idempotent e is the trace formula
+sums over a conjugacy class of subsets are orthogonal.
+
+Elements of the descent algebra are kept as coordinate vectors along the
+x_J and multiplied with Solomon's structure constants
+x_J * x_K = sum_{d in X_J cap X_K^-1} x_{J^d cap K}, J^d = {d^-1 s d : s in J}
+cap S (Solomon 1976), read off the root permutations in one pass over the
+group, as are the incidence matrix and the number of elements of each X_K
+whose inverse lies in each conjugacy class.
+
+The character of the right ideal eQU of an idempotent e is the trace formula
 chi(w) = sum_{g in U} e(g w^-1 g^-1) (Solomon 1976), so it is a sum of
-coefficients of e over one conjugacy class; no ideal is row-reduced.
+coefficients of e over one conjugacy class; no ideal is row-reduced.  For
+e = sum_K c_K x_K that sum is sum_K c_K times the class count of X_K, and
+e * e = e is checked in coordinates, so no product in QU is formed.
 
 The same construction runs relative to a parabolic subgroup by restricting
 every transversal to it.  The normalizer N of W_L acts on e_L * QW_L; that
-module is isomorphic to the right ideal of an idempotent of QN, checked by a
-certificate, so its character is the same trace formula.
+module is isomorphic to the right ideal of an idempotent f = eps_L * a_L of
+QN, checked by a certificate, so its character is the same trace formula.
+f * f = f follows from eps_L * eps_L = eps_L, from eps_L being fixed under
+conjugation by the complement N_L, and from N_L being a subgroup; see
+`parabolic_ideal_character`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .chars import ClassFunction, NotInvariant
@@ -142,8 +156,26 @@ def x_element(W: CoxeterGroup, J, within: Subgroup | None = None) -> GroupAlgebr
     return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
 
 
+def _mask(J) -> int:
+    return sum(1 << s for s in J)
+
+
+def _submasks(mask: int):
+    """Every bitmask whose bits lie in mask, mask itself first."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 class DescentAlgebra:
-    """The descent algebra of W, or of a standard parabolic W_L inside W."""
+    """The descent algebra of W, or of a standard parabolic W_L inside W.
+
+    Elements are coordinate vectors along the x_J, J in L, in (size, lex)
+    order; `element` turns one into an element of the group algebra.
+    """
 
     def __init__(self, W: CoxeterGroup, L=None):
         self.W = W
@@ -151,29 +183,79 @@ class DescentAlgebra:
         self.universe = W.parabolic(self.L)
         self.subsets = subsets(self.L)
         self._subset_pos = {J: i for i, J in enumerate(self.subsets)}
-        self._x = {J: x_element(W, J, within=self.universe) for J in self.subsets}
         self.shapes = W.shapes(within=self.L)
-        self._build_m()
+        self._tally()
+        self._invert_m()
+        self._x = {}
         self._e = {}
         self._phi = {}
 
-    # -- the basis and the incidence matrix ------------------------------------
+    # -- the basis, its structure constants and the incidence matrix ---------------
 
     def x(self, J) -> GroupAlgebraElement:
-        return self._x[tuple(sorted(J))]
+        J = tuple(sorted(J))
+        if J not in self._x:
+            self._x[J] = x_element(self.W, J, within=self.universe)
+        return self._x[J]
 
-    def _build_m(self):
-        W, n = self.W, len(self.subsets)
-        sharp = {J: set(W.subset_images(J, within=self.universe))
-                 for J in self.subsets}
-        trans = {J: set(W.transversal(J, within=self.universe))
-                 for J in self.subsets}
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, K in enumerate(self.subsets):
-            for j, J in enumerate(self.subsets):
-                if set(J) <= set(K):
-                    m[i][j] = Fraction(len(trans[K] & sharp[J]))
-        self.m_matrix = m
+    def _tally(self):
+        """The incidence matrix, the structure constants and the class counts
+        of the transversals, from one pass over the universe.
+
+        For x in the universe, x lies in X_J exactly when J lies in
+        above(x) = {s : x^-1(alpha_s) > 0}, and x^-1 lies in X_K exactly when
+        K lies in below(x) = {t : x(alpha_t) > 0}.  x^-1 s x is a generator t
+        exactly when x^-1(alpha_s) = +-alpha_t, with + for s in above(x); this
+        partial map s -> t on above(x) reads off J^x = {x^-1 s x : s in J} cap S
+        for x in X_J.  Then
+          m[K][J] = |{x in X_K : J^x lies in S}| for J in K,
+          x_J * x_K = sum over d in X_J cap X_K^-1 of x_{J^d cap K}
+        (Solomon 1976), and counts[K][k] = |{x in X_K : x^-1 in class k}|.
+        """
+        W, U = self.W, self.universe
+        simple = {a: s for s, a in enumerate(W.simple_root)}
+        roots = [(s, W.simple_root[s]) for s in self.L]
+        by_image, by_class = Counter(), Counter()
+        for x in U.sorted_members:
+            xinv = W.inv(x)
+            px, pxi = W.perms[x], W.perms[xinv]
+            above = below = 0
+            image = []
+            for s, a in roots:
+                b = pxi[a]
+                if W.root_positive[b]:
+                    above |= 1 << s
+                    if b in simple:
+                        image.append((s, simple[b]))
+                if W.root_positive[px[a]]:
+                    below |= 1 << s
+            by_image[above, tuple(image), below] += 1
+            by_class[above, U.class_of(xinv)] += 1
+
+        n = len(self.subsets)
+        pos = {_mask(J): i for i, J in enumerate(self.subsets)}
+        m = [[0] * n for _ in range(n)]
+        table = [[Counter() for _ in range(n)] for _ in range(n)]
+        for (above, image, below), cnt in by_image.items():
+            domain = _mask(s for s, _ in image)
+            for K in _submasks(above):
+                for J in _submasks(K & domain):
+                    m[pos[K]][pos[J]] += cnt
+            for J in _submasks(above):
+                Jd = _mask(t for s, t in image if J >> s & 1)
+                row = table[pos[J]]
+                for K in _submasks(below):
+                    row[pos[K]][pos[Jd & K]] += cnt
+        self.m_matrix = [[Fraction(v) for v in row] for row in m]
+        self._table = [[sorted(c.items()) for c in row] for row in table]
+        counts = [[0] * len(U.classes) for _ in range(n)]
+        for (above, k), cnt in by_class.items():
+            for K in _submasks(above):
+                counts[pos[K]][k] += cnt
+        self._class_counts = counts
+
+    def _invert_m(self):
+        m, n = self.m_matrix, len(self.subsets)
         # an entry needs J inside K, and J then comes first in (size, lex)
         # order: m is lower triangular, with x = 1 counted on its diagonal
         inv = [[Fraction(0)] * n for _ in range(n)]
@@ -185,46 +267,83 @@ class DescentAlgebra:
                                                for j in range(c, i))) / m[i][i]
         self.m_inverse = inv
 
+    def product(self, a, b) -> list:
+        """The product of two coordinate vectors."""
+        out = [Fraction(0)] * len(self.subsets)
+        for j, aj in enumerate(a):
+            if aj:
+                row = self._table[j]
+                for k, bk in enumerate(b):
+                    if bk:
+                        ab = aj * bk
+                        for i, cnt in row[k]:
+                            out[i] += cnt * ab
+        return out
+
+    def element(self, coords) -> GroupAlgebraElement:
+        """The group algebra element with the given x_J coordinates."""
+        acc = GroupAlgebraElement(self.W, {})
+        for K, c in zip(self.subsets, coords):
+            if c:
+                acc = acc + c * self.x(K)
+        return acc
+
     # -- idempotents -------------------------------------------------------------
+
+    def coords(self, J) -> list:
+        """Coordinates of the subset idempotent e_J: a row of m^-1."""
+        return self.m_inverse[self._subset_pos[tuple(sorted(J))]]
+
+    def shape_coords(self, shape) -> list:
+        out = [Fraction(0)] * len(self.subsets)
+        for K in sorted(shape.members):
+            out = [a + b for a, b in zip(out, self.coords(K))]
+        return out
 
     def e(self, J) -> GroupAlgebraElement:
         J = tuple(sorted(J))
         if J not in self._e:
-            i = self._subset_pos[J]
-            acc = GroupAlgebraElement(self.W, {})
-            for k, K in enumerate(self.subsets):
-                c = self.m_inverse[i][k]
-                if c:
-                    acc = acc + c * self._x[K]
-            self._e[J] = acc
+            self._e[J] = self.element(self.coords(J))
         return self._e[J]
 
     def e_shape(self, shape) -> GroupAlgebraElement:
-        acc = GroupAlgebraElement(self.W, {})
-        for K in sorted(shape.members):
-            acc = acc + self.e(K)
-        return acc
+        return self.element(self.shape_coords(shape))
+
+    def check_square(self, c, what: str):
+        """Raise NotIdempotent unless c * c = c."""
+        if self.product(c, c) != c:
+            raise NotIdempotent(f"{what} in the descent algebra of a subgroup of "
+                                f"order {self.universe.order} does not square to itself")
 
     def check_idempotent_family(self):
-        """The shape idempotents are orthogonal and resolve the identity."""
-        es = [self.e_shape(sh) for sh in self.shapes]
-        total = GroupAlgebraElement(self.W, {})
+        """The shape idempotents are orthogonal and resolve the identity x_L."""
+        es = [self.shape_coords(sh) for sh in self.shapes]
+        total = [Fraction(0)] * len(self.subsets)
         for i, a in enumerate(es):
-            if a * a != a:
-                raise NotIdempotent(f"e of {self.shapes[i]} does not square to itself")
-            total = total + a
+            self.check_square(a, f"e of {self.shapes[i]}")
+            total = [t + v for t, v in zip(total, a)]
             for b in es[i + 1:]:
-                if not ((a * b).is_zero() and (b * a).is_zero()):
+                if any(self.product(a, b)) or any(self.product(b, a)):
                     raise NotAResolution("two shape idempotents are not orthogonal")
-        if total != unit(self.W):
+        if total != [int(J == self.L) for J in self.subsets]:
             raise NotAResolution("the shape idempotents do not add up to 1")
 
     # -- characters of the right ideals -------------------------------------------
 
     def ideal_character(self, shape) -> ClassFunction:
-        """Character of the right ideal generated by the shape idempotent."""
+        """Character of the right ideal generated by the shape idempotent.
+
+        With e = sum_K c_K x_K, the coefficient sum of e over a class is
+        sum_K c_K times the number of x in X_K with x^-1 in that class.
+        """
         if shape.index not in self._phi:
-            self._phi[shape.index] = _trace_character(self.e_shape(shape), self.universe)
+            c = self.shape_coords(shape)
+            self.check_square(c, f"e of {shape}")
+            counts = self._class_counts
+            self._phi[shape.index] = _trace_character(
+                self.universe, lambda k: sum((ci * counts[i][k]
+                                              for i, ci in enumerate(c) if ci),
+                                             Fraction(0)))
         return self._phi[shape.index]
 
     def character_family(self):
@@ -246,22 +365,19 @@ def descent_algebra(W: CoxeterGroup, L=None) -> DescentAlgebra:
     return W.algebras["descent", L]
 
 
-def _trace_character(e: GroupAlgebraElement, U: Subgroup) -> ClassFunction:
-    """Character of U acting by right translation on eQU, for e in QU.
+def _trace_character(U: Subgroup, class_sum) -> ClassFunction:
+    """Character of U acting by right translation on eQU, for an idempotent e of QU.
 
-    For an idempotent e, right translation by w on eQU has trace
-    sum_{g in U} e(g w^-1 g^-1) = |U| / |C| * sum_{h in C} e(h), where C is
-    the class of w^-1 in U.  The formula needs e * e = e.
+    Right translation by w on eQU has trace sum_{g in U} e(g w^-1 g^-1)
+    = |U| / |C| * sum_{h in C} e(h), where C is the class of w^-1 in U;
+    class_sum(k) is that sum over the k-th class of U.  The formula needs
+    e * e = e, which the caller has checked.
     """
-    if e * e != e:
-        raise NotIdempotent(f"an element of the algebra of a subgroup of order "
-                            f"{U.order} does not square to itself")
     W = U.parent
     traces = []
     for c in U.classes:
-        cl = U.classes[U.class_of(W.inv(c.rep))]
-        t = sum((e.coefficient(h) for h in cl.members), Fraction(0))
-        traces.append(Fraction(U.order, cl.size) * t)
+        k = U.class_of(W.inv(c.rep))
+        traces.append(Fraction(U.order, U.classes[k].size) * class_sum(k))
     return ClassFunction(U, traces)
 
 
@@ -274,11 +390,19 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     x -> e_L * x is an isomorphism of right QN-modules from fQN onto
     e_L * QW_L once these hold (pi restricts a support to N):
       (i)   N = W_L * N_L;
-      (ii)  f * f = f, checked with the trace formula for f;
+      (ii)  f * f = f, which the trace formula for f needs;
       (iii) e_L * f = e_L, so N_L fixes e_L, and e_L * QW_L = e_L * QN is
             N-invariant and the image of fQN;
       (iv)  f * pi(e_L) * f = c * f for a rational c != 0, so y -> pi(f * y)
             is c times an inverse.
+    (ii) needs no product in QN.  It follows from
+      (a) eps_L * eps_L = eps_L, in the coordinates of the descent algebra of
+          W_L, which multiply as in QW_L (Solomon 1976);
+      (b) eps_L(n^-1 u n) = eps_L(u) for each generator n of N_L, so every
+          n in N_L commutes with eps_L, and so does a_L;
+      (c) N_L is a subgroup, which `complement_subgroup` checks, so
+          a_L * a_L = a_L.
+    Then f * f = eps_L * a_L * eps_L * a_L = eps_L^2 * a_L^2 = f.
     """
     L = tuple(sorted(L))
     eL = descent_algebra(W).e(L)
@@ -286,8 +410,17 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     N = W.normalizer_of_parabolic(L)
     if {W.mult(u, n) for u in W.parabolic(L).members for n in NL.members} != N.members:
         raise NotInvariant("the normalizer is not W_L times its complement")
-    f = descent_algebra(W, L).e(L) * averaging(NL)
-    chi = _trace_character(f, N)
+    rel = descent_algebra(W, L)
+    coords = rel.coords(L)
+    rel.check_square(coords, "eps_L")
+    eps = rel.element(coords)
+    for n in NL.generators:
+        if {W.conj(u, n): a for u, a in eps.coeffs.items()} != eps.coeffs:
+            raise NotIdempotent("conjugation by the complement moves eps_L, so "
+                                "f = eps_L * a_L is not shown to square to itself")
+    f = eps * averaging(NL)
+    chi = _trace_character(N, lambda k: sum(
+        (f.coefficient(h) for h in N.classes[k].members), Fraction(0)))
     if eL * f != eL:
         raise NotInvariant("e_L is not fixed by the complement")
     # f lies in QN, so pi(e_L) * f = pi(e_L * f) = pi(e_L): g is f * pi(e_L) * f

@@ -5,10 +5,14 @@ are read off root permutations, and the descent ideal characters Phi and
 the normalizer characters Phi~ come from a trace formula.  Here each of them
 is recomputed by exact row reduction, for every dihedral group up to I2(12),
 the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
-substitution.  The assignment search meets in the middle on integer vectors;
-it is checked against the plain walk through `itertools.product` that it
-replaced.  The group tables, filled from a right-multiplication table, are
-checked against composing root permutations.  The NBC basis, found by
+substitution.  The descent algebra multiplies x_J coordinates with Solomon's
+structure constants and reads Phi's class sums off class counts of the
+transversals; both are checked against dense products in the group algebra,
+and Phi and Phi~ against the trace formula after a dense e * e = e check.
+The assignment search meets in the middle on integer vectors; it is checked
+against the plain walk through `itertools.product` that it replaced.  The
+group tables, filled from a right-multiplication table, are checked against
+composing root permutations.  The NBC basis, found by
 Bjorner's suffix criterion, is checked against the independent sets that
 hold no broken circuit.  Cyclotomic sums, differences, products and
 comparisons, which build their results without re-validating them, are
@@ -28,7 +32,8 @@ from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
 from coxsol.conjectures import SearchExhausted, verify_a, verify_b
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.cyclo import Cyclo, euler_phi
-from coxsol.descent import DescentAlgebra, descent_algebra, parabolic_ideal_character
+from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
+                            averaging, descent_algebra, parabolic_ideal_character)
 from coxsol.orlik_solomon import sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
@@ -233,6 +238,91 @@ def test_parabolic_ideal_characters_need_no_row_reduction(monkeypatch):
         rel = descent_algebra(W, L)
         assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \
             rel.ideal_character(rel.shape_of(L)), L
+
+
+def counted_incidence(D):
+    """m[K][J] = |X_K cap {x in X_J : J^x in S}| for J in K, by transversals."""
+    W = D.W
+    sharp = {J: set(W.subset_images(J, within=D.universe)) for J in D.subsets}
+    trans = {J: set(W.transversal(J, within=D.universe)) for J in D.subsets}
+    return [[len(trans[K] & sharp[J]) if set(J) <= set(K) else 0
+             for J in D.subsets] for K in D.subsets]
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_structure_constants_match_dense_products(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        assert D.m_matrix == counted_incidence(D), (spec, L)
+        basis = {J: [int(I == J) for I in D.subsets] for J in D.subsets}
+        for J in D.subsets:
+            for K in D.subsets:
+                want = D.x(J) * D.x(K)
+                assert D.element(D.product(basis[J], basis[K])) == want, (spec, L, J, K)
+        uni = D.universe
+        for K in D.subsets:
+            xK = D.x(K)
+            counts = [sum(xK.coefficient(h) for h in c.members) for c in uni.classes]
+            assert D._class_counts[D.subsets.index(K)] == counts, (spec, L, K)
+
+
+def dense_trace_character(e, U):
+    """The trace formula after checking e * e = e by a product in QU."""
+    if e * e != e:
+        raise NotIdempotent("the element does not square to itself")
+    W = U.parent
+    traces = []
+    for c in U.classes:
+        cl = U.classes[U.class_of(W.inv(c.rep))]
+        traces.append(Fraction(U.order, cl.size)
+                      * sum((e.coefficient(h) for h in cl.members), Fraction(0)))
+    return ClassFunction(U, traces)
+
+
+def dense_parabolic_ideal_character(W, L):
+    """Phi~ with its certificate checked by products in QW throughout."""
+    eL = descent_algebra(W).e(L)
+    NL = W.complement_subgroup(L)
+    N = W.normalizer_of_parabolic(L)
+    assert {W.mult(u, n) for u in W.parabolic(L).members
+            for n in NL.members} == N.members
+    f = descent_algebra(W, L).e(L) * averaging(NL)
+    chi = dense_trace_character(f, N)
+    assert eL * f == eL
+    g = f * GroupAlgebraElement(W, {w: c for w, c in eL.coeffs.items()
+                                    if w in N.members})
+    w = min(f.coeffs)
+    c = g.coefficient(w) / f.coefficient(w)
+    assert c and g == c * f
+    return chi
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_characters_match_dense_squares(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        for sh in D.shapes:
+            got = D.ideal_character(sh).values
+            want = dense_trace_character(D.e_shape(sh), D.universe).values
+            assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L, sh)
+        got = parabolic_ideal_character(W, L).values
+        want = dense_parabolic_ideal_character(W, L).values
+        assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L)
+
+
+def test_ideal_characters_need_no_group_algebra_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("Phi must not multiply in the group algebra")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", refuse)
+    W = CoxeterGroup(matrix_from_spec("H3"))
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        D.check_idempotent_family()
+        assert sum(phi.degree for phi in D.character_family().values()) == \
+            D.universe.order
 
 
 def product_search(phi_top, psi_top, pools):

@@ -17,7 +17,7 @@ from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verif
 from coxsol.coxeter import (CoxeterGroup, NotClosed, NotNormalizing, build_group,
                             matrix_from_spec)
 from coxsol.descent import (NotIdempotent, averaging, descent_algebra,
-                            parabolic_ideal_character, unit)
+                            parabolic_ideal_character)
 from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic,
                                   os_algebra)
 
@@ -159,28 +159,42 @@ def _traceless_e(W, L, rel):
     amb._e[L] = eL - (eL.coefficient(W.identity) / f.coefficient(W.identity)) * f
 
 
-# Each way of breaking the certificate for Phi~ of A3, L = (s1,), with the
-# check that catches it: N = W_L * N_L, f * f = f, e_L * f = e_L, and
+def _set_eps(rel, L, coords):
+    """Put coords in place of the coordinates of eps_L, the top idempotent of
+    the relative algebra: its row of the inverse incidence matrix."""
+    rel.m_inverse[rel.subsets.index(L)] = list(coords)
+
+
+# Each way of breaking the certificate for Phi~ of A3, at L = (s1,) unless
+# given, with the check that catches it: N = W_L * N_L, f * f = f (eps_L * eps_L
+# = eps_L, and eps_L fixed under conjugation by N_L), e_L * f = e_L, and
 # f * pi(e_L) * f a nonzero multiple of f.
 BROKEN_CERTIFICATES = {
     "trivial-complement": (
-        lambda W, L, rel: setattr(W, "complement_subgroup", lambda J: W.parabolic(())),
+        (0,), lambda W, L, rel: setattr(W, "complement_subgroup",
+                                        lambda J: W.parabolic(())),
         NotInvariant, "W_L times its complement"),
-    "doubled-eps": (lambda W, L, rel: rel._e.update({L: 2 * rel.e(L)}),
+    "doubled-eps": ((0,), lambda W, L, rel: _set_eps(rel, L,
+                                                     [2 * v for v in rel.coords(L)]),
                     NotIdempotent, "square to itself"),
-    "empty-eps": (lambda W, L, rel: rel._e.update({L: rel.e(())}),
+    "empty-eps": ((0,), lambda W, L, rel: _set_eps(rel, L, rel.coords(())),
                   NotInvariant, "fixed by the complement"),
-    "unit-eps": (lambda W, L, rel: rel._e.update({L: unit(W)}),
+    # x_L = 1, the unit of the relative algebra
+    "unit-eps": ((0,), lambda W, L, rel: _set_eps(rel, L,
+                                                  [int(J == L) for J in rel.subsets]),
                  NotInvariant, "nonzero multiple"),
-    "traceless-e": (_traceless_e, NotInvariant, "nonzero multiple"),
+    "traceless-e": ((0,), _traceless_e, NotInvariant, "nonzero multiple"),
+    # e_(s1) of W_L = <s1, s3> is idempotent, but the complement swaps s1
+    # and s3, so it moves e_(s1) to e_(s3), and f * f = f / 2
+    "unfixed-eps": ((0, 2), lambda W, L, rel: _set_eps(rel, L, rel.coords((0,))),
+                    NotIdempotent, "square to itself"),
 }
 
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_CERTIFICATES))
 def test_broken_normalizer_certificate(broken):
     W = CoxeterGroup(matrix_from_spec("A3"))
-    L = (0,)
-    breaker, error, match = BROKEN_CERTIFICATES[broken]
+    L, breaker, error, match = BROKEN_CERTIFICATES[broken]
     breaker(W, L, descent_algebra(W, L))
     with pytest.raises(error, match=match):
         parabolic_ideal_character(W, L)
