@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .cyclo import Cyclo, cos_pi_over, rational
 from . import linalg
@@ -36,6 +36,17 @@ class NotClosed(ArithmeticError):
 
 
 DEFAULT_MAX_ELEMENTS = 10000
+
+
+def _per_subset(kind):
+    """Build a method's result once per subset J of S, stored under (kind, sorted J)."""
+    def wrap(build):
+        @wraps(build)
+        def method(self, J):
+            J = tuple(sorted(J))
+            return self.cached((kind, J), lambda: build(self, J))
+        return method
+    return wrap
 
 
 class CoxeterMatrix:
@@ -143,9 +154,7 @@ class CoxeterGroup:
         self.rank = matrix.rank
         self.spec = spec
         self.conductor = matrix.conductor()
-        self._subgroups = {}
-        self._parabolics = {}
-        self.algebras = {}  # filled by descent_algebra and sub_os_algebra
+        self._store = {}  # see cached
         # W_{ij} has order 2 * m_ij; refuse before the field and roots are built
         if any(2 * matrix[i, j] > max_elements for i in range(self.rank)
                for j in range(i)):
@@ -325,6 +334,13 @@ class CoxeterGroup:
             # s_a sends a root b to -b only when b is a multiple of a, that is +-a
             assert len(own) == 1, "a reflection negates exactly one positive root"
             self.reflection_root[t] = own[0]
+
+    def cached(self, key, build):
+        """The value under key in the group's one store, made by build() once.  Keys
+        start with a kind: subgroup, parabolic, normalizer, complement, shapes, descent, os."""
+        if key not in self._store:
+            self._store[key] = build()
+        return self._store[key]
 
     # -- elementary operations -------------------------------------------------
 
@@ -513,6 +529,7 @@ class CoxeterGroup:
         J = tuple(sorted(J))
         return [x for x, K in self.subset_images(J).items() if K == J]
 
+    @_per_subset("complement")
     def complement_subgroup(self, J) -> "Subgroup":
         """N_J as a subgroup; checks that the element set really is closed.
 
@@ -535,12 +552,14 @@ class CoxeterGroup:
 
     def shapes(self, within=None):
         """Partition of the subsets (of S, or of within's generator set) by conjugacy."""
-        L = tuple(range(self.rank)) if within is None else within
-        universe = subsets(L)
-        inside = None if within is None else self.parabolic(L)
+        return self._shapes(range(self.rank) if within is None else within)
+
+    @_per_subset("shapes")
+    def _shapes(self, L):
+        inside = self.parabolic(L)
         assigned = {}
         shapes = []
-        for J in universe:
+        for J in subsets(L):
             if J in assigned:
                 continue
             members = set(self.subset_images(J, within=inside).values())
@@ -556,9 +575,7 @@ class CoxeterGroup:
 
     def subgroup(self, members) -> "Subgroup":
         members = frozenset(members)
-        if members not in self._subgroups:
-            self._subgroups[members] = Subgroup(self, members)
-        return self._subgroups[members]
+        return self.cached(("subgroup", members), lambda: Subgroup(self, members))
 
     def generated_subgroup(self, gens) -> "Subgroup":
         return self.subgroup(self.closure(gens))
@@ -579,13 +596,9 @@ class CoxeterGroup:
             frontier = nxt
         return members
 
+    @_per_subset("parabolic")
     def parabolic(self, J) -> "Subgroup":
-        J = tuple(sorted(J))
-        if J not in self._parabolics:
-            sub = self.generated_subgroup(self.generators[s] for s in J)
-            sub.parabolic_subset = J
-            self._parabolics[J] = sub
-        return self._parabolics[J]
+        return self.generated_subgroup(self.generators[s] for s in J)
 
     def full(self) -> "Subgroup":
         return self.parabolic(range(self.rank))
@@ -595,14 +608,12 @@ class CoxeterGroup:
         mt = self.mult_table
         return self.subgroup(x for x in pool if mt[x][w] == mt[w][x])
 
+    @_per_subset("normalizer")
     def normalizer_of_parabolic(self, J) -> "Subgroup":
         members = self.parabolic(J).members
         gens = [self.generators[s] for s in J]
-        out = []
-        for x in range(self.order):
-            if all(self.conj(g, x) in members for g in gens):
-                out.append(x)
-        return self.subgroup(out)
+        return self.subgroup(x for x in range(self.order)
+                             if all(self.conj(g, x) in members for g in gens))
 
     def cyclic(self, w: int) -> "Subgroup":
         members = [self.identity]
@@ -642,55 +653,52 @@ class Subgroup:
         self.parent = parent
         self.members = members
         self.sorted_members = tuple(sorted(members))
-        self.parabolic_subset = None
-        self._classes = None
-        self._class_index = None
-        self._positions = None
-        self._generators = None
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def classes(self):
-        if self._classes is None:
-            W = self.parent
-            seen = set()
-            classes = []
-            for w in self.sorted_members:
-                if w in seen:
-                    continue
-                members = frozenset(W.conj(w, x) for x in self.sorted_members)
-                seen |= members
-                classes.append(ConjugacyClass(min(members), members))
-            classes.sort(key=lambda c: c.rep)
-            self._classes = classes
-            self._class_index = {x: k for k, c in enumerate(classes) for x in c.members}
-        return self._classes
+        W, seen, classes = self.parent, set(), []
+        for w in self.sorted_members:
+            if w in seen:
+                continue
+            members = frozenset(W.conj(w, x) for x in self.sorted_members)
+            seen |= members
+            classes.append(ConjugacyClass(min(members), members))
+        classes.sort(key=lambda c: c.rep)
+        return classes
 
-    @property
+    @cached_property
+    def _class_index(self):
+        return {x: k for k, c in enumerate(self.classes) for x in c.members}
+
+    @cached_property
     def generators(self):
         """Greedy generators: each member, in sorted order, that the earlier
         ones do not generate.  They generate at least the member set."""
-        if self._generators is None:
-            gens, span = [], {self.parent.identity}
-            for w in self.sorted_members:
-                if w not in span:
-                    gens.append(w)
-                    span = self.parent.closure(gens)
-            self._generators = tuple(gens)
-        return self._generators
+        gens, span = [], {self.parent.identity}
+        for w in self.sorted_members:
+            if w not in span:
+                gens.append(w)
+                span = self.parent.closure(gens)
+        return tuple(gens)
 
-    @property
+    @cached_property
     def positions(self):
         """The index of each member in sorted_members."""
-        if self._positions is None:
-            self._positions = {w: i for i, w in enumerate(self.sorted_members)}
-        return self._positions
+        return {w: i for i, w in enumerate(self.sorted_members)}
+
+    @cached_property
+    def parabolic_subset(self):
+        """The J with this subgroup equal to W_J, or None.  J holds the generators
+        among the members; W_J lies in the members, so equal sizes mean W_J."""
+        W = self.parent
+        J = tuple(s for s, g in enumerate(W.generators) if g in self.members)
+        return J if len(W.closure(W.generators[s] for s in J)) == self.order else None
 
     def class_of(self, w: int) -> int:
-        self.classes
         return self._class_index[w]
 
     def cuspidal_classes(self):

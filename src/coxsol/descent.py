@@ -360,9 +360,7 @@ class DescentAlgebra:
 def descent_algebra(W: CoxeterGroup, L=None) -> DescentAlgebra:
     """The descent algebra of W_L, built once per group; L = None means all of S."""
     L = tuple(range(W.rank)) if L is None else tuple(sorted(L))
-    if ("descent", L) not in W.algebras:
-        W.algebras["descent", L] = DescentAlgebra(W, L)
-    return W.algebras["descent", L]
+    return W.cached(("descent", L), lambda: DescentAlgebra(W, L))
 
 
 def _trace_character(U: Subgroup, class_sum) -> ClassFunction:

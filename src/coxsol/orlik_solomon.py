@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .chars import ClassFunction, NotInvariant
 from .coxeter import CoxeterGroup, Subgroup
@@ -118,8 +119,6 @@ class OSAlgebra:
         if self.lattice.top_rank > MAX_RANK:
             raise RankGuard(f"rank {self.lattice.top_rank} arrangement")
         self._memo = {}
-        self._nbc = None
-        self._flat_monomials = None
 
     # -- the no-broken-circuit basis ------------------------------------------
 
@@ -138,36 +137,41 @@ class OSAlgebra:
                     [y for y in suffix if y != x] + [h])]
         return None
 
-    @property
+    @cached_property
     def nbc_basis(self):
         """NBC monomials grouped by degree."""
-        if self._nbc is None:
-            levels = [[()]]
-            while levels[-1]:
-                nxt = []
-                for mono in levels[-1]:
-                    start = mono[-1] + 1 if mono else 0
-                    for p in range(start, self.arr.n):
-                        cand = mono + (p,)
-                        if self.lattice.independent(cand) and \
-                                self._broken_circuit_witness(cand) is None:
-                            nxt.append(cand)
-                levels.append(nxt)
-            self._nbc = levels[:-1]
-        return self._nbc
+        levels = [[()]]
+        while levels[-1]:
+            nxt = []
+            for mono in levels[-1]:
+                start = mono[-1] + 1 if mono else 0
+                for p in range(start, self.arr.n):
+                    cand = mono + (p,)
+                    if self.lattice.independent(cand) and \
+                            self._broken_circuit_witness(cand) is None:
+                        nxt.append(cand)
+            levels.append(nxt)
+        return levels[:-1]
 
     @property
     def dimension(self) -> int:
         return sum(len(level) for level in self.nbc_basis)
 
+    @cached_property
+    def _flat_monomials(self):
+        out = {}
+        for level in self.nbc_basis:
+            for mono in level:
+                out.setdefault(self.lattice.flat_of(mono), []).append(mono)
+        return out
+
     def monomials_of_flat(self, fid: int):
-        if self._flat_monomials is None:
-            self._flat_monomials = {}
-            for level in self.nbc_basis:
-                for mono in level:
-                    self._flat_monomials.setdefault(
-                        self.lattice.flat_of(mono), []).append(mono)
         return self._flat_monomials.get(fid, [])
+
+    @cached_property
+    def shape_labels(self) -> dict:
+        """flat_shape_map of this algebra, which must be of the full arrangement."""
+        return flat_shape_map(self.arr.W, self)
 
     # -- straightening ---------------------------------------------------------
 
@@ -325,16 +329,9 @@ class OSElement:
 
 
 def _sort_sign(mono):
-    mono = list(mono)
-    sign, changed = 1, True
-    while changed:
-        changed = False
-        for i in range(len(mono) - 1):
-            if mono[i] > mono[i + 1]:
-                mono[i], mono[i + 1] = mono[i + 1], mono[i]
-                sign = -sign
-                changed = True
-    return sign, tuple(mono)
+    """Sign of the permutation that sorts a tuple of distinct entries, and the sort."""
+    inv = sum(1 for i, x in enumerate(mono) for y in mono[i + 1:] if x > y)
+    return (-1 if inv % 2 else 1), tuple(sorted(mono))
 
 
 def _wedge_sign(a, b):
@@ -353,12 +350,9 @@ def os_algebra(W: CoxeterGroup, seed_order=None) -> OSAlgebra:
 def sub_os_algebra(W: CoxeterGroup, L, seed_order=None) -> OSAlgebra:
     """The algebra of the arrangement of W_L, built once per group."""
     L = tuple(sorted(L))
-    key = ("os", L, seed_order)
-    if key not in W.algebras:
-        refl = sorted(set(W.parabolic(L).members) & set(W.reflections))
-        W.algebras[key] = OSAlgebra(Arrangement(W, reflections=refl,
-                                                seed_order=seed_order))
-    return W.algebras[key]
+    return W.cached(("os", L, seed_order), lambda: OSAlgebra(Arrangement(
+        W, reflections=sorted(set(W.parabolic(L).members) & set(W.reflections)),
+        seed_order=seed_order)))
 
 
 def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
@@ -391,8 +385,7 @@ def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
 def shape_component_character(W: CoxeterGroup, shape) -> ClassFunction:
     """Character of W on the components of all flats of one shape."""
     alg = os_algebra(W)
-    label = flat_shape_map(W, alg)
-    fids = [fid for fid, idx in label.items() if idx == shape.index]
+    fids = [fid for fid, idx in alg.shape_labels.items() if idx == shape.index]
     return alg.component_character(fids, W.full())
 
 

@@ -10,6 +10,8 @@ from coxsol.coxeter import (
     CoxeterGroup, CoxeterMatrix, InfiniteOrTooLarge, InvalidMatrix,
     build_group, matrix_from_spec,
 )
+from coxsol.descent import descent_algebra
+from coxsol.orlik_solomon import sub_os_algebra
 
 
 def test_matrix_validation():
@@ -322,3 +324,33 @@ def test_subgroup_cache():
     W = build_group("A2")
     assert W.parabolic((0,)) is W.parabolic((0,))
     assert W.subgroup({0}) is W.subgroup({0})
+
+
+def test_parabolic_data_is_read_off_the_members():
+    W = CoxeterGroup(matrix_from_spec("B3"))
+    s1, s2 = W.generators[:2]
+    H = W.subgroup(W.closure([s1, s2]))
+    # no parabolic((0, 1)) has run, so nothing but the members says H = W_{s1,s2}
+    cusp = [c.members for c in H.cuspidal_classes()]
+    assert len(cusp) == 2
+    assert cusp == [c.members for c in W.parabolic((0, 1)).cuspidal_classes()]
+    assert H is W.parabolic((1, 0)) and H.parabolic_subset == (0, 1)
+    # s1 * s2 * s1 lies in W_{s1,s2} but is no generator, and {e, s1s2s1} is no W_J
+    assert W.subgroup({W.identity, W.prod([s1, s2, s1])}).parabolic_subset is None
+    D = build_group("I2(5)")
+    rotations = D.cyclic(D.mult(*D.generators))
+    with pytest.raises(ValueError, match="cuspidal classes need parabolic root data"):
+        rotations.cuspidal_classes()
+
+
+def test_structures_are_built_once_per_subset():
+    W = CoxeterGroup(matrix_from_spec("B3"))
+    for J in [(), (0,), (0, 2), (1, 2), (0, 1, 2)]:
+        K = tuple(reversed(J))
+        assert W.parabolic(J) is W.parabolic(K) is W.parabolic(list(K)), J
+        assert W.normalizer_of_parabolic(J) is W.normalizer_of_parabolic(K), J
+        assert W.complement_subgroup(J) is W.complement_subgroup(K), J
+        assert W.shapes(J) is W.shapes(K), J
+        assert descent_algebra(W, J) is descent_algebra(W, K), J
+        assert sub_os_algebra(W, J) is sub_os_algebra(W, K), J
+    assert W.shapes() is W.shapes(range(W.rank)) is W.shapes((2, 1, 0))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coxsol.chars import reflection_fix_character, sign_character
-from coxsol.coxeter import build_group
+from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import descent_algebra, group_sum
 from coxsol.orlik_solomon import (
     Arrangement, OSAlgebra, dihedral_top_model, flat_shape_map, os_algebra,
@@ -196,3 +196,17 @@ def test_full_arrangement_is_built_once(spec):
     assert os_algebra(W) is sub_os_algebra(W, range(W.rank))
     assert os_algebra(W, seed_order=3) is sub_os_algebra(W, range(W.rank), seed_order=3)
     assert os_algebra(W) is not os_algebra(W, seed_order=3)
+
+
+def test_flats_are_labelled_once_per_full_arrangement(monkeypatch):
+    from coxsol import orlik_solomon
+    W = CoxeterGroup(matrix_from_spec("B3"))
+    calls = []
+    label = orlik_solomon.flat_shape_map
+    monkeypatch.setattr(orlik_solomon, "flat_shape_map",
+                        lambda W, alg=None: calls.append(alg) or label(W, alg))
+    D = descent_algebra(W)
+    for sh in W.shapes():
+        assert shape_component_character(W, sh) == \
+            shape_component_character(W, D.shape_of(sh.canonical))
+    assert calls == [os_algebra(W)]
