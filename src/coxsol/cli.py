@@ -31,7 +31,8 @@ from .coxeter import (DEFAULT_MAX_ELEMENTS, InfiniteOrTooLarge, InvalidMatrix,
                       build_group)
 from .cyclo import Cyclo, scalar_json
 from .descent import descent_algebra
-from .orlik_solomon import dihedral_hyperplane_angles, flat_shape_map, os_algebra
+from .orlik_solomon import (dihedral_hyperplane_angles, os_algebra,
+                            shape_component_character)
 
 
 class UsageError(ValueError):
@@ -172,13 +173,11 @@ def cmd_os(args) -> CommandOutput:
     alg = os_algebra(W, seed_order=args.seed_order)
     full = W.full()
     dims = [len(level) for level in alg.nbc_basis]
-    label = flat_shape_map(W, alg)
     classes = [W.word_str(c.rep) for c in full.classes]
     characters = []
     char_rows = []
     for sh in W.shapes():
-        fids = [fid for fid, idx in label.items() if idx == sh.index]
-        cf = alg.component_character(sorted(fids), full)
+        cf = shape_component_character(W, sh, alg)
         characters.append({"shape": subset_label(sh.canonical),
                            "values": [scalar_json(v) for v in cf.values]})
         char_rows.append([f"Psi[{subset_label(sh.canonical)}]"]

@@ -1,9 +1,15 @@
 """Finite Coxeter groups in their reflection representation.
 
 A group is built from a Coxeter matrix.  The bilinear form has entries
--cos(pi/m(i,j)) realised exactly in Q(zeta_n) with n = 2*lcm of the
-off-diagonal orders, the root system is closed up from the simple roots,
-and every element is stored as the permutation it induces on the roots.
+-cos(pi/m(i,j)): a Fraction for m in {2, 3} (0 and -1/2), and otherwise
+realised exactly in Q(zeta_n) with n = 2*lcm of the off-diagonal orders.
+Root coordinates are elements of Q(zeta_n).  The root system is closed up
+from the simple roots by a walk that carries each root's pairings
+2*B(v, alpha_j): s_i(v) is v with coordinate i lowered by its i-th pairing,
+one subtraction and no product, and only a new root gets pairings, from at
+most rank products with the Cartan entries 2*B(alpha_i, alpha_j).  A group
+whose orders are all 2 or 3 is built without a cyclotomic product.  Every
+element is stored as the permutation it induces on the roots.
 Lengths, reduced words, conjugacy classes, coset transversals, shapes,
 normalizers, fixed-space dimensions and determinants on root spans are all
 derived from that data; fixed spaces over Q(zeta_n) remain as test oracles.
@@ -170,99 +176,99 @@ class CoxeterGroup:
     # -- construction --------------------------------------------------------
 
     def _build_form(self):
-        n, r = self.conductor, self.rank
-        one = rational(1, n)
-        form = [[one for _ in range(r)] for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                if i != j:
-                    form[i][j] = -cos_pi_over(self.matrix[i, j], n)
-        self.form = [tuple(row) for row in form]
+        """B(alpha_i, alpha_j) = -cos(pi/m_ij): a Fraction for m in {1, 2, 3}
+        (1, 0 and -1/2), and a Cyclo of the conductor only for m >= 4."""
+        n = self.conductor
+        minus_cos = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2)}
+        self.form = [tuple(minus_cos[m] if m in minus_cos else -cos_pi_over(m, n)
+                           for m in row) for row in self.matrix.rows]
         self._zero = rational(0, n)
-        self._one = one
-
-    def bilinear(self, u, v) -> Cyclo:
-        """The invariant bilinear form B(u, v) in simple root coordinates."""
-        acc = self._zero
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.form[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        acc = acc + ui * row[j] * vj
-        return acc
-
-    def _apply_gen(self, i: int, v):
-        """Image of the vector v under the i-th simple reflection."""
-        c = self._zero
-        for j, vj in enumerate(v):
-            if vj:
-                c = c + vj * self.form[j][i]
-        out = list(v)
-        out[i] = out[i] - 2 * c
-        return tuple(out)
+        self._one = rational(1, n)
 
     def _build_roots(self, max_elements):
+        """Close the simple roots under the simple reflections, breadth first.
+
+        Each root v carries its pairings c_j = 2 B(v, alpha_j), so s_i(v) is v
+        with coordinate i lowered by c_i, and c_i = 0 means s_i fixes v.  Only
+        a new root gets pairings: 2 B(s_i v, alpha_j) = c_j - c_i a_ij, with
+        the Cartan entry a_ij = 2 B(alpha_i, alpha_j), or the negated pairings
+        of its negative if that is already a root.  As s_i is an involution
+        commuting with -1, s_i(v) = w also gives s_i(w) = v and s_i(-v) = -w,
+        so only the images not known that way are looked up.
+        """
         r = self.rank
+        cartan = [tuple(2 * b for b in row) for row in self.form]
         self.roots = []
         self.root_index = {}
         self.root_positive = []
         self.root_negative_of = []
         self.simple_root = []
+        neg_of = self.root_negative_of
+        pairing = []
         image = [{} for _ in range(r)]  # image[i][k]: the index of s_i(root k)
 
-        def add_root(vec, positive):
-            key = linalg.vec_key(vec)
+        def add_root(vec, pairs, positive, negative=None):
             idx = len(self.roots)
             self.roots.append(vec)
-            self.root_index[key] = idx
+            self.root_index[linalg.vec_key(vec)] = idx
+            pairing.append(pairs)
             self.root_positive.append(positive)
-            self.root_negative_of.append(None)
+            neg_of.append(negative)
+            if negative is not None:
+                neg_of[negative] = idx
             return idx
+
+        def record(i, v, w):
+            image[i][v], image[i][w] = w, v
+            if neg_of[v] is not None and neg_of[w] is not None:
+                image[i][neg_of[v]], image[i][neg_of[w]] = neg_of[w], neg_of[v]
 
         for i in range(r):
             vec = tuple(self._one if j == i else self._zero for j in range(r))
-            self.simple_root.append(add_root(vec, True))
+            self.simple_root.append(add_root(vec, cartan[i], True))
         for i in range(r):
             vec = tuple(-self._one if j == i else self._zero for j in range(r))
-            ni = add_root(vec, False)
-            self.root_negative_of[self.simple_root[i]] = ni
-            self.root_negative_of[ni] = self.simple_root[i]
+            add_root(vec, tuple(-a for a in cartan[i]), False, self.simple_root[i])
 
         # every root passes through the frontier once, so every image is recorded
         frontier = list(range(len(self.roots)))
         while frontier:
             nxt = []
             for ri in frontier:
-                vec = self.roots[ri]
+                vec, pairs = self.roots[ri], pairing[ri]
                 for i in range(r):
-                    img = self._apply_gen(i, vec)
-                    key = linalg.vec_key(img)
-                    if key in self.root_index:
-                        image[i][ri] = self.root_index[key]
+                    if ri in image[i]:
                         continue
-                    # a simple reflection flips the sign only of its own root pair
-                    if ri == self.simple_root[i]:
-                        positive = False
-                    elif self.root_negative_of[ri] == self.simple_root[i]:
-                        positive = True
-                    else:
-                        positive = self.root_positive[ri]
-                    idx = add_root(img, positive)
-                    image[i][ri] = idx
-                    neg = tuple(-x for x in img)
-                    nkey = linalg.vec_key(neg)
-                    if nkey in self.root_index:
-                        other = self.root_index[nkey]
-                        self.root_negative_of[idx] = other
-                        self.root_negative_of[other] = idx
-                    nxt.append(idx)
-                    if len(self.roots) > 2 * max_elements:
-                        raise InfiniteOrTooLarge(
-                            f"root system exceeded {2 * max_elements} roots")
+                    c = pairs[i]
+                    if not c:
+                        image[i][ri] = ri
+                        continue
+                    img = vec[:i] + (vec[i] - c,) + vec[i + 1:]
+                    idx = self.root_index.get(linalg.vec_key(img))
+                    if idx is None:
+                        # a simple reflection flips the sign only of its own root pair
+                        if ri == self.simple_root[i]:
+                            positive = False
+                        elif neg_of[ri] == self.simple_root[i]:
+                            positive = True
+                        else:
+                            positive = self.root_positive[ri]
+                        other = self.root_index.get(linalg.vec_key(tuple(-x for x in img)))
+                        if other is None:
+                            a = cartan[i]
+                            new_pairs = tuple(-c if j == i else p - c * a[j] if a[j] else p
+                                              for j, p in enumerate(pairs))
+                        else:
+                            new_pairs = tuple(-p for p in pairing[other])
+                        idx = add_root(img, new_pairs, positive, other)
+                        nxt.append(idx)
+                        if len(self.roots) > 2 * max_elements:
+                            raise InfiniteOrTooLarge(
+                                f"root system exceeded {2 * max_elements} roots")
+                    record(i, ri, idx)
             frontier = nxt
         # -w(a) = w(-a) lies in the orbit too, and the later of the two links them
-        assert all(n is not None for n in self.root_negative_of)
+        assert all(n is not None for n in neg_of)
         self.n_roots = len(self.roots)
         self.positive_roots = [i for i in range(self.n_roots) if self.root_positive[i]]
         # the sign rule is exact, and each pair +-b has one positive member

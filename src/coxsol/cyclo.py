@@ -79,23 +79,40 @@ def _pdivmod_monic(p, d):
     return _ptrim(q), _ptrim(p[:k])
 
 
+def _mobius(k: int) -> int:
+    """The Mobius function: 0 if a square divides k, else (-1)^(number of primes)."""
+    out, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if k > 1 else out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficient tuple of the n-th cyclotomic polynomial, low degree first."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    rem = num
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _pdivmod_monic(rem, list(cyclotomic_polynomial(d)))
-            if r:
-                raise ArithmeticError("cyclotomic division must be exact")
-            rem = q
+    """Coefficient tuple of the n-th cyclotomic polynomial, low degree first.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n.  The
+    factors with mu = 1 are multiplied in first, so dividing out the others
+    is exact; each step is one pass over integer coefficients.
+    """
+    mu = {d: _mobius(n // d) for d in range(1, n + 1) if n % d == 0}
+    poly = [1]
+    for d in (d for d in mu if mu[d] == 1):
+        poly = [(poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
+                for k in range(len(poly) + d)]
+    for d in (d for d in mu if mu[d] == -1):
+        quot = [0] * (len(poly) - d)
+        for k in range(len(quot)):
+            quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
+        poly = quot
     # x^n - 1 is the product of Phi_d over d | n, and the degrees add up to n
-    assert len(rem) - 1 == euler_phi(n)
-    return tuple(rem)
+    assert len(poly) - 1 == euler_phi(n)
+    return tuple(Fraction(c) for c in poly)
 
 
 def _reduce(p, n: int):

@@ -382,9 +382,11 @@ def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
     return label
 
 
-def shape_component_character(W: CoxeterGroup, shape) -> ClassFunction:
-    """Character of W on the components of all flats of one shape."""
-    alg = os_algebra(W)
+def shape_component_character(W: CoxeterGroup, shape,
+                              algebra: OSAlgebra | None = None) -> ClassFunction:
+    """Character of W on the components of all flats of one shape, in the given
+    algebra of the full arrangement (by default the unseeded one)."""
+    alg = algebra if algebra is not None else os_algebra(W)
     fids = [fid for fid, idx in alg.shape_labels.items() if idx == shape.index]
     return alg.component_character(fids, W.full())
 

@@ -10,8 +10,10 @@ from coxsol.coxeter import (
     CoxeterGroup, CoxeterMatrix, InfiniteOrTooLarge, InvalidMatrix,
     build_group, matrix_from_spec,
 )
+from coxsol.cyclo import Cyclo
 from coxsol.descent import descent_algebra
 from coxsol.orlik_solomon import sub_os_algebra
+from test_oracles import bilinear, cyclotomic_form
 
 
 def test_matrix_validation():
@@ -254,7 +256,37 @@ def test_reflection_roots():
         fs = W.fixed_space(t)
         assert len(fs) == 2
         for v in fs:
-            assert W.bilinear(v, W.roots[i]).is_zero()
+            assert bilinear(cyclotomic_form(W), v, W.roots[i]).is_zero()
+
+
+def _cyclo_products(monkeypatch, refuse=False):
+    """Count Cyclo * Cyclo products from now on; with refuse, fail on the first."""
+    mul, count = Cyclo.__mul__, [0]
+
+    def counted(a, b):
+        if isinstance(b, Cyclo):
+            assert not refuse, "a Cyclo * Cyclo product"
+            count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    return count
+
+
+@pytest.mark.parametrize("spec", ["A4", "D4", "A1xA3", "I2(3)xI2(2)"])
+def test_rational_groups_build_without_cyclotomic_products(monkeypatch, spec):
+    # every m_ij is 2 or 3, so every pairing B(root, alpha_j) is a Fraction
+    _cyclo_products(monkeypatch, refuse=True)
+    W = CoxeterGroup(matrix_from_spec(spec))
+    assert W.order == build_group(spec).order
+
+
+@pytest.mark.parametrize("spec", ["H3", "F4", "I2(11)"])
+def test_root_walk_multiplies_only_new_pairings(monkeypatch, spec):
+    # images cost a subtraction; each new root's pairings cost at most rank products
+    count = _cyclo_products(monkeypatch)
+    W = CoxeterGroup(matrix_from_spec(spec))
+    assert 0 < count[0] <= W.rank * W.n_roots
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3"])

@@ -25,6 +25,23 @@ def test_cyclotomic_polynomial():
         Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1))
 
 
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    # x^n - 1 = prod of Phi_d over d | n; by induction on n this pins down every Phi_n
+    for n in range(1, 161):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(c.denominator == 1 for c in phi) and phi[-1] == 1
+                phi = [c.numerator for c in phi]
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
 def test_vanishing_sums():
     for n in range(2, 14):
         total = sum((zeta(n, j) for j in range(n)), rational(0, n))

@@ -11,8 +11,10 @@ transversals; both are checked against dense products in the group algebra,
 and Phi and Phi~ against the trace formula after a dense e * e = e check.
 The assignment search meets in the middle on integer vectors; it is checked
 against the plain walk through `itertools.product` that it replaced.  The
-group tables, filled from a right-multiplication table, are checked against
-composing root permutations.  The NBC basis, found by
+root system, closed up with carried pairings and rational Cartan entries,
+is checked against the walk that summed every image's pairing over the
+cyclotomic form.  The group tables, filled from a right-multiplication
+table, are checked against composing root permutations.  The NBC basis, found by
 Bjorner's suffix criterion, is checked against the independent sets that
 hold no broken circuit.  Cyclotomic sums, differences, products and
 comparisons, which build their results without re-validating them, are
@@ -23,6 +25,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,13 +33,77 @@ from coxsol import conjectures, linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
                           det_character, sigma_parabolic)
 from coxsol.conjectures import SearchExhausted, verify_a, verify_b
-from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
-from coxsol.cyclo import Cyclo, euler_phi
+from coxsol.coxeter import _NAMED, CoxeterGroup, build_group, matrix_from_spec
+from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
 from coxsol.orlik_solomon import sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
+
+
+def cyclotomic_form(W):
+    """B(alpha_i, alpha_j) = -cos(pi/m_ij), every entry a Cyclo of the conductor."""
+    n = W.conductor
+    return [[rational(1, n) if i == j else -cos_pi_over(W.matrix[i, j], n)
+             for j in range(W.rank)] for i in range(W.rank)]
+
+
+def bilinear(form, u, v):
+    """B(u, v) in simple root coordinates, summed in full over the form."""
+    acc = 0
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            acc = acc + ui * form[i][j] * vj
+    return acc
+
+
+def _apply_gen(form, i, v):
+    """v - 2 B(v, alpha_i) alpha_i, with the pairing summed over every coordinate."""
+    unit = [int(j == i) for j in range(len(v))]
+    return tuple(x - 2 * bilinear(form, v, unit) if j == i else x for j, x in enumerate(v))
+
+
+def cyclotomic_root_walk(W):
+    """The root system closed up from the simple roots, breadth first, with
+    every image's pairing summed over the cyclotomic form.  A simple
+    reflection flips the sign only of its own root pair, and the later of
+    two opposite roots is linked to the earlier one by lookup."""
+    form, n, r = cyclotomic_form(W), W.conductor, W.rank
+    roots = [tuple(rational(sign * int(j == i), n) for j in range(r))
+             for sign in (1, -1) for i in range(r)]
+    positive = [k < r for k in range(2 * r)]
+    negative_of = [(k + r) % (2 * r) for k in range(2 * r)]
+    index = {linalg.vec_key(v): k for k, v in enumerate(roots)}
+    perms = [[] for _ in range(r)]
+    for k, v in enumerate(roots):  # roots grows while it is walked
+        for i in range(r):
+            img = _apply_gen(form, i, v)
+            key = linalg.vec_key(img)
+            if key not in index:
+                index[key] = len(roots)
+                roots.append(img)
+                positive.append(False if k == i else True if negative_of[k] == i
+                                else positive[k])
+                other = index.get(linalg.vec_key(tuple(-x for x in img)))
+                negative_of.append(other)
+                if other is not None:
+                    negative_of[other] = len(roots) - 1
+            perms[i].append(index[key])
+    return SimpleNamespace(roots=roots, simple_root=list(range(r)), root_positive=positive,
+                           root_negative_of=negative_of, perms=[tuple(p) for p in perms])
+
+
+@pytest.mark.parametrize("spec", sorted(_NAMED) + [f"I2({m})" for m in range(2, 25)]
+                         + [s for s in GROUPS if "x" in s])
+def test_root_walk_matches_cyclotomic_walk(spec):
+    W = build_group(spec)
+    oracle = cyclotomic_root_walk(W)
+    assert [linalg.vec_key(v) for v in W.roots] == [linalg.vec_key(v) for v in oracle.roots]
+    assert W.root_positive == oracle.root_positive
+    assert W.root_negative_of == oracle.root_negative_of
+    assert W.simple_root == oracle.simple_root
+    assert [W.perms[g] for g in W.generators] == oracle.perms
 
 
 def composed_tables(W):
@@ -58,8 +125,9 @@ def test_group_tables_match_composed_permutations(spec):
     mult, inv = composed_tables(W)
     assert W.mult_table == mult
     assert W.inv_table == inv
+    form = cyclotomic_form(W)
     for i, g in enumerate(W.generators):
-        images = [W.root_index[linalg.vec_key(W._apply_gen(i, v))] for v in W.roots]
+        images = [W.root_index[linalg.vec_key(_apply_gen(form, i, v))] for v in W.roots]
         assert W.perms[g] == tuple(images), (spec, i)
     conjugates = {W.conj(g, x) for g in W.generators for x in range(W.order)}
     assert W.reflections == sorted(conjugates)
