@@ -26,13 +26,9 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .conjectures import UnsupportedCase, dihedral_table, subset_label, verify
 from .coxeter import (DEFAULT_MAX_ELEMENTS, InfiniteOrTooLarge, InvalidMatrix,
-                      build_group)
+                      build_group, subset_label)
 from .cyclo import Cyclo, scalar_json
-from .descent import descent_algebra
-from .orlik_solomon import (dihedral_hyperplane_angles, os_algebra,
-                            shape_component_character)
 
 
 class UsageError(ValueError):
@@ -126,6 +122,7 @@ def cmd_group(args) -> CommandOutput:
 
 
 def cmd_descent(args) -> CommandOutput:
+    from .descent import descent_algebra
     W = _build(args)
     L = _parse_subset(args.L, W.rank) if args.L is not None else None
     D = descent_algebra(W, L)
@@ -169,15 +166,16 @@ def cmd_descent(args) -> CommandOutput:
 
 
 def cmd_os(args) -> CommandOutput:
+    from . import orlik_solomon
     W = _build(args)
-    alg = os_algebra(W, seed_order=args.seed_order)
+    alg = orlik_solomon.os_algebra(W, seed_order=args.seed_order)
     full = W.full()
     dims = [len(level) for level in alg.nbc_basis]
     classes = [W.word_str(c.rep) for c in full.classes]
     characters = []
     char_rows = []
     for sh in W.shapes():
-        cf = shape_component_character(W, sh, alg)
+        cf = orlik_solomon.shape_component_character(W, sh, alg)
         characters.append({"shape": subset_label(sh.canonical),
                            "values": [scalar_json(v) for v in cf.values]})
         char_rows.append([f"Psi[{subset_label(sh.canonical)}]"]
@@ -199,7 +197,7 @@ def cmd_os(args) -> CommandOutput:
          char_rows + [["omega"] + [_pretty(v) for v in whole.values]]),
     ]
     if W.rank == 2:
-        angles = dihedral_hyperplane_angles(W)
+        angles = orlik_solomon.dihedral_hyperplane_angles(W)
         ordered = sorted(angles.items(), key=lambda kv: kv[1])
         payload["angle_unit"] = f"pi/{W.matrix[0, 1]}"
         payload["angles"] = [{"hyperplane": W.word_str(t), "angle": j}
@@ -212,6 +210,7 @@ def cmd_os(args) -> CommandOutput:
 
 
 def cmd_verify(args) -> CommandOutput:
+    from .conjectures import UnsupportedCase, verify
     W = _build(args)
     L = _parse_subset(args.L, W.rank) if args.L is not None else None
     name = args.conjecture.lower()
@@ -238,6 +237,7 @@ def cmd_verify(args) -> CommandOutput:
 
 
 def cmd_table(args) -> CommandOutput:
+    from .conjectures import dihedral_table
     W = _build(args)
     if W.rank != 2:
         raise UsageError("the table subcommand needs a dihedral group")

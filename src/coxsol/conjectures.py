@@ -18,7 +18,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .coxeter import CoxeterGroup, Subgroup, build_group
+from .coxeter import CoxeterGroup, Subgroup, build_group, subset_label
 from .chars import (alpha_element, alpha_parabolic, class_function_json,
                     linear_character, linear_characters, regular_character,
                     rotation_character, sign_character, trivial_character)
@@ -47,10 +47,6 @@ class MalformedTable(ValueError):
 
 
 SEARCH_CAP = 100000
-
-
-def subset_label(J) -> str:
-    return ",".join("s%d" % (i + 1) for i in J)
 
 
 class Assignment:

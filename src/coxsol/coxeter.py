@@ -638,6 +638,10 @@ def subsets(L):
     return sorted(out, key=lambda j: (len(j), j))
 
 
+def subset_label(J) -> str:
+    return ",".join("s%d" % (i + 1) for i in J)
+
+
 class Shape:
     """A conjugacy class of subsets of the generator set."""
 

@@ -23,9 +23,9 @@ The same construction runs relative to a parabolic subgroup by restricting
 every transversal to it.  The normalizer N of W_L acts on e_L * QW_L; that
 module is isomorphic to the right ideal of an idempotent f = eps_L * a_L of
 QN, checked by a certificate, so its character is the same trace formula.
-f * f = f follows from eps_L * eps_L = eps_L, from eps_L being fixed under
-conjugation by the complement N_L, and from N_L being a subgroup; see
-`parabolic_ideal_character`.
+The certificate forms no product in QN: it compares x_J coordinates in the
+descent algebra of W_L, permutes coefficients of e_L by the generators of
+N_L and forms e_L * eps_L inside QW_L; see `parabolic_ideal_character`.
 """
 
 from __future__ import annotations
@@ -382,53 +382,69 @@ def _trace_character(U: Subgroup, class_sum) -> ClassFunction:
 def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     """Character of the normalizer N of W_L on the span of e_L * QW_L.
 
-    e_L is the subset idempotent of the ambient descent algebra.  With eps_L
-    the top idempotent of the descent algebra of W_L and a_L the averaging
-    idempotent of the complement N_L, f = eps_L * a_L lies in QN, and
-    x -> e_L * x is an isomorphism of right QN-modules from fQN onto
-    e_L * QW_L once these hold (pi restricts a support to N):
-      (i)   N = W_L * N_L;
+    e_L = sum_K c_K x_K is the subset idempotent of the ambient descent
+    algebra.  With eps_L the top idempotent of the descent algebra of W_L and
+    a_L the averaging idempotent of the complement N_L, f = eps_L * a_L lies
+    in QN, and x -> e_L * x is an isomorphism of right QN-modules from fQN
+    onto e_L * QW_L once these hold (pi restricts a support to N):
+      (i)   N = W_L * N_L and |N| = |W_L| |N_L|;
       (ii)  f * f = f, which the trace formula for f needs;
       (iii) e_L * f = e_L, so N_L fixes e_L, and e_L * QW_L = e_L * QN is
             N-invariant and the image of fQN;
       (iv)  f * pi(e_L) * f = c * f for a rational c != 0, so y -> pi(f * y)
             is c times an inverse.
-    (ii) needs no product in QN.  It follows from
-      (a) eps_L * eps_L = eps_L, in the coordinates of the descent algebra of
-          W_L, which multiply as in QW_L (Solomon 1976);
-      (b) eps_L(n^-1 u n) = eps_L(u) for each generator n of N_L, so every
-          n in N_L commutes with eps_L, and so does a_L;
-      (c) N_L is a subgroup, which `complement_subgroup` checks, so
-          a_L * a_L = a_L.
-    Then f * f = eps_L * a_L * eps_L * a_L = eps_L^2 * a_L^2 = f.
+    No product in QN is formed.  An n that permutes L keeps lengths in W_L
+    under u -> n^-1 u n, which takes x_J of W_L to x_{J^n}.  For u in W_L,
+    u^-1 is in X_K exactly when it is in X_{K cap L} of W_L, so p = pi_{W_L}(e_L)
+    has coordinates p_J = sum_{K cap L = J} c_K there, and the coordinates
+    multiply as in QW_L (Solomon 1976).  The checks are:
+      (a) eps_L * eps_L = eps_L;
+      (b) each generator n of N_L permutes L, and eps_L and p have equal
+          coordinates at J and J^n, so n commutes with both, as does a_L;
+      (c) e_L * n = e_L, so e_L * a_L = e_L, as N_L is a subgroup, which
+          `complement_subgroup` checks; so a_L * a_L = a_L;
+      (d) e_L * eps_L = e_L, a product inside QW_L; for L = S it is (a);
+      (e) eps_L * p * eps_L = c' * eps_L for a rational c' != 0.
+    Then f * f = eps_L^2 * a_L^2 = f, e_L * f = e_L * a_L = e_L, and by (i)
+    and (c) pi(e_L) = |N_L| p * a_L, so f * pi(e_L) * f = |N_L| c' * f.
     """
     L = tuple(sorted(L))
-    eL = descent_algebra(W).e(L)
+    amb, rel, WL = descent_algebra(W), descent_algebra(W, L), W.parabolic(L)
+    eL = amb.e(L)
     NL = W.complement_subgroup(L)
     N = W.normalizer_of_parabolic(L)
-    if {W.mult(u, n) for u in W.parabolic(L).members for n in NL.members} != N.members:
+    if N.order != WL.order * NL.order or \
+            {W.mult(u, n) for u in WL.members for n in NL.members} != N.members:
         raise NotInvariant("the normalizer is not W_L times its complement")
-    rel = descent_algebra(W, L)
-    coords = rel.coords(L)
-    rel.check_square(coords, "eps_L")
-    eps = rel.element(coords)
+    eps = rel.coords(L)
+    rel.check_square(eps, "eps_L")
+    pos, p = rel._subset_pos, [Fraction(0)] * len(rel.subsets)
+    for K, c in zip(amb.subsets, amb.coords(L)):
+        p[pos[tuple(s for s in K if s in L)]] += c
+    gens = {g: s for s, g in enumerate(W.generators)}
     for n in NL.generators:
-        if {W.conj(u, n): a for u, a in eps.coeffs.items()} != eps.coeffs:
+        image = {s: gens.get(W.conj(W.generators[s], n)) for s in L}
+        if set(image.values()) != set(L):
+            raise NotInvariant("the complement does not permute the generators in L")
+        moved = [pos[tuple(sorted(image[s] for s in J))] for J in rel.subsets]
+        if [eps[i] for i in moved] != eps:
             raise NotIdempotent("conjugation by the complement moves eps_L, so "
                                 "f = eps_L * a_L is not shown to square to itself")
-    f = eps * averaging(NL)
-    chi = _trace_character(N, lambda k: sum(
-        (f.coefficient(h) for h in N.classes[k].members), Fraction(0)))
-    if eL * f != eL:
-        raise NotInvariant("e_L is not fixed by the complement")
-    # f lies in QN, so pi(e_L) * f = pi(e_L * f) = pi(e_L): g is f * pi(e_L) * f
-    g = f * GroupAlgebraElement(W, {w: c for w, c in eL.coeffs.items()
-                                    if w in N.members})
-    w = min(f.coeffs)  # f is not zero: e_L * f = e_L and e_L is not zero
-    c = g.coefficient(w) / f.coefficient(w)
-    if not c or g != c * f:
-        raise NotInvariant("f * pi(e_L) * f is not a nonzero multiple of f")
-    return chi
+        if eL.translate(n) != eL:
+            raise NotInvariant("e_L is not fixed by the complement")
+        if [p[i] for i in moved] != p:
+            raise NotInvariant("conjugation by the complement moves pi(e_L)")
+    eps_W = rel.element(eps)
+    if rel is not amb and eL * eps_W != eL:
+        raise NotInvariant("e_L * eps_L is not e_L, so e_L is not fixed by "
+                           "the complement's f = eps_L * a_L")
+    q = rel.product(rel.product(eps, p), eps)
+    c = next((q[i] / v for i, v in enumerate(eps) if v), 0)
+    if not c or q != [c * v for v in eps]:
+        raise NotInvariant("eps_L * pi(e_L) * eps_L is not a nonzero multiple of eps_L")
+    f = {W.mult(u, n): a / NL.order for u, a in eps_W.coeffs.items() for n in NL.members}
+    return _trace_character(N, lambda k: sum(
+        (f.get(h, Fraction(0)) for h in N.classes[k].members), Fraction(0)))
 
 
 def rotation_idempotent(W: CoxeterGroup, L, j: int) -> GroupAlgebraElement:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coxsol
 from coxsol.chars import class_function_from_json
 from coxsol.cli import main
 from coxsol.coxeter import CoxeterGroup, build_group
@@ -190,6 +194,24 @@ def test_determinism(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+ALGEBRA_MODULES = ["coxsol.conjectures", "coxsol.descent", "coxsol.orlik_solomon",
+                   "coxsol.chars"]
+
+
+def test_cli_imports_the_algebra_modules_only_when_a_command_needs_them():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxsol.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, coxsol.cli; "
+             f"print([m for m in {ALGEBRA_MODULES!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    from coxsol.conjectures import subset_label
+    assert subset_label((0, 2)) == "s1,s3"
 
 
 def test_max_elements_guard(capsys):

@@ -8,7 +8,10 @@ the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
 substitution.  The descent algebra multiplies x_J coordinates with Solomon's
 structure constants and reads Phi's class sums off class counts of the
 transversals; both are checked against dense products in the group algebra,
-and Phi and Phi~ against the trace formula after a dense e * e = e check.
+and Phi against the trace formula after a dense e * e = e check.  Phi~'s
+certificate, checked in x_J coordinates and by products inside the parabolic,
+is checked against the same certificate formed by products over the whole
+normalizer.
 The assignment search meets in the middle on integer vectors; it is checked
 against the plain walk through `itertools.product` that it replaced.  The
 root system, closed up with carried pairings and rational Cartan entries,
@@ -380,6 +383,31 @@ def test_characters_match_dense_squares(spec):
         assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["A4", "D4", "A1xB3", "B4"])
+def test_rank_four_parabolic_characters_match_dense_certificate(spec):
+    W = build_group(spec)
+    for sh in W.shapes():
+        got = parabolic_ideal_character(W, sh.canonical).values
+        want = dense_parabolic_ideal_character(W, sh.canonical).values
+        assert [repr(v) for v in got] == [repr(v) for v in want], (spec, sh.canonical)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_restricted_idempotent_has_summed_coordinates(spec):
+    # u in W_L lies in X_K exactly when it lies in X_{K cap L} of W_L, so
+    # e_L = sum_K c_K x_K restricts to W_L as sum_J (sum_{K cap L = J} c_K) x_J
+    W = build_group(spec)
+    amb = descent_algebra(W)
+    for L in W.all_subsets():
+        rel, members = descent_algebra(W, L), W.parabolic(L).members
+        p = [sum((c for K, c in zip(amb.subsets, amb.coords(L))
+                  if tuple(s for s in K if s in L) == J), Fraction(0)) for J in rel.subsets]
+        want = GroupAlgebraElement(W, {w: c for w, c in amb.e(L).coeffs.items()
+                                       if w in members})
+        assert rel.element(p) == want, (spec, L)
+
+
 def test_ideal_characters_need_no_group_algebra_product(monkeypatch):
     def refuse(self, other):
         raise AssertionError("Phi must not multiply in the group algebra")
@@ -391,6 +419,24 @@ def test_ideal_characters_need_no_group_algebra_product(monkeypatch):
         D.check_idempotent_family()
         assert sum(phi.degree for phi in D.character_family().values()) == \
             D.universe.order
+
+
+@pytest.mark.parametrize("spec", ["H3", "B3"])
+def test_parabolic_ideal_characters_multiply_only_inside_the_parabolic(monkeypatch, spec):
+    mul = GroupAlgebraElement.__mul__
+    W = CoxeterGroup(matrix_from_spec(spec))  # a fresh group with no algebras built
+    for L in W.all_subsets():
+        members = W.parabolic(L).members
+
+        def inside(self, other, members=members):
+            if isinstance(other, GroupAlgebraElement) and not other.coeffs.keys() <= members:
+                raise AssertionError("Phi~ must not multiply by an element off W_L")
+            return mul(self, other)
+
+        monkeypatch.setattr(GroupAlgebraElement, "__mul__", inside)
+        rel = descent_algebra(W, L)
+        assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \
+            rel.ideal_character(rel.shape_of(L)), L
 
 
 def product_search(phi_top, psi_top, pools):

@@ -16,8 +16,7 @@ from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verif
                                 verify_c)
 from coxsol.coxeter import (CoxeterGroup, NotClosed, NotNormalizing, build_group,
                             matrix_from_spec)
-from coxsol.descent import (NotIdempotent, averaging, descent_algebra,
-                            parabolic_ideal_character)
+from coxsol.descent import NotIdempotent, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic,
                                   os_algebra)
 
@@ -150,44 +149,64 @@ def test_parabolic_ideal_needs_the_normalizer(monkeypatch):
         parabolic_ideal_character(W, (0,))
 
 
-def _traceless_e(W, L, rel):
-    """e_L - t * f with t chosen so that the identity coefficient is 0: still
-    fixed by f on the right, but f * pi(e) * f = 0 * f."""
+def _set_row(alg, J, coords):
+    """Put coords in place of the coordinates of the subset idempotent e_J of
+    a descent algebra: its row of the inverse incidence matrix."""
+    alg.m_inverse[alg.subsets.index(J)] = list(coords)
+
+
+def _set_e(W, L, J):
+    """Put the coordinates of e_J of W in place of those of e_L."""
     amb = descent_algebra(W)
-    f = rel.e(L) * averaging(W.complement_subgroup(L))
-    eL = amb.e(L)
-    amb._e[L] = eL - (eL.coefficient(W.identity) / f.coefficient(W.identity)) * f
+    _set_row(amb, L, amb.coords(J))
 
 
-def _set_eps(rel, L, coords):
-    """Put coords in place of the coordinates of eps_L, the top idempotent of
-    the relative algebra: its row of the inverse incidence matrix."""
-    rel.m_inverse[rel.subsets.index(L)] = list(coords)
+def _unsynced_e(W, L, J):
+    """Keep e_L, once formed, in the group algebra, but put the coordinates
+    of e_J in its row: the checks on e_L * n and e_L * eps_L read the formed
+    element, the checks on pi(e_L) the coordinates."""
+    descent_algebra(W).e(L)
+    _set_e(W, L, J)
 
 
 # Each way of breaking the certificate for Phi~ of A3, at L = (s1,) unless
-# given, with the check that catches it: N = W_L * N_L, f * f = f (eps_L * eps_L
-# = eps_L, and eps_L fixed under conjugation by N_L), e_L * f = e_L, and
-# f * pi(e_L) * f a nonzero multiple of f.
+# given, with the check that catches it: N = W_L * N_L, eps_L * eps_L = eps_L,
+# eps_L and pi(e_L) fixed under conjugation by N_L, e_L * n = e_L for n in
+# N_L, e_L * eps_L = e_L, and eps_L * pi(e_L) * eps_L a nonzero multiple of
+# eps_L.
 BROKEN_CERTIFICATES = {
     "trivial-complement": (
         (0,), lambda W, L, rel: setattr(W, "complement_subgroup",
                                         lambda J: W.parabolic(())),
         NotInvariant, "W_L times its complement"),
-    "doubled-eps": ((0,), lambda W, L, rel: _set_eps(rel, L,
+    "doubled-eps": ((0,), lambda W, L, rel: _set_row(rel, L,
                                                      [2 * v for v in rel.coords(L)]),
                     NotIdempotent, "square to itself"),
-    "empty-eps": ((0,), lambda W, L, rel: _set_eps(rel, L, rel.coords(())),
+    "empty-eps": ((0,), lambda W, L, rel: _set_row(rel, L, rel.coords(())),
                   NotInvariant, "fixed by the complement"),
     # x_L = 1, the unit of the relative algebra
-    "unit-eps": ((0,), lambda W, L, rel: _set_eps(rel, L,
+    "unit-eps": ((0,), lambda W, L, rel: _set_row(rel, L,
                                                   [int(J == L) for J in rel.subsets]),
                  NotInvariant, "nonzero multiple"),
-    "traceless-e": ((0,), _traceless_e, NotInvariant, "nonzero multiple"),
+    # e_L = 0: every check on e_L holds, but pi(e_L) = 0
+    "traceless-e": ((0,), lambda W, L, rel: _set_row(descent_algebra(W), L,
+                                                     [0] * 2 ** W.rank),
+                    NotInvariant, "nonzero multiple"),
     # e_(s1) of W_L = <s1, s3> is idempotent, but the complement swaps s1
     # and s3, so it moves e_(s1) to e_(s3), and f * f = f / 2
-    "unfixed-eps": ((0, 2), lambda W, L, rel: _set_eps(rel, L, rel.coords((0,))),
+    "unfixed-eps": ((0, 2), lambda W, L, rel: _set_row(rel, L, rel.coords((0,))),
                     NotIdempotent, "square to itself"),
+    # e_(s2) is not fixed by s3, which generates the complement of <s1>
+    "e-moved-by-complement": ((0,), lambda W, L, rel: _set_e(W, L, (1,)),
+                              NotInvariant, "is not fixed by the complement$"),
+    # e_() averages over W, so eps_L, the sign idempotent of <s1>, kills it
+    "eps-kills-e": ((0,), lambda W, L, rel: _set_e(W, L, ()),
+                    NotInvariant, r"e_L \* eps_L is not e_L"),
+    # pi(e_(s1)) is not fixed by the swap of s1 and s3; on coordinates that
+    # agree with the formed e_L, the checks e_L * n = e_L and e_L * eps_L = e_L
+    # have so far always implied that pi(e_L) is fixed
+    "moved-pi-e": ((0, 2), lambda W, L, rel: _unsynced_e(W, L, (0,)),
+                   NotInvariant, r"moves pi\(e_L\)"),
 }
 
 
