@@ -6,7 +6,10 @@ formula, so it needs nothing beyond the multiplication table.  A linear
 character is a class function too: `linear_character` checks elementwise
 values for multiplicativity before keeping one value per class.  The full set
 for a subgroup is obtained by factoring through the quotient modulo the
-commutator subgroup and extending characters one cyclic step at a time.
+commutator subgroup and extending characters one cyclic step at a time.  The
+commutator subgroup is the normal closure of the commutators of the subgroup's
+generators: their closure, grown by conjugates under the generators until no
+new element appears.
 """
 
 from __future__ import annotations
@@ -239,13 +242,16 @@ def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
-    W = H.parent
-    comms = set()
-    for a in H.sorted_members:
-        ai = W.inv(a)
-        for b in H.sorted_members:
-            comms.add(W.prod([ai, W.inv(b), a, b]))
-    return W.generated_subgroup(comms)
+    """H', the normal closure of the commutators [a, b] of H's generators."""
+    W, gens = H.parent, H.generators
+    comms = [W.prod([W.inv(a), W.inv(b), a, b]) for a in gens for b in gens]
+    members = W.closure(comms)
+    while True:
+        new = {W.conj(d, g) for d in comms for g in gens} - members
+        if not new:
+            return W.subgroup(members)
+        comms += new
+        members = W.closure(comms)
 
 
 def linear_characters(H: Subgroup):

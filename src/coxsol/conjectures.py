@@ -237,16 +237,20 @@ def _search_pools(W: CoxeterGroup, L, target: Subgroup, phi_top, psi_top,
                   twist, within=None):
     """Search the linear characters phi of the centralizers (inside `within`,
     or in W, and inside the target) of the cuspidal classes of W_L, with
-    psi = phi * twist, for inductions to the target adding up to the tops."""
+    psi = phi * twist, for inductions to the target adding up to the tops.
+
+    Each phi is induced once.  Ind(phi * twist|_C)(g) is 1/|C| times the sum,
+    over x in the target with x g x^-1 in C, of phi(x g x^-1) twist(x g x^-1);
+    twist is a class function on the target, so twist(x g x^-1) = twist(g)
+    and the sum is Ind(phi)(g) twist(g)."""
     pools = []
     for cl in W.parabolic(L).cuspidal_classes():
         C = _centralizer_in(W, cl.rep, target, within)
         tw = twist.restrict(C)
         opts = []
         for chi in linear_characters(C):
-            psi = chi * tw
-            opts.append((cl.rep, C, chi, psi,
-                         chi.induce(target), psi.induce(target)))
+            ind = chi.induce(target)
+            opts.append((cl.rep, C, chi, chi * tw, ind, ind * twist))
         pools.append(opts)
     return _search(L, phi_top, psi_top, pools)
 

@@ -10,7 +10,7 @@ from coxsol.chars import (
     linear_characters, reflection_fix_character, rotation_character,
     sigma_parabolic, sign_character, trivial_character,
 )
-from coxsol.coxeter import Subgroup, build_group
+from coxsol.coxeter import _NAMED, Subgroup, build_group
 from coxsol.cyclo import zeta
 
 
@@ -148,6 +148,26 @@ def test_commutator_subgroup():
     assert D.order == 12  # even permutations
     W = build_group("I2(5)")
     assert commutator_subgroup(W.full()).order == 5
+
+
+def odd_components(W) -> int:
+    """Connected components of the Coxeter graph kept to its odd-labelled edges."""
+    comp = list(range(W.rank))
+    for i in range(W.rank):
+        for j in range(i):
+            if W.matrix[i, j] % 2:
+                old, new = comp[i], comp[j]
+                comp = [new if c == old else c for c in comp]
+    return len(set(comp))
+
+
+@pytest.mark.parametrize("spec", sorted(_NAMED) + [
+    "A1xA1xI2(5)", "I2(3)xI2(4)", "A1xB3"])
+def test_abelianization_has_two_to_the_odd_components(spec):
+    # W/W' is generated by the images of the simple reflections, which are
+    # involutions, equal exactly when joined by a path of odd labels
+    W = build_group(spec)
+    assert W.order // commutator_subgroup(W.full()).order == 2 ** odd_components(W)
 
 
 def test_cyclic_characters_are_rotation_characters():

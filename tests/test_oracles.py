@@ -13,7 +13,11 @@ certificate, checked in x_J coordinates and by products inside the parabolic,
 is checked against the same certificate formed by products over the whole
 normalizer.
 The assignment search meets in the middle on integer vectors; it is checked
-against the plain walk through `itertools.product` that it replaced.  The
+against the plain walk through `itertools.product` that it replaced.  Its
+options induce each centralizer character once and twist the induced one;
+the twisted character is checked against the induced twisted character.
+The commutator subgroup, the normal closure of the generators' commutators,
+is checked against the closure of the commutators of all pairs.  The
 root system, closed up with carried pairings and rational Cartan entries,
 is checked against the walk that summed every image's pairing over the
 cyclotomic form.  The group tables, filled from a right-multiplication
@@ -34,7 +38,7 @@ import pytest
 
 from coxsol import conjectures, linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
-                          det_character, sigma_parabolic)
+                          commutator_subgroup, det_character, sigma_parabolic)
 from coxsol.conjectures import SearchExhausted, verify_a, verify_b
 from coxsol.coxeter import _NAMED, CoxeterGroup, build_group, matrix_from_spec
 from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational
@@ -439,6 +443,27 @@ def test_parabolic_ideal_characters_multiply_only_inside_the_parabolic(monkeypat
             rel.ideal_character(rel.shape_of(L)), L
 
 
+def dense_commutator_subgroup(H):
+    """The subgroup generated by the commutators of all pairs of members."""
+    W = H.parent
+    comms = set()
+    for a in H.sorted_members:
+        ai = W.inv(a)
+        for b in H.sorted_members:
+            comms.add(W.prod([ai, W.inv(b), a, b]))
+    return W.generated_subgroup(comms)
+
+
+@pytest.mark.parametrize("spec", GROUPS + ["A4", "D4", "B4", "F4"])
+def test_commutator_subgroups_match_all_pairs(spec):
+    W = build_group(spec)
+    subgroups = {W.centralizer(c.rep) for c in W.full().classes}
+    for J in W.all_subsets():
+        subgroups |= {W.parabolic(J), W.normalizer_of_parabolic(J)}
+    for H in sorted(subgroups, key=lambda H: H.sorted_members):
+        assert commutator_subgroup(H) is dense_commutator_subgroup(H), (spec, H)
+
+
 def product_search(phi_top, psi_top, pools):
     """The first combination in `itertools.product` order whose induced
     characters add up to phi_top and psi_top, found by adding class functions;
@@ -457,6 +482,14 @@ def _chosen(assignments):
     return [(a.element, a.phi, a.psi) for a in assignments]
 
 
+def _check_induced(pools):
+    """Each option's induced characters against inducing phi and psi directly."""
+    for opts in pools:
+        for _, _, phi, psi, iphi, ipsi in opts:
+            assert iphi == phi.induce(iphi.carrier)
+            assert ipsi == psi.induce(iphi.carrier)
+
+
 @pytest.mark.parametrize("verify,spec", [
     (verify_a, "A3"), (verify_a, "B3"), (verify_a, "H3"),
     (verify_b, "A1xA1xI2(5)"), (verify_b, "I2(3)xI2(4)"), (verify_b, "A1xB3"),
@@ -465,6 +498,7 @@ def test_search_matches_product_order(monkeypatch, verify, spec):
     search, calls = conjectures._search, []
 
     def both(L, phi_top, psi_top, pools):
+        _check_induced(pools)
         got = search(L, phi_top, psi_top, pools)
         want = product_search(phi_top, psi_top, pools)
         assert want is not None
@@ -475,6 +509,44 @@ def test_search_matches_product_order(monkeypatch, verify, spec):
     monkeypatch.setattr(conjectures, "_search", both)
     assert verify(build_group(spec)).status == "verified"
     assert calls
+
+
+def test_rank_four_options_induce_psi_directly(monkeypatch):
+    search, calls = conjectures._search, []
+
+    def checked(L, phi_top, psi_top, pools):
+        _check_induced(pools)
+        calls.append(L)
+        return search(L, phi_top, psi_top, pools)
+
+    monkeypatch.setattr(conjectures, "_search", checked)
+    assert verify_b(build_group("B4")).status == "verified"
+    assert calls
+
+
+@pytest.mark.parametrize("verify,spec", [(verify_a, "A3"), (verify_b, "A1xB3")])
+def test_search_pools_induce_once_per_option(monkeypatch, verify, spec):
+    induce, search = ClassFunction.induce, conjectures._search
+    pools_of = conjectures._search_pools
+    calls, seen = [0], []
+
+    def counted(self, target):
+        calls[0] += 1
+        return induce(self, target)
+
+    def fresh_count(*args, **kwargs):
+        calls[0] = 0
+        return pools_of(*args, **kwargs)
+
+    def tally(L, phi_top, psi_top, pools):
+        seen.append((calls[0], sum(len(opts) for opts in pools)))
+        return search(L, phi_top, psi_top, pools)
+
+    monkeypatch.setattr(ClassFunction, "induce", counted)
+    monkeypatch.setattr(conjectures, "_search_pools", fresh_count)
+    monkeypatch.setattr(conjectures, "_search", tally)
+    assert verify(build_group(spec)).status == "verified"
+    assert seen and all(made == options for made, options in seen), seen
 
 
 def _synthetic_pools(values):
