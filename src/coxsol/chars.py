@@ -6,10 +6,12 @@ formula, so it needs nothing beyond the multiplication table.  A linear
 character is a class function too: `linear_character` checks elementwise
 values for multiplicativity before keeping one value per class.  The full set
 for a subgroup is obtained by factoring through the quotient modulo the
-commutator subgroup and extending characters one cyclic step at a time.  The
-commutator subgroup is the normal closure of the commutators of the subgroup's
-generators: their closure, grown by conjugates under the generators until no
-new element appears.
+commutator subgroup and extending characters one cyclic step at a time.  Each
+is kept as an exponent map e: H -> Z/M, M the exponent of the quotient, and
+checked to be additive in Z/M; only one root of unity zeta_M^e per class is
+formed.  The commutator subgroup is the normal closure of the commutators of
+the subgroup's generators: their closure, grown by conjugates under the
+generators until no new element appears.
 """
 
 from __future__ import annotations
@@ -258,8 +260,9 @@ def linear_characters(H: Subgroup):
     """All degree one characters of H, in a deterministic order.
 
     Characters are computed on the quotient modulo the commutator subgroup and
-    extended cyclic step by cyclic step; values are roots of unity of order
-    dividing the exponent of the quotient.
+    extended cyclic step by cyclic step, as exponents of zeta_M for M the
+    exponent of the quotient.  They are ordered by their exponents on the
+    sorted members.
     """
     W = H.parent
     D = commutator_subgroup(H)
@@ -307,15 +310,29 @@ def linear_characters(H: Subgroup):
 
     out = []
     for chi in chars:
-        if M <= 2:
-            values = {h: Fraction(1 if chi[coset_of[h]] == 0 else -1)
-                      for h in H.sorted_members}
-        else:
-            values = {h: zeta(M, chi[coset_of[h]]) for h in H.sorted_members}
-        key = tuple(chi[coset_of[h]] for h in H.sorted_members)
-        out.append((key, linear_character(H, values)))
+        ex = {h: chi[coset_of[h]] for h in H.sorted_members}
+        out.append((tuple(ex.values()), _exponent_character(H, M, ex)))
     out.sort(key=lambda p: p[0])
     return [lc for _, lc in out]
+
+
+def _exponent_character(H: Subgroup, M: int, ex: dict) -> ClassFunction:
+    """The linear character h -> zeta_M^ex[h] of H, for exponents given on every
+    member, after checking that ex is a homomorphism from H to Z/M.
+
+    As in `linear_character`, e(a g) = e(a) + e(g) for g in a generating set
+    gives every sum; no root of unity is formed until one per class is kept.
+    """
+    W = H.parent
+    if ex[W.identity] % M:
+        raise NotLinear("exponent at the identity is not 0")
+    for a in H.sorted_members:
+        for g in H.generators:
+            if (ex[W.mult(a, g)] - ex[a] - ex[g]) % M:
+                raise NotLinear("exponents are not additive")
+    if M <= 2:
+        return ClassFunction(H, [Fraction(-1 if ex[c.rep] % M else 1) for c in H.classes])
+    return ClassFunction(H, [zeta(M, ex[c.rep]) for c in H.classes])
 
 
 def regular_character(carrier: Subgroup) -> ClassFunction:

@@ -601,22 +601,37 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
     the dihedral parabolic W_L; coordinates of the translated elements in the
     respective bases must agree up to the twist character.  Only odd m gives
     one dimensional f_j components, so even m is not covered by this map.
+
+    It is enough to test a generating set of the normalizer N = W_L N_L: the
+    rotation st and the longest element w0 of W_L (a reflection, as m is odd)
+    generate W_L, and the generators of N_L the rest.  The f_j are orthogonal
+    idempotents, so the nonzero e_L f_j are independent and so are the a_L f_j;
+    both coordinate matrices are then multiplicative in w, as translation and
+    the action are right actions, and sign * alpha_L is a character, so
+    agreement on generators gives agreement on every product of them.
     """
-    a, b = tuple(sorted(L))
+    a, b = sorted(L)
+    st = W.mult(W.generators[a], W.generators[b])
+    return _intertwines_at(W, (a, b), [st, W.parabolic((a, b)).longest_element(),
+                                       *W.complement_subgroup((a, b)).generators])
+
+
+def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
+    """Whether e_L f_j -> a_L f_j intertwines the right actions of each of the
+    given normalizer elements up to sign * alpha, for every j != 0."""
+    a, b = L
     m = W.matrix[a, b]
     if m % 2 == 0:
         raise UnsupportedCase("the basis e_L f_j needs an odd dihedral parabolic")
-    WL = W.parabolic((a, b))
-    N = W.normalizer_of_parabolic((a, b))
     uni = W.full()
-    eL = descent_algebra(W).e((a, b))
-    fs = [rotation_idempotent(W, (a, b), j) for j in range(m)]
+    eL = descent_algebra(W).e(L)
+    fs = [rotation_idempotent(W, L, j) for j in range(m)]
     efs = [eL * f for f in fs]
-    if not efs[0].is_zero():
+    if not efs[0].is_zero() or any(x.is_zero() for x in efs[1:]):
         return False
     evecs = [x.vector(uni) for x in efs[1:]]
 
-    alg = sub_os_algebra(W, (a, b))
+    alg = sub_os_algebra(W, L)
     pa = alg.arr.position[W.generators[a]]
     pb = alg.arr.position[W.generators[b]]
     aL = alg.element({(pa, pb): Fraction(1)})
@@ -626,17 +641,13 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
         return [x.coefficient(mono) for mono in monos]
 
     afs = [aL.act_sum(f) for f in fs]
-    if not afs[0].is_zero():
+    if not afs[0].is_zero() or any(x.is_zero() for x in afs[1:]):
         return False
     avecs = [avec(x) for x in afs[1:]]
 
-    eps = sign_character(N)
-    alphaL = alpha_parabolic(W, (a, b))
-    st = W.mult(W.generators[a], W.generators[b])
-    tests = [st, WL.longest_element()]
-    tests += [n for n in W.complement_subgroup((a, b)).sorted_members
-              if n != W.identity]
-    for w in tests:
+    eps = sign_character(W.normalizer_of_parabolic(L))
+    alphaL = alpha_parabolic(W, L)
+    for w in elements:
         factor = eps(w) * alphaL(w)
         for j in range(1, m):
             ecoords = linalg.coords_in_span(

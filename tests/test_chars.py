@@ -6,8 +6,8 @@ import pytest
 
 from coxsol.chars import (
     CarrierMismatch, ClassFunction, NotASubgroup, NotInComplement, NotLinear,
-    alpha_element, alpha_parabolic, commutator_subgroup, linear_character,
-    linear_characters, reflection_fix_character, rotation_character,
+    _exponent_character, alpha_element, alpha_parabolic, commutator_subgroup,
+    linear_character, linear_characters, reflection_fix_character, rotation_character,
     sigma_parabolic, sign_character, trivial_character,
 )
 from coxsol.coxeter import _NAMED, Subgroup, build_group
@@ -114,6 +114,11 @@ def test_linear_character_checks_every_generator():
     coset = {W.mult(x, h) for h in H.members}
     with pytest.raises(NotLinear):
         linear_character(G, {w: Fraction(-1 if w in coset else 1) for w in G.members})
+    # the same map as exponents of -1, and exponents that are 1 at the identity
+    with pytest.raises(NotLinear):
+        _exponent_character(G, 2, {w: int(w in coset) for w in G.members})
+    with pytest.raises(NotLinear):
+        _exponent_character(G, 3, {w: 1 for w in G.members})
 
 
 def test_not_in_complement():

@@ -17,7 +17,11 @@ against the plain walk through `itertools.product` that it replaced.  Its
 options induce each centralizer character once and twist the induced one;
 the twisted character is checked against the induced twisted character.
 The commutator subgroup, the normal closure of the generators' commutators,
-is checked against the closure of the commutators of all pairs.  The
+is checked against the closure of the commutators of all pairs.  Linear
+characters, built from exponent maps with one root of unity per class, are
+checked against a root of unity per member validated by `linear_character`.
+The intertwiner check, made on generators of the normalizer, is checked
+against the same check on every member of the complement N_L.  The
 root system, closed up with carried pairings and rational Cartan entries,
 is checked against the walk that summed every image's pairing over the
 cyclotomic form.  The group tables, filled from a right-multiplication
@@ -36,12 +40,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from coxsol import conjectures, linalg
+from coxsol import chars, conjectures, linalg
 from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
-                          commutator_subgroup, det_character, sigma_parabolic)
-from coxsol.conjectures import SearchExhausted, verify_a, verify_b
+                          commutator_subgroup, det_character, linear_character,
+                          linear_characters, sigma_parabolic, trivial_character)
+from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
 from coxsol.coxeter import _NAMED, CoxeterGroup, build_group, matrix_from_spec
-from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational
+from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational, zeta
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
 from coxsol.orlik_solomon import sub_os_algebra
@@ -462,6 +467,64 @@ def test_commutator_subgroups_match_all_pairs(spec):
         subgroups |= {W.parabolic(J), W.normalizer_of_parabolic(J)}
     for H in sorted(subgroups, key=lambda H: H.sorted_members):
         assert commutator_subgroup(H) is dense_commutator_subgroup(H), (spec, H)
+
+
+def elementwise_character(H, M, ex):
+    """The build `_exponent_character` replaced: a root of unity (or a sign)
+    for every member, checked for multiplicativity by `linear_character`."""
+    if M <= 2:
+        values = {h: Fraction(1 if ex[h] == 0 else -1) for h in H.sorted_members}
+    else:
+        values = {h: zeta(M, ex[h]) for h in H.sorted_members}
+    return linear_character(H, values)
+
+
+@pytest.mark.parametrize("spec", GROUPS + ["A4", "D4", "B4", "A1xA1xI2(5)"])
+def test_exponent_characters_match_elementwise_values(monkeypatch, spec):
+    W = build_group(spec)
+    for c in W.full().classes:
+        C = W.centralizer(c.rep)
+        got = linear_characters(C)
+        with monkeypatch.context() as patched:
+            patched.setattr(chars, "_exponent_character", elementwise_character)
+            want = linear_characters(C)
+        assert got == want, (spec, c.rep)
+        assert [[type(v) for v in chi.values] for chi in got] == \
+            [[type(v) for v in chi.values] for chi in want], (spec, c.rep)
+
+
+def test_linear_characters_form_no_cyclotomic_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("linear characters must not multiply roots of unity")
+
+    for spec in ["A1xA1xI2(5)", "B4"]:
+        W = build_group(spec)
+        centralizers = [W.centralizer(c.rep) for c in W.full().classes]
+        with monkeypatch.context() as patched:
+            patched.setattr(Cyclo, "__mul__", refuse)
+            patched.setattr(Cyclo, "__rmul__", refuse)
+            for C in centralizers:
+                assert linear_characters(C)[0] == trivial_character(C), spec
+
+
+def all_members_intertwiner(W, L):
+    """`check_intertwiner` testing st, w0 and every member of N_L, not only
+    the generators of N_L."""
+    a, b = L
+    st = W.mult(W.generators[a], W.generators[b])
+    return conjectures._intertwines_at(
+        W, L, [st, W.parabolic(L).longest_element(),
+               *(n for n in W.complement_subgroup(L).sorted_members if n != W.identity)])
+
+
+@pytest.mark.parametrize("spec", ["A4", "D4", "B4", "A1xB3", "A1xH3",
+                                  pytest.param("F4", marks=pytest.mark.slow)])
+def test_intertwiner_generators_match_all_members(spec):
+    W = build_group(spec)
+    odd = [L for L in W.all_subsets() if len(L) == 2 and W.matrix[L[0], L[1]] % 2]
+    assert odd, spec
+    for L in odd:
+        assert check_intertwiner(W, L) is all_members_intertwiner(W, L) is True, (spec, L)
 
 
 def product_search(phi_top, psi_top, pools):

@@ -23,7 +23,7 @@ from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic
 BAD_INPUTS = """
 import sys
 from fractions import Fraction
-from coxsol.chars import NotLinear, linear_character
+from coxsol.chars import NotLinear, _exponent_character, linear_character
 from coxsol.coxeter import build_group
 from coxsol.descent import (DescentAlgebra, NotAResolution, NotIdempotent,
                             parabolic_ideal_character)
@@ -38,6 +38,10 @@ try:
     linear_character(G, {w: Fraction(0) for w in G.members})
 except NotLinear:
     caught.append("zero-function")
+try:
+    _exponent_character(G, 2, {w: int(W.lengths[w] == 1) for w in G.members})
+except NotLinear:
+    caught.append("non-additive-exponents")
 alg = os_algebra(W)
 line = next(f.id for f in alg.lattice.flats if f.rank == 1)
 try:
@@ -82,7 +86,8 @@ def test_bad_inputs_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", BAD_INPUTS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["optimize=1", "zero-function", "one-line",
+    assert proc.stdout.split() == ["optimize=1", "zero-function",
+                                   "non-additive-exponents", "one-line",
                                    "doubled-idempotent", "shape-left-out",
                                    "trivial-complement", "half-in-table",
                                    "rank-three-angles"]
