@@ -8,10 +8,11 @@ values for multiplicativity before keeping one value per class.  The full set
 for a subgroup is obtained by factoring through the quotient modulo the
 commutator subgroup and extending characters one cyclic step at a time.  Each
 is kept as an exponent map e: H -> Z/M, M the exponent of the quotient, and
-checked to be additive in Z/M; only one root of unity zeta_M^e per class is
-formed.  The commutator subgroup is the normal closure of the commutators of
-the subgroup's generators: their closure, grown by conjugates under the
-generators until no new element appears.
+checked to be additive in Z/M; each root of unity zeta_M^e is formed once.
+The rotation characters of a dihedral parabolic are exponent maps on the
+powers of its rotation, with M = m.  The commutator subgroup is the normal
+closure of the commutators of the subgroup's generators: their closure, grown
+by conjugates under the generators until no new element appears.
 """
 
 from __future__ import annotations
@@ -227,17 +228,9 @@ def reflection_fix_character(carrier: Subgroup) -> ClassFunction:
 def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:
     """The character of the rotation subgroup of a dihedral parabolic sending
     the standard rotation to the j-th power of a primitive root of unity."""
-    a, b = sorted(L)
-    m = W.matrix[a, b]
-    rot = W.mult(W.generators[a], W.generators[b])
-    carrier = W.cyclic(rot)
-    assert carrier.order == m  # s_a s_b has order m_ab in any Coxeter group
-    values = {}
-    x = W.identity
-    for k in range(m):
-        values[x] = zeta(m, j * k)
-        x = W.mult(x, rot)
-    return ClassFunction.from_function(carrier, values.__getitem__)
+    rot = W.rotations(L)
+    m = len(rot)
+    return exponent_character(W.subgroup(rot), m, {x: j * k % m for k, x in enumerate(rot)})
 
 
 # -- all linear characters of a subgroup ------------------------------------------
@@ -292,12 +285,13 @@ def linear_characters(H: Subgroup):
             powers.append(x)
             x = qmult[x, g]
         d, gd = len(powers), x
-        assert M % d == 0  # d divides the order of g, which divides the exponent M
         new_chars = []
         for chi in chars:
             a = chi[gd]
-            # zeta_M^a has order dividing o(g)/d, the order of g^d, and o(g) | M
-            assert a % d == 0
+            # d divides the order o(g) of g, which divides M, and zeta_M^a has
+            # order dividing o(g)/d, the order of g^d
+            if M % d or a % d:
+                raise NotLinear("a cyclic step does not divide the exponent")
             for t in range(d):
                 ex = (a // d + t * (M // d)) % M
                 ext = dict(chi)
@@ -306,22 +300,24 @@ def linear_characters(H: Subgroup):
                         ext[qmult[h, powers[k]]] = (chi[h] + k * ex) % M
                 new_chars.append(ext)
         chars = new_chars
-    assert len(chars) == len(reps)  # a finite abelian group has |A| linear characters
+    if len(chars) != len(reps):
+        raise NotLinear("the quotient by H' does not have |H/H'| linear characters")
 
     out = []
     for chi in chars:
         ex = {h: chi[coset_of[h]] for h in H.sorted_members}
-        out.append((tuple(ex.values()), _exponent_character(H, M, ex)))
+        out.append((tuple(ex.values()), exponent_character(H, M, ex)))
     out.sort(key=lambda p: p[0])
     return [lc for _, lc in out]
 
 
-def _exponent_character(H: Subgroup, M: int, ex: dict) -> ClassFunction:
+def exponent_character(H: Subgroup, M: int, ex: dict) -> ClassFunction:
     """The linear character h -> zeta_M^ex[h] of H, for exponents given on every
     member, after checking that ex is a homomorphism from H to Z/M.
 
     As in `linear_character`, e(a g) = e(a) + e(g) for g in a generating set
-    gives every sum; no root of unity is formed until one per class is kept.
+    gives every sum; no root of unity is formed until the classes are read,
+    and each power of zeta_M is formed once.
     """
     W = H.parent
     if ex[W.identity] % M:
@@ -330,9 +326,11 @@ def _exponent_character(H: Subgroup, M: int, ex: dict) -> ClassFunction:
         for g in H.generators:
             if (ex[W.mult(a, g)] - ex[a] - ex[g]) % M:
                 raise NotLinear("exponents are not additive")
+    exps = [ex[c.rep] % M for c in H.classes]
     if M <= 2:
-        return ClassFunction(H, [Fraction(-1 if ex[c.rep] % M else 1) for c in H.classes])
-    return ClassFunction(H, [zeta(M, ex[c.rep]) for c in H.classes])
+        return ClassFunction(H, [Fraction(-1 if e else 1) for e in exps])
+    roots = {e: zeta(M, e) for e in set(exps)}
+    return ClassFunction(H, [roots[e] for e in exps])
 
 
 def regular_character(carrier: Subgroup) -> ClassFunction:

@@ -14,14 +14,16 @@ reported rather than raised.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, build_group, subset_label
-from .chars import (alpha_element, alpha_parabolic, class_function_json,
-                    linear_character, linear_characters, regular_character,
-                    rotation_character, sign_character, trivial_character)
+from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_json,
+                    exponent_character, linear_character, linear_characters,
+                    regular_character, rotation_character, sign_character,
+                    trivial_character)
 from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (shape_component_character, sub_os_algebra,
@@ -155,11 +157,11 @@ class ConjectureReport:
 
 
 def _sum_induced(chars, target: Subgroup):
-    total = None
-    for chi in chars:
-        ind = chi.induce(target)
-        total = ind if total is None else total + ind
-    return total
+    return _total(chi.induce(target) for chi in chars)
+
+
+def _total(class_functions):
+    return functools.reduce(operator.add, class_functions)
 
 
 def _centralizer_in(W: CoxeterGroup, w: int, N: Subgroup, within=None) -> Subgroup:
@@ -205,17 +207,16 @@ def construct_parabolic_B(W: CoxeterGroup, L):
 
 
 def _dihedral_B(W: CoxeterGroup, L):
-    a, b = L
-    m = W.matrix[a, b]
+    rot = W.rotations(L)
+    m = len(rot)
     WL = W.parabolic(L)
-    st = W.mult(W.generators[a], W.generators[b])
     out = []
     if m % 2:
         js = [(j, j) for j in range(1, (m - 1) // 2 + 1)]
     else:
         js = [(j, 2 * j) for j in range(1, m // 2)]
     for j, exponent in js:
-        w = W.power(st, j)
+        w = rot[j]
         C = W.centralizer(w, within=WL)
         chi = rotation_character(W, L, exponent)
         if C.members != chi.carrier.members:
@@ -405,35 +406,30 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
 
     For c = u * n with u in W_L and n in the complement, the value is the
     rotation character at u when u is a rotation, and at u * w_L when u is a
-    reflection; the result is checked to be multiplicative.
+    reflection.  The rotation character sends (s_a s_b)^k to zeta_m^(j k), so
+    the values are an exponent map, checked to be additive in Z/m.
     """
-    a, b = L
-    m = W.matrix[a, b]
-    WL = W.parabolic(L)
-    st = W.mult(W.generators[a], W.generators[b])
-    rotations = W.cyclic(st).members
-    wL = WL.longest_element()
+    rot = W.rotations(L)
+    m = len(rot)
+    power = {x: k for k, x in enumerate(rot)}
+    wL = W.parabolic(L).longest_element()
     alphaL = alpha_parabolic(W, L)
     out = []
     for j in range(1, (m - 1) // 2 + 1):
-        w = W.power(st, j)
-        C = _centralizer_in(W, w, N)
-        chi = rotation_character(W, L, j)
+        C = _centralizer_in(W, rot[j], N)
         parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
-        phi = None
         for side in (lambda u: W.mult(u, wL), lambda u: W.mult(wL, u)):
-            values = {c: chi(u if u in rotations else side(u))
-                      for c, u in parts.items()}
+            ex = {c: j * power[u if u in power else side(u)] % m
+                  for c, u in parts.items()}
             try:
-                phi = linear_character(C, values)
+                phi = exponent_character(C, m, ex)
                 break
-            except ValueError:
+            except NotLinear:
                 continue
-        if phi is None:
-            raise PrerequisiteFailed(
-                "coset split values are not multiplicative")
+        else:
+            raise PrerequisiteFailed("coset split values are not multiplicative")
         psi = phi * sign_character(C) * alphaL.restrict(C)
-        out.append(Assignment(L, w, C, phi, psi, "coset-split"))
+        out.append(Assignment(L, rot[j], C, phi, psi, "coset-split"))
     return out
 
 
@@ -506,8 +502,8 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
         return report
     report.add("centralizers-in-normalizer",
                all(a.centralizer.members <= N.members for a in assignments))
-    report.add_residual("descent-tilde-sum",
-                        _sum_induced((a.phi for a in assignments), N) - phi_tilde)
+    induced = [a.phi.induce(N) for a in assignments]
+    report.add_residual("descent-tilde-sum", _total(induced) - phi_tilde)
     report.add_residual("arrangement-tilde-sum",
                         _sum_induced((a.psi for a in assignments), N) - psi_tilde)
     report.add("psi-twist", all(
@@ -528,18 +524,15 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
                and psi_tilde.induce(W.full()) == shape_component_character(W, shape))
 
     local = [W.centralizer(a.element, within=WL) for a in assignments]
-    sphi = _sum_induced((a.phi.restrict(CWl) for a, CWl in zip(assignments, local)), WL)
+    local_phi = [a.phi.restrict(CWl).induce(WL) for a, CWl in zip(assignments, local)]
     spsi = _sum_induced((a.psi.restrict(CWl) for a, CWl in zip(assignments, local)), WL)
-    report.add("restriction-assignments", sphi == phi_rel and spsi == psi_rel)
+    report.add("restriction-assignments", _total(local_phi) == phi_rel and spsi == psi_rel)
 
     mackey = True
-    for a, CWl in zip(assignments, local):
+    for a, ind, loc in zip(assignments, induced, local_phi):
         product = {W.mult(u, c) for u in WL.sorted_members
                    for c in a.centralizer.sorted_members}
-        if product != set(N.members):
-            mackey = False
-            break
-        if a.phi.induce(N).restrict(WL) != a.phi.restrict(CWl).induce(WL):
+        if product != set(N.members) or ind.restrict(WL) != loc:
             mackey = False
             break
     report.add("mackey", mackey)
@@ -610,10 +603,9 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
     the action are right actions, and sign * alpha_L is a character, so
     agreement on generators gives agreement on every product of them.
     """
-    a, b = sorted(L)
-    st = W.mult(W.generators[a], W.generators[b])
-    return _intertwines_at(W, (a, b), [st, W.parabolic((a, b)).longest_element(),
-                                       *W.complement_subgroup((a, b)).generators])
+    L = tuple(sorted(L))
+    return _intertwines_at(W, L, [W.rotations(L)[1], W.parabolic(L).longest_element(),
+                                  *W.complement_subgroup(L).generators])
 
 
 def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
@@ -685,14 +677,13 @@ def dihedral_table(m: int, max_elements: int = 10000) -> dict:
     D = descent_algebra(W)
     family = D.character_family()
     s, t = W.generators
-    st = W.mult(s, t)
+    rot = W.rotations((0, 1))
     if m % 2 == 0:
         cols = [(W.identity, "e"), (s, "s1"), (t, "s2"), (W.longest, "w0")]
-        cols += [(W.power(st, i), f"(s1*s2)^{i}") for i in range(1, m // 2)]
+        cols += [(rot[i], f"(s1*s2)^{i}") for i in range(1, m // 2)]
     else:
         cols = [(W.identity, "e"), (s, "s1")]
-        cols += [(W.power(st, i), f"(s1*s2)^{i}")
-                 for i in range(1, (m - 1) // 2 + 1)]
+        cols += [(rot[i], f"(s1*s2)^{i}") for i in range(1, (m - 1) // 2 + 1)]
     reps = [full.class_of(w) for w, _ in cols]
     if not len(set(reps)) == len(cols) == len(full.classes):
         raise MalformedTable("the table columns do not list each class once")

@@ -38,7 +38,7 @@ class NotNormalizing(ValueError):
 
 
 class NotClosed(ArithmeticError):
-    """An element set taken for a subgroup is not closed under multiplication."""
+    """A set taken to be closed (a subgroup, the root system, a class of subsets) is not."""
 
 
 DEFAULT_MAX_ELEMENTS = 10000
@@ -268,11 +268,13 @@ class CoxeterGroup:
                     record(i, ri, idx)
             frontier = nxt
         # -w(a) = w(-a) lies in the orbit too, and the later of the two links them
-        assert all(n is not None for n in neg_of)
+        if None in neg_of:
+            raise NotClosed("a root has no negative in the root system")
         self.n_roots = len(self.roots)
         self.positive_roots = [i for i in range(self.n_roots) if self.root_positive[i]]
         # the sign rule is exact, and each pair +-b has one positive member
-        assert 2 * len(self.positive_roots) == self.n_roots
+        if 2 * len(self.positive_roots) != self.n_roots:
+            raise NotClosed("the positive roots are not half of the roots")
         return [tuple(row[k] for k in range(self.n_roots)) for row in image]
 
     def _build_elements(self, gen_perms, max_elements):
@@ -327,7 +329,8 @@ class CoxeterGroup:
 
         self.longest = max(range(self.order), key=lambda w: self.lengths[w])
         # the longest element sends every positive root to a negative one
-        assert self.lengths[self.longest] == len(self.positive_roots)
+        if self.lengths[self.longest] != len(self.positive_roots):
+            raise NotClosed("the longest element does not negate every positive root")
 
     def _build_reflections(self):
         full = self.full()
@@ -338,12 +341,14 @@ class CoxeterGroup:
             pt = self.perms[t]
             own = [i for i in self.positive_roots if pt[i] == self.root_negative_of[i]]
             # s_a sends a root b to -b only when b is a multiple of a, that is +-a
-            assert len(own) == 1, "a reflection negates exactly one positive root"
+            if len(own) != 1:
+                raise NotClosed("a reflection does not negate exactly one positive root")
             self.reflection_root[t] = own[0]
 
     def cached(self, key, build):
         """The value under key in the group's one store, made by build() once.  Keys
-        start with a kind: subgroup, parabolic, normalizer, complement, shapes, descent, os."""
+        start with a kind: subgroup, parabolic, normalizer, complement, shapes,
+        rotations, descent, os."""
         if key not in self._store:
             self._store[key] = build()
         return self._store[key]
@@ -563,18 +568,16 @@ class CoxeterGroup:
     @_per_subset("shapes")
     def _shapes(self, L):
         inside = self.parabolic(L)
-        assigned = {}
-        shapes = []
+        assigned, shapes = set(), []
         for J in subsets(L):
             if J in assigned:
                 continue
             members = set(self.subset_images(J, within=inside).values())
-            assert J in members  # x = 1 lies in every transversal and fixes J
-            idx = len(shapes)
-            shapes.append(Shape(J, frozenset(members), idx))
-            for K in members:
-                assert K not in assigned  # conjugacy of subsets is an equivalence
-                assigned[K] = idx
+            # x = 1 fixes J, and conjugacy of subsets is an equivalence
+            if J not in members or not members.isdisjoint(assigned):
+                raise NotClosed(f"the subsets conjugate to {J} do not form a class")
+            shapes.append(Shape(J, frozenset(members), len(shapes)))
+            assigned |= members
         return shapes
 
     # -- subgroups ---------------------------------------------------------------
@@ -601,6 +604,19 @@ class CoxeterGroup:
                         nxt.append(b)
             frontier = nxt
         return members
+
+    @_per_subset("rotations")
+    def rotations(self, L) -> tuple:
+        """(s_a s_b)^k for k = 0..m-1, L = {a < b}; NotClosed unless s_a s_b
+        has order m = m_ab, as in any Coxeter group."""
+        a, b = L
+        st = self.mult(self.generators[a], self.generators[b])
+        out = [self.identity]
+        for _ in range(self.matrix[a, b] - 1):
+            out.append(self.mult(out[-1], st))
+        if self.mult(out[-1], st) != self.identity or out.count(self.identity) != 1:
+            raise NotClosed(f"s{a + 1}*s{b + 1} does not have order {self.matrix[a, b]}")
+        return tuple(out)
 
     @_per_subset("parabolic")
     def parabolic(self, J) -> "Subgroup":

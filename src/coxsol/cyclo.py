@@ -111,7 +111,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
             quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
         poly = quot
     # x^n - 1 is the product of Phi_d over d | n, and the degrees add up to n
-    assert len(poly) - 1 == euler_phi(n)
+    if len(poly) - 1 != euler_phi(n):
+        raise ArithmeticError(f"Phi_{n} does not have degree phi({n})")
     return tuple(Fraction(c) for c in poly)
 
 

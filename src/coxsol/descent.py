@@ -450,14 +450,8 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
 def rotation_idempotent(W: CoxeterGroup, L, j: int) -> GroupAlgebraElement:
     """Idempotent projecting onto the j-th rotation character of a dihedral
     parabolic: the averaged rotations weighted by inverse roots of unity."""
-    a, b = sorted(L)
-    m = W.matrix[a, b]
-    rot = W.mult(W.generators[a], W.generators[b])
-    coeffs = {}
-    x = W.identity
-    for k in range(m):
-        # x = rot^{-k}
-        coeffs[x] = zeta(m, j * k) * Fraction(1, m)
-        x = W.mult(x, W.inv(rot))
-    return GroupAlgebraElement(W, coeffs)
+    rot = W.rotations(L)
+    m = len(rot)
+    return GroupAlgebraElement(W, {rot[-k % m]: zeta(m, j * k) * Fraction(1, m)
+                                   for k in range(m)})
 

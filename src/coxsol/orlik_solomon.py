@@ -3,11 +3,12 @@
 Hyperplanes are identified with the reflections of the group.  By Steinberg's
 theorem a flat is the reflection set of a conjugate x^-1 W_J x, of rank |J|, so
 the matroid data (ranks, closures, circuits) comes from the group, not from
-linear algebra.  The algebra is presented on no-broken-circuit monomials
-with respect to a linear order of the hyperplanes; arbitrary monomials are
-rewritten into that basis by the circuit boundary relations.  Flats decompose
-the algebra into components permuted the same way the group permutes the
-flats themselves, which yields one character per orbit.
+linear algebra.  Each flat keeps the first such J; the subgroup, so the
+shape of J, is the same for every J giving the flat.  The algebra is presented
+on no-broken-circuit monomials with respect to a linear order of the
+hyperplanes; arbitrary monomials are rewritten into that basis by the circuit
+boundary relations.  Flats decompose the algebra into components permuted like
+the flats, which yields one character per shape of J.
 """
 
 from __future__ import annotations
@@ -61,27 +62,33 @@ class Arrangement:
         return self.position[self.W.conj(self.hyperplanes[pos], w)]
 
 
-# a flat: its index, the frozenset of positions of its hyperplanes, its rank
-Flat = namedtuple("Flat", "id key rank")
+# a flat: its index, the frozenset of positions of its hyperplanes, its rank,
+# and the first subset J of S (in all_subsets order) with the flat conjugate to W_J
+Flat = namedtuple("Flat", "id key rank subset")
 
 
 class IntersectionLattice:
-    """All intersections of hyperplanes, as reflection sets of parabolic subgroups."""
+    """All intersections of hyperplanes, as reflection sets of parabolic subgroups.
+    The subsets J giving one flat must all have one shape, which is checked."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         W = arr.W
-        ranks = {}
+        shape_of = {J: sh.index for sh in W.shapes() for J in sh.members}
+        first = {}
         for J in W.all_subsets():
             refl = [t for t in W.reflections if t in W.parabolic(J).members]
             for x in W.transversal(J):
                 flat = {W.conj(t, x) for t in refl}
                 if flat <= arr.position.keys():
-                    ranks[frozenset(arr.position[t] for t in flat)] = len(J)
-        if frozenset(range(arr.n)) not in ranks:
+                    J0 = first.setdefault(frozenset(arr.position[t] for t in flat), J)
+                    if shape_of[J0] != shape_of[J]:
+                        raise OrbitMismatch(f"one flat comes from {J0} and from {J}")
+        if frozenset(range(arr.n)) not in first:
             raise NotParabolic("the hyperplanes do not form a flat")
-        order = sorted(ranks, key=lambda k: (ranks[k], sorted(k)))
-        self.flats = [Flat(fid, key, ranks[key]) for fid, key in enumerate(order)]
+        order = sorted(first, key=lambda k: (len(first[k]), sorted(k)))
+        self.flats = [Flat(fid, key, len(first[key]), first[key])
+                      for fid, key in enumerate(order)]
         self.by_key = {f.key: f.id for f in self.flats}
         self.top_rank = max(f.rank for f in self.flats)
         # the join of F with p outside it is the flat of rank one more above both
@@ -104,10 +111,6 @@ class IntersectionLattice:
     def independent(self, positions) -> bool:
         positions = tuple(positions)
         return self.rank(positions) == len(positions)
-
-    def act_on_flat(self, fid: int, w: int) -> int:
-        key = frozenset(self.arr.act(p, w) for p in self.flats[fid].key)
-        return self.by_key[key]
 
 
 class OSAlgebra:
@@ -167,11 +170,6 @@ class OSAlgebra:
 
     def monomials_of_flat(self, fid: int):
         return self._flat_monomials.get(fid, [])
-
-    @cached_property
-    def shape_labels(self) -> dict:
-        """flat_shape_map of this algebra, which must be of the full arrangement."""
-        return flat_shape_map(self.arr.W, self)
 
     # -- straightening ---------------------------------------------------------
 
@@ -356,30 +354,10 @@ def sub_os_algebra(W: CoxeterGroup, L, seed_order=None) -> OSAlgebra:
 
 
 def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
-    """Assign to each flat of the full arrangement the shape of its stabilising
-    parabolic; the orbits of flats match the shapes one to one."""
+    """The index of the shape of each flat, read off the subset it comes from."""
     alg = algebra if algebra is not None else os_algebra(W)
-    lat = alg.lattice
-    label = {}
-    for sh in W.shapes():
-        members = W.parabolic(sh.canonical).members
-        seed = lat.by_key[frozenset(
-            p for p, t in enumerate(alg.arr.hyperplanes) if t in members)]
-        orbit, frontier = {seed}, [seed]
-        while frontier:
-            fid = frontier.pop()
-            for g in W.generators:
-                nid = lat.act_on_flat(fid, g)
-                if nid not in orbit:
-                    orbit.add(nid)
-                    frontier.append(nid)
-        for fid in orbit:
-            if fid in label:
-                raise OrbitMismatch("flat orbits must not overlap")
-            label[fid] = sh.index
-    if len(label) != len(lat.flats):
-        raise OrbitMismatch("every flat belongs to a shape orbit")
-    return label
+    return {f.id: sh.index for sh in W.shapes() for f in alg.lattice.flats
+            if f.subset in sh.members}
 
 
 def shape_component_character(W: CoxeterGroup, shape,
@@ -387,8 +365,8 @@ def shape_component_character(W: CoxeterGroup, shape,
     """Character of W on the components of all flats of one shape, in the given
     algebra of the full arrangement (by default the unseeded one)."""
     alg = algebra if algebra is not None else os_algebra(W)
-    fids = [fid for fid, idx in alg.shape_labels.items() if idx == shape.index]
-    return alg.component_character(fids, W.full())
+    return alg.component_character(
+        [f.id for f in alg.lattice.flats if f.subset in shape.members], W.full())
 
 
 def whole_space_character(W: CoxeterGroup) -> ClassFunction:
@@ -416,16 +394,16 @@ def dihedral_hyperplane_angles(W: CoxeterGroup) -> dict:
     """
     if W.rank != 2:
         raise NotDihedral(f"hyperplane angles need rank 2, not rank {W.rank}")
-    m = W.matrix[0, 1]
     s, t = W.generators
-    ts = W.mult(t, s)
+    rot = W.rotations((0, 1))
+    m = len(rot)
     out = {}
-    x = W.identity
     for p in range(m):
+        x = rot[-p % m]  # (ts)^p
         out[W.conj(s, x)] = (2 * p) % m
         out[W.conj(t, x)] = (m - 1 + 2 * p) % m
-        x = W.mult(x, ts)
-    assert len(out) == m  # I2(m) has m reflections, all conjugate to s or t
+    if len(out) != m:  # I2(m) has m reflections, each a rotated s or t
+        raise OrbitMismatch(f"the rotated hyperplanes of s and t are not {m} hyperplanes")
     return out
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from coxsol import chars
 from coxsol.chars import (
     CarrierMismatch, ClassFunction, NotASubgroup, NotInComplement, NotLinear,
-    _exponent_character, alpha_element, alpha_parabolic, commutator_subgroup,
+    alpha_element, alpha_parabolic, commutator_subgroup, exponent_character,
     linear_character, linear_characters, reflection_fix_character, rotation_character,
     sigma_parabolic, sign_character, trivial_character,
 )
@@ -116,9 +117,9 @@ def test_linear_character_checks_every_generator():
         linear_character(G, {w: Fraction(-1 if w in coset else 1) for w in G.members})
     # the same map as exponents of -1, and exponents that are 1 at the identity
     with pytest.raises(NotLinear):
-        _exponent_character(G, 2, {w: int(w in coset) for w in G.members})
+        exponent_character(G, 2, {w: int(w in coset) for w in G.members})
     with pytest.raises(NotLinear):
-        _exponent_character(G, 3, {w: 1 for w in G.members})
+        exponent_character(G, 3, {w: 1 for w in G.members})
 
 
 def test_not_in_complement():
@@ -184,6 +185,26 @@ def test_cyclic_characters_are_rotation_characters():
     for r in rots:
         assert sum(1 for lc in lcs if lc == r) == 1
     assert rots[2](W.power(st, 3)) == zeta(5, 6)
+
+
+def test_a_character_build_forms_each_root_of_unity_once(monkeypatch):
+    # the centralizers of A1xA1xI2(5) have up to 20 classes, with M = 10
+    W = build_group("A1xA1xI2(5)")
+    made, builds = [], []
+    monkeypatch.setattr(chars, "zeta", lambda n, k=1: made.append(n) or zeta(n, k))
+    build = chars.exponent_character
+
+    def counted(H, M, ex):
+        before = len(made)
+        out = build(H, M, ex)
+        builds.append((M, len(made) - before, len(H.classes)))
+        return out
+
+    monkeypatch.setattr(chars, "exponent_character", counted)
+    for c in W.full().classes:
+        linear_characters(W.centralizer(c.rep))
+    assert all(roots <= M for M, roots, _ in builds), builds
+    assert any(classes > M > 2 for M, _, classes in builds)
 
 
 def test_alpha_parabolic():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from coxsol import conjectures
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.chars import (linear_characters, rotation_character, sign_character,
-                          trivial_character)
+from coxsol.chars import (ClassFunction, linear_characters, rotation_character,
+                          sign_character, trivial_character)
 from coxsol.conjectures import (Assignment, SearchExhausted, UnsupportedCase,
                                 check_intertwiner, construct_C,
                                 construct_parabolic_B, dihedral_table,
@@ -159,6 +160,31 @@ def test_verify_b_rank3_by_search():
 def test_verify_c_corpus(spec, L):
     report = verify_c(build_group(spec), L)
     assert report.ok, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("spec,L", [
+    ("A3", (0, 2)), ("A3", (0, 1, 2)), ("B3", (1, 2)), ("H3", (0, 1)), ("I2(9)", (0, 1)),
+])
+def test_verify_c_induces_each_character_once(monkeypatch, spec, L):
+    # with k assignments: k each for the two tilde sums and the two restricted
+    # sums, which the mackey check shares, and 2 for the tilde induction
+    induce, construct = ClassFunction.induce, conjectures.construct_C
+    calls, made = [0], []
+
+    def counted(self, target):
+        calls[0] += 1
+        return induce(self, target)
+
+    def constructed(W, L):
+        out = construct(W, L)
+        calls[0] = 0  # the search pools induce their options; count the checks only
+        made.append(len(out))
+        return out
+
+    monkeypatch.setattr(ClassFunction, "induce", counted)
+    monkeypatch.setattr(conjectures, "construct_C", constructed)
+    assert verify_c(build_group(spec), L).status == "verified"
+    assert calls[0] == 4 * made[0] + 2, (calls, made)
 
 
 def test_verify_c_report_structure():

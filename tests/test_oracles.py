@@ -19,7 +19,12 @@ the twisted character is checked against the induced twisted character.
 The commutator subgroup, the normal closure of the generators' commutators,
 is checked against the closure of the commutators of all pairs.  Linear
 characters, built from exponent maps with one root of unity per class, are
-checked against a root of unity per member validated by `linear_character`.
+checked against a root of unity per member validated by `linear_character`;
+so are the rotation characters and the coset split of an odd dihedral
+parabolic, both exponent maps on the powers of its rotation, and those powers
+are checked against `W.power`.  The shape of a flat, read off the subset it
+comes from, is checked against the orbits of the standard flats under the
+generators.
 The intertwiner check, made on generators of the normalizer, is checked
 against the same check on every member of the complement N_L.  The
 root system, closed up with carried pairings and rational Cartan entries,
@@ -41,15 +46,16 @@ from types import SimpleNamespace
 import pytest
 
 from coxsol import chars, conjectures, linalg
-from coxsol.chars import (ClassFunction, alpha_element, alpha_parabolic,
+from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabolic,
                           commutator_subgroup, det_character, linear_character,
-                          linear_characters, sigma_parabolic, trivial_character)
+                          linear_characters, rotation_character, sigma_parabolic,
+                          trivial_character)
 from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
 from coxsol.coxeter import _NAMED, CoxeterGroup, build_group, matrix_from_spec
 from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational, zeta
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
-from coxsol.orlik_solomon import sub_os_algebra
+from coxsol.orlik_solomon import flat_shape_map, os_algebra, sub_os_algebra
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -180,6 +186,57 @@ def test_flats_are_closed_root_spans(spec):
                 g = lat.flats[lat.child[f.id, p]]
                 assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, L, p)
         assert lat.flats[alg.top_flat()].rank == len(L)
+
+
+def orbit_walk_labels(W, alg):
+    """The labelling `flat_shape_map` replaced: the orbit of each shape's
+    standard flat under the generators, the orbits checked to partition the flats."""
+    lat, arr = alg.lattice, alg.arr
+    label = {}
+    for sh in W.shapes():
+        members = W.parabolic(sh.canonical).members
+        seed = lat.by_key[frozenset(p for p, t in enumerate(arr.hyperplanes)
+                                    if t in members)]
+        orbit, frontier = {seed}, [seed]
+        while frontier:
+            key = lat.flats[frontier.pop()].key
+            for g in W.generators:
+                image = lat.by_key[frozenset(arr.act(p, g) for p in key)]
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        assert orbit.isdisjoint(label), (W.spec, sh)
+        label.update(dict.fromkeys(orbit, sh.index))
+    assert len(label) == len(lat.flats), W.spec
+    return label
+
+
+@pytest.mark.parametrize("spec,seed", [
+    ("A3", None), ("B3", None), ("H3", None), ("A4", None), ("D4", None), ("B4", None),
+    ("H3", 3), pytest.param("F4", None, marks=pytest.mark.slow)])
+def test_flat_shapes_match_orbit_walk(spec, seed):
+    W = build_group(spec)
+    alg = os_algebra(W, seed_order=seed)
+    assert flat_shape_map(W, alg) == orbit_walk_labels(W, alg)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_rotations_match_powers(spec):
+    W = build_group(spec)
+    for a, b in itertools.combinations(range(W.rank), 2):
+        m = W.matrix[a, b]
+        st = W.mult(W.generators[a], W.generators[b])
+        rot = W.rotations((a, b))
+        assert rot == tuple(W.power(st, k) for k in range(m)), (spec, a, b)
+        assert W.rotations((b, a)) is rot
+        # the Cyclo-valued build rotation_character replaced; for m = 2 the
+        # exponent map gives the same values as Fractions
+        for j in range(m):
+            got = rotation_character(W, (a, b), j)
+            want = linear_character(W.subgroup(rot),
+                                    {x: zeta(m, j * k) for k, x in enumerate(rot)})
+            assert got == want, (spec, a, b, j)
+            assert m == 2 or list(map(type, got.values)) == list(map(type, want.values))
 
 
 def brute_nbc(lat, n: int):
@@ -470,7 +527,7 @@ def test_commutator_subgroups_match_all_pairs(spec):
 
 
 def elementwise_character(H, M, ex):
-    """The build `_exponent_character` replaced: a root of unity (or a sign)
+    """The build `exponent_character` replaced: a root of unity (or a sign)
     for every member, checked for multiplicativity by `linear_character`."""
     if M <= 2:
         values = {h: Fraction(1 if ex[h] == 0 else -1) for h in H.sorted_members}
@@ -486,7 +543,7 @@ def test_exponent_characters_match_elementwise_values(monkeypatch, spec):
         C = W.centralizer(c.rep)
         got = linear_characters(C)
         with monkeypatch.context() as patched:
-            patched.setattr(chars, "_exponent_character", elementwise_character)
+            patched.setattr(chars, "exponent_character", elementwise_character)
             want = linear_characters(C)
         assert got == want, (spec, c.rep)
         assert [[type(v) for v in chi.values] for chi in got] == \
@@ -515,6 +572,46 @@ def all_members_intertwiner(W, L):
     return conjectures._intertwines_at(
         W, L, [st, W.parabolic(L).longest_element(),
                *(n for n in W.complement_subgroup(L).sorted_members if n != W.identity)])
+
+
+def cyclo_coset_split(W, L):
+    """The coset split `_coset_split_route` replaced: rotation character
+    values as a Cyclo per member, checked by `linear_character`."""
+    a, b = L
+    m = W.matrix[a, b]
+    st = W.mult(W.generators[a], W.generators[b])
+    wL = W.parabolic(L).longest_element()
+    out = []
+    for j in range(1, (m - 1) // 2 + 1):
+        chi = {W.power(st, k): zeta(m, j * k) for k in range(m)}
+        C = W.centralizer(W.power(st, j))
+        parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
+        for side in (lambda u: W.mult(u, wL), lambda u: W.mult(wL, u)):
+            try:
+                phi = linear_character(C, {c: chi[u if u in chi else side(u)]
+                                           for c, u in parts.items()})
+                break
+            except NotLinear:
+                continue
+        else:
+            raise AssertionError(f"no coset split for {W.spec} at {L}")
+        out.append((W.power(st, j), C, phi))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["B3", "H3", "D4", "A1xH3"])
+def test_coset_split_matches_cyclo_values(spec):
+    W = build_group(spec)
+    split = [L for L in W.all_subsets() if len(L) == 2
+             and W.matrix[L[0], L[1]] % 2 and not W.is_bulky(L)]
+    assert split, spec
+    for L in split:
+        got = conjectures._coset_split_route(W, L, W.normalizer_of_parabolic(L))
+        assert {a.route for a in got} == {"coset-split"}
+        want = cyclo_coset_split(W, L)
+        assert [(a.element, a.centralizer, a.phi) for a in got] == want, (spec, L)
+        assert [list(map(type, a.phi.values)) for a in got] == \
+            [list(map(type, phi.values)) for *_, phi in want], (spec, L)
 
 
 @pytest.mark.parametrize("spec", ["A4", "D4", "B4", "A1xB3", "A1xH3",

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from coxsol.chars import reflection_fix_character, sign_character
-from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
+from coxsol.coxeter import build_group
 from coxsol.descent import descent_algebra, group_sum
 from coxsol.orlik_solomon import (
-    Arrangement, OSAlgebra, dihedral_top_model, flat_shape_map, os_algebra,
+    Arrangement, OSAlgebra, dihedral_top_model, os_algebra,
     shape_component_character, sub_os_algebra, top_component_character,
     top_component_tilde, whole_space_character,
 )
@@ -196,17 +196,3 @@ def test_full_arrangement_is_built_once(spec):
     assert os_algebra(W) is sub_os_algebra(W, range(W.rank))
     assert os_algebra(W, seed_order=3) is sub_os_algebra(W, range(W.rank), seed_order=3)
     assert os_algebra(W) is not os_algebra(W, seed_order=3)
-
-
-def test_flats_are_labelled_once_per_full_arrangement(monkeypatch):
-    from coxsol import orlik_solomon
-    W = CoxeterGroup(matrix_from_spec("B3"))
-    calls = []
-    label = orlik_solomon.flat_shape_map
-    monkeypatch.setattr(orlik_solomon, "flat_shape_map",
-                        lambda W, alg=None: calls.append(alg) or label(W, alg))
-    D = descent_algebra(W)
-    for sh in W.shapes():
-        assert shape_component_character(W, sh) == \
-            shape_component_character(W, D.shape_of(sh.canonical))
-    assert calls == [os_algebra(W)]

@@ -1,10 +1,12 @@
 """Checks the verifier depends on raise typed exceptions, also under python -O."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +16,17 @@ from coxsol.chars import (NotInvariant, NotLinear, linear_character,
                           rotation_character, sign_character)
 from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verify_b,
                                 verify_c)
-from coxsol.coxeter import (CoxeterGroup, NotClosed, NotNormalizing, build_group,
-                            matrix_from_spec)
+from coxsol.coxeter import (CoxeterGroup, CoxeterMatrix, NotClosed, NotNormalizing,
+                            Shape, build_group, matrix_from_spec)
 from coxsol.descent import NotIdempotent, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic,
-                                  os_algebra)
+                                  OrbitMismatch, os_algebra)
 
 BAD_INPUTS = """
 import sys
 from fractions import Fraction
-from coxsol.chars import NotLinear, _exponent_character, linear_character
-from coxsol.coxeter import build_group
+from coxsol.chars import NotLinear, exponent_character, linear_character
+from coxsol.coxeter import CoxeterMatrix, NotClosed, build_group
 from coxsol.descent import (DescentAlgebra, NotAResolution, NotIdempotent,
                             parabolic_ideal_character)
 from coxsol.conjectures import MalformedTable, _as_int
@@ -39,7 +41,7 @@ try:
 except NotLinear:
     caught.append("zero-function")
 try:
-    _exponent_character(G, 2, {w: int(W.lengths[w] == 1) for w in G.members})
+    exponent_character(G, 2, {w: int(W.lengths[w] == 1) for w in G.members})
 except NotLinear:
     caught.append("non-additive-exponents")
 alg = os_algebra(W)
@@ -74,6 +76,12 @@ try:
     dihedral_hyperplane_angles(build_group("A3"))
 except NotDihedral:
     caught.append("rank-three-angles")
+W5 = build_group("I2(5)")
+W5.matrix = CoxeterMatrix([[1, 4], [4, 1]])
+try:
+    W5.rotations((0, 1))
+except NotClosed:
+    caught.append("rotation-of-order-5-as-4")
 print(" ".join(caught))
 """
 
@@ -90,7 +98,36 @@ def test_bad_inputs_raise_under_optimize():
                                    "non-additive-exponents", "one-line",
                                    "doubled-idempotent", "shape-left-out",
                                    "trivial-complement", "half-in-table",
-                                   "rank-three-angles"]
+                                   "rank-three-angles", "rotation-of-order-5-as-4"]
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so a check written as one vanishes
+    package = Path(coxsol.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_rotation_of_another_order_is_refused(m):
+    W = CoxeterGroup(matrix_from_spec("I2(5)"))
+    W.matrix = CoxeterMatrix([[1, m], [m, 1]])
+    with pytest.raises(NotClosed):
+        W.rotations((0, 1))
+    with pytest.raises(NotClosed):
+        rotation_character(W, (0, 1), 1)
+
+
+def test_flat_from_subsets_of_two_shapes_is_refused(monkeypatch):
+    # s1 and s2 of A2 are conjugate, so taking them for two shapes makes the
+    # line of each reflection come from both
+    W = CoxeterGroup(matrix_from_spec("A2"))
+    split = [Shape(J, frozenset({J}), i) for i, J in enumerate(W.all_subsets())]
+    monkeypatch.setattr(W, "shapes", lambda within=None: split)
+    with pytest.raises(OrbitMismatch):
+        IntersectionLattice(Arrangement(W))
 
 
 def test_linear_character_carrier_and_identity():
