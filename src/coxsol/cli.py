@@ -135,10 +135,13 @@ def cmd_descent(args) -> CommandOutput:
             W.word_str(w): str(e.coeffs[w]) for w in e.support()}
     classes = [W.word_str(c.rep) for c in D.universe.classes]
     characters = []
+    char_rows = []
     for sh in D.shapes:
         cf = D.ideal_character(sh)
         characters.append({"shape": subset_label(sh.canonical),
                            "values": [scalar_json(v) for v in cf.values]})
+        char_rows.append([f"Phi[{subset_label(sh.canonical)}]"]
+                         + [_pretty(v) for v in cf.values])
     payload = {
         "group": W.spec,
         "L": subset_label(D.L),
@@ -148,11 +151,6 @@ def cmd_descent(args) -> CommandOutput:
         "classes": classes,
         "characters": characters,
     }
-    char_rows = []
-    for sh in D.shapes:
-        cf = D.ideal_character(sh)
-        char_rows.append([f"Phi[{subset_label(sh.canonical)}]"]
-                         + [_pretty(v) for v in cf.values])
     tables = [
         ("m-matrix", ["K\\J"] + [lab or "-" for lab in labels],
          [[labels[i] or "-"] + m_rows[i] for i in range(len(labels))]),

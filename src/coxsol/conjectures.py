@@ -26,7 +26,7 @@ from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_js
                     trivial_character)
 from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
-from .orlik_solomon import (shape_component_character, sub_os_algebra,
+from .orlik_solomon import (os_algebra, shape_component_character,
                             top_component_character, top_component_tilde,
                             whole_space_character)
 from . import linalg
@@ -623,11 +623,11 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
         return False
     evecs = [x.vector(uni) for x in efs[1:]]
 
-    alg = sub_os_algebra(W, L)
+    alg = os_algebra(W)
     pa = alg.arr.position[W.generators[a]]
     pb = alg.arr.position[W.generators[b]]
     aL = alg.element({(pa, pb): Fraction(1)})
-    monos = [mono for mono in alg.nbc_basis[2]]
+    monos = alg.monomials_of_flat(alg.parabolic_flat(L))
 
     def avec(x):
         return [x.coefficient(mono) for mono in monos]

@@ -555,7 +555,7 @@ class CoxeterGroup:
     def is_bulky(self, J) -> bool:
         """Whether every element of N_J centralizes W_J."""
         members = self.parabolic(J).sorted_members
-        for n in self.complement_in_normalizer(J):
+        for n in self.complement_subgroup(J).sorted_members:
             for u in members:
                 if self.mult_table[n][u] != self.mult_table[u][n]:
                     return False
@@ -636,14 +636,6 @@ class CoxeterGroup:
         gens = [self.generators[s] for s in J]
         return self.subgroup(x for x in range(self.order)
                              if all(self.conj(g, x) in members for g in gens))
-
-    def cyclic(self, w: int) -> "Subgroup":
-        members = [self.identity]
-        x = w
-        while x != self.identity:
-            members.append(x)
-            x = self.mult_table[x][w]
-        return self.subgroup(members)
 
 
 def subsets(L):

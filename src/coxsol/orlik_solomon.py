@@ -1,4 +1,4 @@
-"""The Orlik-Solomon algebra of a reflection arrangement.
+"""The Orlik-Solomon algebra of the reflection arrangement of W.
 
 Hyperplanes are identified with the reflections of the group.  By Steinberg's
 theorem a flat is the reflection set of a conjugate x^-1 W_J x, of rank |J|, so
@@ -8,7 +8,9 @@ shape of J, is the same for every J giving the flat.  The algebra is presented
 on no-broken-circuit monomials with respect to a linear order of the
 hyperplanes; arbitrary monomials are rewritten into that basis by the circuit
 boundary relations.  Flats decompose the algebra into components permuted like
-the flats, which yields one character per shape of J.
+the flats, which yields one character per shape of J.  The arrangement of a
+parabolic W_L is the flat refl(W_L), and its top component is that flat's
+component (Brieskorn), so one algebra per group serves every L.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class StraighteningFailure(RuntimeError):
     """No rewriting step applies; the monomial order logic is broken."""
 
 
-class NotParabolic(ValueError):
-    """The hyperplanes are not the reflections of a parabolic subgroup."""
-
-
 class OrbitMismatch(RuntimeError):
     """The orbits of flats do not match the shapes one to one."""
 
@@ -46,16 +44,15 @@ MAX_RANK = 4
 
 
 class Arrangement:
-    """An ordered set of the reflecting hyperplanes of W or of a parabolic subgroup."""
+    """The reflecting hyperplanes of W, in an order fixed by a seed (None: sorted)."""
 
-    def __init__(self, W: CoxeterGroup, reflections=None, seed_order=None):
+    def __init__(self, W: CoxeterGroup, seed_order=None):
         self.W = W
-        order = sorted(W.reflections if reflections is None else reflections)
+        self.hyperplanes = sorted(W.reflections)      # position -> reflection
         if seed_order is not None:
-            random.Random(seed_order).shuffle(order)
-        self.hyperplanes = list(order)      # position -> reflection
-        self.position = {t: i for i, t in enumerate(order)}
-        self.n = len(order)
+            random.Random(seed_order).shuffle(self.hyperplanes)
+        self.position = {t: i for i, t in enumerate(self.hyperplanes)}
+        self.n = len(self.hyperplanes)
 
     def act(self, pos: int, w: int) -> int:
         """Position of the image hyperplane under right action by w."""
@@ -79,18 +76,14 @@ class IntersectionLattice:
         for J in W.all_subsets():
             refl = [t for t in W.reflections if t in W.parabolic(J).members]
             for x in W.transversal(J):
-                flat = {W.conj(t, x) for t in refl}
-                if flat <= arr.position.keys():
-                    J0 = first.setdefault(frozenset(arr.position[t] for t in flat), J)
-                    if shape_of[J0] != shape_of[J]:
-                        raise OrbitMismatch(f"one flat comes from {J0} and from {J}")
-        if frozenset(range(arr.n)) not in first:
-            raise NotParabolic("the hyperplanes do not form a flat")
+                J0 = first.setdefault(
+                    frozenset(arr.position[W.conj(t, x)] for t in refl), J)
+                if shape_of[J0] != shape_of[J]:
+                    raise OrbitMismatch(f"one flat comes from {J0} and from {J}")
         order = sorted(first, key=lambda k: (len(first[k]), sorted(k)))
         self.flats = [Flat(fid, key, len(first[key]), first[key])
                       for fid, key in enumerate(order)]
         self.by_key = {f.key: f.id for f in self.flats}
-        self.top_rank = max(f.rank for f in self.flats)
         # the join of F with p outside it is the flat of rank one more above both
         self.child = {(f.id, p): f.id for f in self.flats for p in f.key}
         for f in self.flats:
@@ -117,10 +110,10 @@ class OSAlgebra:
     """Exterior-style algebra on the hyperplanes modulo circuit boundaries."""
 
     def __init__(self, arrangement: Arrangement):
+        if arrangement.W.rank > MAX_RANK:
+            raise RankGuard(f"rank {arrangement.W.rank} arrangement")
         self.arr = arrangement
         self.lattice = IntersectionLattice(arrangement)
-        if self.lattice.top_rank > MAX_RANK:
-            raise RankGuard(f"rank {self.lattice.top_rank} arrangement")
         self._memo = {}
 
     # -- the no-broken-circuit basis ------------------------------------------
@@ -251,8 +244,10 @@ class OSAlgebra:
     def whole_character(self, acting: Subgroup) -> ClassFunction:
         return self.component_character(range(len(self.lattice.flats)), acting)
 
-    def top_flat(self) -> int:
-        return self.lattice.flat_of(tuple(range(self.arr.n)))
+    def parabolic_flat(self, L) -> int:
+        """The flat refl(W_L): the closure of the hyperplanes of L's generators."""
+        W = self.arr.W
+        return self.lattice.flat_of(self.arr.position[W.generators[s]] for s in L)
 
 
 class OSElement:
@@ -342,15 +337,9 @@ def _wedge_sign(a, b):
 
 
 def os_algebra(W: CoxeterGroup, seed_order=None) -> OSAlgebra:
-    return sub_os_algebra(W, range(W.rank), seed_order)
-
-
-def sub_os_algebra(W: CoxeterGroup, L, seed_order=None) -> OSAlgebra:
-    """The algebra of the arrangement of W_L, built once per group."""
-    L = tuple(sorted(L))
-    return W.cached(("os", L, seed_order), lambda: OSAlgebra(Arrangement(
-        W, reflections=sorted(set(W.parabolic(L).members) & set(W.reflections)),
-        seed_order=seed_order)))
+    """The algebra of W's arrangement, built once per group and seed order."""
+    return W.cached(("os", seed_order),
+                    lambda: OSAlgebra(Arrangement(W, seed_order=seed_order)))
 
 
 def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
@@ -374,15 +363,16 @@ def whole_space_character(W: CoxeterGroup) -> ClassFunction:
 
 
 def top_component_character(W: CoxeterGroup, L) -> ClassFunction:
-    """Character of W_L on the top component of its own arrangement."""
-    alg = sub_os_algebra(W, L)
-    return alg.component_character([alg.top_flat()], W.parabolic(L))
+    """Character of W_L on the top component of its own arrangement, which is
+    the component of the flat refl(W_L) in W's."""
+    alg = os_algebra(W)
+    return alg.component_character([alg.parabolic_flat(L)], W.parabolic(L))
 
 
 def top_component_tilde(W: CoxeterGroup, L) -> ClassFunction:
     """Character of the normalizer of W_L on the same top component."""
-    alg = sub_os_algebra(W, L)
-    return alg.component_character([alg.top_flat()],
+    alg = os_algebra(W)
+    return alg.component_character([alg.parabolic_flat(L)],
                                    W.normalizer_of_parabolic(L))
 
 

@@ -125,7 +125,7 @@ def test_criterion_03_dihedral_descent_oracle():
         assert D.m_matrix == expected_m, m
         assert D.m_inverse == expected_inv, m
         eS = D.e((0, 1))
-        model = averaging(W.cyclic(W.longest)) - averaging(W.full())
+        model = averaging(W.generated_subgroup([W.longest])) - averaging(W.full())
         assert eS == model, m
 
 

@@ -110,7 +110,7 @@ def test_linear_character_checks_every_generator():
     # chi(a g) = chi(a) chi(g) for every a, yet chi is not multiplicative
     W = build_group("A3")
     G = W.full()
-    H = W.cyclic(min(G.members - {W.identity}))
+    H = W.generated_subgroup([min(G.members - {W.identity})])
     x = next(w for w in G.sorted_members if w not in H.members)
     coset = {W.mult(x, h) for h in H.members}
     with pytest.raises(NotLinear):
@@ -179,7 +179,7 @@ def test_abelianization_has_two_to_the_odd_components(spec):
 def test_cyclic_characters_are_rotation_characters():
     W = build_group("I2(5)")
     st = W.mult(W.generators[0], W.generators[1])
-    lcs = linear_characters(W.cyclic(st))
+    lcs = linear_characters(W.generated_subgroup([st]))
     rots = [rotation_character(W, (0, 1), j) for j in range(5)]
     assert len(lcs) == 5
     for r in rots:

@@ -32,9 +32,11 @@ is checked against the walk that summed every image's pairing over the
 cyclotomic form.  The group tables, filled from a right-multiplication
 table, are checked against composing root permutations.  The NBC basis, found by
 Bjorner's suffix criterion, is checked against the independent sets that
-hold no broken circuit.  Cyclotomic sums, differences, products and
-comparisons, which build their results without re-validating them, are
-checked against the validating constructor.
+hold no broken circuit.  The top component of a parabolic W_L, read in W's
+algebra at the flat of W_L's reflections, is checked against the top
+component of W_L built as a Coxeter group of its own.  Cyclotomic sums,
+differences, products and comparisons, which build their results without
+re-validating them, are checked against the validating constructor.
 """
 
 import itertools
@@ -51,11 +53,12 @@ from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabol
                           linear_characters, rotation_character, sigma_parabolic,
                           trivial_character)
 from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
-from coxsol.coxeter import _NAMED, CoxeterGroup, build_group, matrix_from_spec
+from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
+                            matrix_from_spec)
 from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational, zeta
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
-from coxsol.orlik_solomon import flat_shape_map, os_algebra, sub_os_algebra
+from coxsol.orlik_solomon import flat_shape_map, os_algebra, top_component_character
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -171,21 +174,25 @@ def test_m_inverse_matches_row_reduction(spec):
 @pytest.mark.parametrize("spec", GROUPS)
 def test_flats_are_closed_root_spans(spec):
     W = build_group(spec)
+    alg = os_algebra(W)
+    lat, arr = alg.lattice, alg.arr
+    rows = [W.roots[W.reflection_root[t]] for t in arr.hyperplanes]
+    for f in lat.flats:
+        basis, pivots = linalg.rref([rows[p] for p in f.key])
+        assert len(basis) == f.rank, (spec, f.key)
+        closure = {p for p in range(arr.n)
+                   if linalg.coords_in_rowspace(basis, pivots, rows[p]) is not None}
+        assert closure == f.key, (spec, f.key)
+        # the join with a new hyperplane covers the flat, so it is the closure
+        for p in set(range(arr.n)) - f.key:
+            g = lat.flats[lat.child[f.id, p]]
+            assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, p)
+    # the flat of W_L is the set of its reflections (Steinberg)
     for L in W.all_subsets():
-        alg = sub_os_algebra(W, L)
-        lat, arr = alg.lattice, alg.arr
-        rows = [W.roots[W.reflection_root[t]] for t in arr.hyperplanes]
-        for f in lat.flats:
-            basis, pivots = linalg.rref([rows[p] for p in f.key])
-            assert len(basis) == f.rank, (spec, L, f.key)
-            closure = {p for p in range(arr.n)
-                       if linalg.coords_in_rowspace(basis, pivots, rows[p]) is not None}
-            assert closure == f.key, (spec, L, f.key)
-            # the join with a new hyperplane covers the flat, so it is the closure
-            for p in set(range(arr.n)) - f.key:
-                g = lat.flats[lat.child[f.id, p]]
-                assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, L, p)
-        assert lat.flats[alg.top_flat()].rank == len(L)
+        f = lat.flats[alg.parabolic_flat(L)]
+        members = W.parabolic(L).members
+        assert f.rank == len(L), (spec, L)
+        assert f.key == {arr.position[t] for t in W.reflections if t in members}, (spec, L)
 
 
 def orbit_walk_labels(W, alg):
@@ -242,7 +249,7 @@ def test_rotations_match_powers(spec):
 def brute_nbc(lat, n: int):
     """Independent sets with no broken circuit, from circuits found by ranks:
     a circuit is a dependent set whose proper subsets are all independent."""
-    sets = [c for k in range(lat.top_rank + 2)
+    sets = [c for k in range(lat.arr.W.rank + 2)
             for c in itertools.combinations(range(n), k)]
     circuits = [c for c in sets if lat.rank(c) == len(c) - 1
                 and all(lat.independent(c[:i] + c[i + 1:]) for i in range(len(c)))]
@@ -254,11 +261,33 @@ def brute_nbc(lat, n: int):
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A1xI2(5)", "I2(7)", "A1xA3", "B4"])
 def test_nbc_basis_matches_broken_circuits(spec):
     W = build_group(spec)
-    for L in [tuple(range(W.rank))] + list(itertools.combinations(range(W.rank),
-                                                                  W.rank - 1)):
-        alg = sub_os_algebra(W, L)
-        got = sorted(mono for level in alg.nbc_basis for mono in level)
-        assert got == brute_nbc(alg.lattice, alg.arr.n), (spec, L)
+    alg = os_algebra(W)
+    lat = alg.lattice
+    want = brute_nbc(lat, alg.arr.n)
+    assert sorted(mono for level in alg.nbc_basis for mono in level) == want, spec
+    # the NBC basis of W_L's arrangement is that of its flat, in the same order
+    for L in W.all_subsets():
+        fid = alg.parabolic_flat(L)
+        got = alg.monomials_of_flat(fid)
+        assert got == [c for c in want if lat.flat_of(c) == fid], (spec, L)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4", "A1xI2(5)"])
+def test_top_components_match_the_parabolics_own_algebras(spec):
+    """The top component of W_L read in W's algebra, against the top component
+    of W_L built as a Coxeter group of its own; a class of W_L is matched by a
+    reduced word of its representative, whose letters all lie in L."""
+    W = build_group(spec)
+    for L in W.all_subsets()[1:]:
+        V = CoxeterGroup(CoxeterMatrix([[W.matrix[a, b] for b in L] for a in L]))
+        own = os_algebra(V)
+        top = [f.id for f in own.lattice.flats if f.rank == V.rank]
+        psi_own = own.component_character(top, V.full())
+        letter = {s: i for i, s in enumerate(L)}
+        psi = top_component_character(W, L)
+        for c in W.parabolic(L).classes:
+            v = V.element_from_word(letter[s] for s in W.word(c.rep))
+            assert psi.value(c.rep) == psi_own.value(v), (spec, L, W.word_str(c.rep))
 
 
 def _matches_determinant(chi, carrier, basis) -> bool:

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from coxsol import orlik_solomon
 from coxsol.chars import reflection_fix_character, sign_character
-from coxsol.coxeter import build_group
+from coxsol.conjectures import verify_a
+from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import descent_algebra, group_sum
 from coxsol.orlik_solomon import (
     Arrangement, OSAlgebra, dihedral_top_model, os_algebra,
-    shape_component_character, sub_os_algebra, top_component_character,
+    shape_component_character, top_component_character,
     top_component_tilde, whole_space_character,
 )
 
@@ -192,7 +194,27 @@ def test_act_sum_with_group_algebra():
 
 @pytest.mark.parametrize("spec", ["A2", "B3", "I2(3)xI2(4)"])
 def test_full_arrangement_is_built_once(spec):
-    W = build_group(spec)
-    assert os_algebra(W) is sub_os_algebra(W, range(W.rank))
-    assert os_algebra(W, seed_order=3) is sub_os_algebra(W, range(W.rank), seed_order=3)
+    W = CoxeterGroup(matrix_from_spec(spec))
+    assert os_algebra(W) is os_algebra(W)
+    assert os_algebra(W, seed_order=3) is os_algebra(W, seed_order=3)
     assert os_algebra(W) is not os_algebra(W, seed_order=3)
+    # the top components of the parabolics are read in the same algebra
+    for L in W.all_subsets():
+        top_component_character(W, L)
+        top_component_tilde(W, L)
+    assert {key for key in W._store if key[0] == "os"} == {("os", None), ("os", 3)}
+
+
+@pytest.mark.parametrize("spec", ["H3", "B4"])
+def test_verify_a_builds_one_lattice(monkeypatch, spec):
+    built = []
+
+    class Counted(orlik_solomon.IntersectionLattice):
+        def __init__(self, arr):
+            built.append(arr)
+            super().__init__(arr)
+
+    monkeypatch.setattr(orlik_solomon, "IntersectionLattice", Counted)
+    report = verify_a(CoxeterGroup(matrix_from_spec(spec)))
+    assert report.status == "verified", "\n".join(report.lines())
+    assert len(built) == 1, spec

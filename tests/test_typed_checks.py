@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import coxsol
-from coxsol import conjectures
+from coxsol import conjectures, orlik_solomon
 from coxsol.chars import (NotInvariant, NotLinear, linear_character,
                           rotation_character, sign_character)
 from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verify_b,
@@ -19,8 +19,8 @@ from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verif
 from coxsol.coxeter import (CoxeterGroup, CoxeterMatrix, NotClosed, NotNormalizing,
                             Shape, build_group, matrix_from_spec)
 from coxsol.descent import NotIdempotent, descent_algebra, parabolic_ideal_character
-from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, NotParabolic,
-                                  OrbitMismatch, os_algebra)
+from coxsol.orlik_solomon import (Arrangement, IntersectionLattice, OrbitMismatch,
+                                  RankGuard, os_algebra)
 
 BAD_INPUTS = """
 import sys
@@ -147,7 +147,7 @@ def test_component_of_one_line_is_not_invariant():
         alg.component_character([line], W.full())
     # the subgroup fixing that line does preserve its component
     t = alg.arr.hyperplanes[min(alg.lattice.flats[line].key)]
-    assert alg.component_character([line], W.cyclic(t)).degree == 1
+    assert alg.component_character([line], W.generated_subgroup([t])).degree == 1
 
 
 def test_root_span_sign_needs_a_normalizing_element():
@@ -177,11 +177,14 @@ def test_normalizer_factors(spec):
             assert W.lengths[d] == min(W.lengths[W.mult(v, c)] for v in WL.members)
 
 
-def test_arrangement_must_be_parabolic():
-    W = build_group("A2")
-    two = W.reflections[:2]
-    with pytest.raises(NotParabolic):
-        IntersectionLattice(Arrangement(W, reflections=two))
+def test_rank_guard_comes_before_the_lattice(monkeypatch):
+    A5 = [[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(5)]
+          for i in range(5)]
+    W = CoxeterGroup(CoxeterMatrix(A5))
+    monkeypatch.setattr(orlik_solomon, "IntersectionLattice",
+                        lambda arr: pytest.fail("a rank-5 lattice was built"))
+    with pytest.raises(RankGuard):
+        os_algebra(W)
 
 
 def test_parabolic_ideal_needs_the_normalizer(monkeypatch):
