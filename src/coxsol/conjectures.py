@@ -243,17 +243,37 @@ def _search_pools(W: CoxeterGroup, L, target: Subgroup, phi_top, psi_top,
     Each phi is induced once.  Ind(phi * twist|_C)(g) is 1/|C| times the sum,
     over x in the target with x g x^-1 in C, of phi(x g x^-1) twist(x g x^-1);
     twist is a class function on the target, so twist(x g x^-1) = twist(g)
-    and the sum is Ind(phi)(g) twist(g)."""
-    pools = []
+    and the sum is Ind(phi)(g) twist(g).  The search cap is checked on the
+    pool sizes before anything is induced."""
+    classes = []
     for cl in W.parabolic(L).cuspidal_classes():
         C = _centralizer_in(W, cl.rep, target, within)
+        classes.append((cl.rep, C, linear_characters(C)))
+    _search_cut([len(chis) for *_, chis in classes])
+    pools = []
+    for w, C, chis in classes:
         tw = twist.restrict(C)
         opts = []
-        for chi in linear_characters(C):
+        for chi in chis:
             ind = chi.induce(target)
-            opts.append((cl.rep, C, chi, chi * tw, ind, ind * twist))
+            opts.append((w, C, chi, chi * tw, ind, ind * twist))
         pools.append(opts)
     return _search(L, phi_top, psi_top, pools)
+
+
+def _search_cut(sizes):
+    """Where to cut pools of these sizes into a left and a right part, so that
+    the larger of the two parts' products is least; SearchExhausted if that
+    product exceeds SEARCH_CAP."""
+    def larger_half(k):
+        return max(math.prod(sizes[:k]), math.prod(sizes[k:]))
+
+    cut = min(range(len(sizes) + 1), key=larger_half)
+    larger = larger_half(cut)
+    if larger > SEARCH_CAP:
+        raise SearchExhausted(
+            f"{larger} combinations in the larger search half exceed the search cap")
+    return cut
 
 
 def _search(L, phi_top, psi_top, pools):
@@ -269,16 +289,7 @@ def _search(L, phi_top, psi_top, pools):
     the whole product.  SEARCH_CAP bounds the larger of the two parts.
     """
     sizes = [len(opts) for opts in pools]
-    total = math.prod(sizes)
-
-    def larger_half(k):
-        return max(math.prod(sizes[:k]), math.prod(sizes[k:]))
-
-    cut = min(range(len(pools) + 1), key=larger_half)
-    larger = larger_half(cut)
-    if larger > SEARCH_CAP:
-        raise SearchExhausted(
-            f"{larger} combinations in the larger search half exceed the search cap")
+    cut = _search_cut(sizes)
     target, *flat = integer_vectors(
         [phi_top.values + psi_top.values]
         + [iphi.values + ipsi.values for opts in pools for *_, iphi, ipsi in opts])
@@ -296,7 +307,7 @@ def _search(L, phi_top, psi_top, pools):
             return [Assignment(L, w, C, phi, psi, "search")
                     for w, C, phi, psi, _, _ in combo]
     raise SearchExhausted(
-        f"no combination of {total} centralizer characters matches")
+        f"no combination of {math.prod(sizes)} centralizer characters matches")
 
 
 def integer_vectors(rows):

@@ -65,20 +65,6 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
-def _pdivmod_monic(p, d):
-    """Quotient and remainder of p by a monic divisor d."""
-    k = len(d) - 1
-    p = list(p)
-    q = [Fraction(0)] * max(len(p) - k, 0)
-    for i in range(len(p) - 1, k - 1, -1):
-        c = p[i]
-        if c:
-            q[i - k] = c
-            for j in range(k + 1):
-                p[i - k + j] -= c * d[j]
-    return _ptrim(q), _ptrim(p[:k])
-
-
 def _mobius(k: int) -> int:
     """The Mobius function: 0 if a square divides k, else (-1)^(number of primes)."""
     out, p = 1, 2
@@ -113,14 +99,50 @@ def cyclotomic_polynomial(n: int) -> tuple:
     # x^n - 1 is the product of Phi_d over d | n, and the degrees add up to n
     if len(poly) - 1 != euler_phi(n):
         raise ArithmeticError(f"Phi_{n} does not have degree phi({n})")
-    return tuple(Fraction(c) for c in poly)
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(n: int) -> tuple:
+    """x^k mod Phi_n for phi(n) <= k < n, one row per k, as sparse (j, c)
+    pairs with integer c: x^k = sum of c * x^j.
+
+    Row k+1 is x times row k, with its x^phi(n) term rewritten as minus the
+    lower terms of the monic Phi_n.  For even n, x^(n/2) = -1, so the rows
+    n/2 <= k < n/2 + phi(n) are the single terms -x^(k - n/2).
+    """
+    phi = euler_phi(n)
+    low = cyclotomic_polynomial(n)[:phi]
+    row = [-c for c in low]
+    rows = []
+    for _ in range(phi, n):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [a - top * c for a, c in zip(row, low)]
+    return tuple(rows)
 
 
 def _reduce(p, n: int):
     """Reduce a Fraction coefficient list mod Phi_n, returning a tuple of
-    Fractions of length phi(n)."""
-    _, r = _pdivmod_monic(p, cyclotomic_polynomial(n))
-    return tuple(r) + (Fraction(0),) * (euler_phi(n) - len(r))
+    Fractions of length phi(n).
+
+    Exponents k >= n are first folded onto k mod n, as x^n = 1 mod Phi_n;
+    then each x^k with phi(n) <= k < n is replaced by its table row.
+    """
+    phi = euler_phi(n)
+    out = list(p[:n])
+    for k in range(n, len(p)):
+        if p[k]:
+            out[k % n] += p[k]
+    head = out[:phi]
+    head += [Fraction(0)] * (phi - len(head))
+    for v, row in zip(out[phi:], _reduction_table(n)):
+        if v:
+            for j, c in row:
+                head[j] += c * v
+    return tuple(head)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +281,7 @@ class Cyclo:
             raise ZeroDivisionError("inverse of zero")
         # extended euclid of self against Phi_n inside Q[x]
         a = _ptrim(list(self.coeffs))
-        b = list(cyclotomic_polynomial(self.conductor))
+        b = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         u0, u1 = [Fraction(1)], []
         while b:
             if len(a) < len(b):

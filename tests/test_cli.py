@@ -257,9 +257,7 @@ DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "diges
                      .read_text())
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(key, marks=pytest.mark.slow) if key == "verify a I2(11)" else key
-    for key in sorted(DIGESTS)])
+@pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_output_matches_recorded_digest(capsys, command):
     # the benchmark's recorded SHA-256 of each command's stdout
     code, out, err = run(capsys, *command.split())

@@ -32,8 +32,7 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
         for d in range(1, n + 1):
             if n % d == 0:
                 phi = cyclotomic_polynomial(d)
-                assert all(c.denominator == 1 for c in phi) and phi[-1] == 1
-                phi = [c.numerator for c in phi]
+                assert all(type(c) is int for c in phi) and phi[-1] == 1
                 out = [0] * (len(prod) + len(phi) - 1)
                 for i, a in enumerate(prod):
                     for j, b in enumerate(phi):

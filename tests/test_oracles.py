@@ -36,7 +36,9 @@ hold no broken circuit.  The top component of a parabolic W_L, read in W's
 algebra at the flat of W_L's reflections, is checked against the top
 component of W_L built as a Coxeter group of its own.  Cyclotomic sums,
 differences, products and comparisons, which build their results without
-re-validating them, are checked against the validating constructor.
+re-validating them, are checked against the validating constructor.  The
+reduction mod Phi_n, read off one integer table of x^k per conductor, is
+checked against long division by Phi_n.
 """
 
 import itertools
@@ -47,7 +49,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from coxsol import chars, conjectures, linalg
+from coxsol import chars, conjectures, cyclo, linalg
 from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabolic,
                           commutator_subgroup, det_character, linear_character,
                           linear_characters, rotation_character, sigma_parabolic,
@@ -55,7 +57,8 @@ from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabol
 from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
 from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
                             matrix_from_spec)
-from coxsol.cyclo import Cyclo, cos_pi_over, euler_phi, rational, zeta
+from coxsol.cyclo import (Cyclo, cos_pi_over, cyclotomic_polynomial, euler_phi,
+                          rational, zeta)
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
 from coxsol.orlik_solomon import flat_shape_map, os_algebra, top_component_character
@@ -797,6 +800,20 @@ def test_search_cap_bounds_the_larger_half(monkeypatch):
         conjectures._search((0,), cf(14), cf(28), pools)
 
 
+def test_search_cap_is_checked_before_inducing(monkeypatch):
+    def refuse(self, target):
+        raise AssertionError("an option was induced")
+
+    W = build_group("A3")
+    L = (0, 1, 2)
+    WL = W.parabolic(L)
+    monkeypatch.setattr(ClassFunction, "induce", refuse)
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 0)
+    with pytest.raises(SearchExhausted, match="exceed the search cap"):
+        conjectures._search_pools(W, L, WL, None, None, trivial_character(WL),
+                                  within=WL)
+
+
 # -- cyclotomic arithmetic against the validating constructor ----------------------
 
 CONDUCTORS = list(range(1, 31)) + [60]
@@ -866,3 +883,58 @@ def test_cyclo_fast_paths_match_validating_constructor(n):
         assert (x != y) is not (x == y)
     for x in values:
         _assert_built_like(-x, Cyclo(x.conductor, [-c for c in x.coeffs]))
+
+
+# -- reduction mod Phi_n against long division ---------------------------------------
+
+def pdivmod_monic(p, d):
+    """Quotient and remainder of p by a monic divisor d, by long division."""
+    k = len(d) - 1
+    p = list(p)
+    q = [Fraction(0)] * max(len(p) - k, 0)
+    for i in range(len(p) - 1, k - 1, -1):
+        c = p[i]
+        if c:
+            q[i - k] = c
+            for j in range(k + 1):
+                p[i - k + j] -= c * d[j]
+    return cyclo._ptrim(q), cyclo._ptrim(p[:k])
+
+
+REDUCTION_CONDUCTORS = sorted(set(range(1, 61)) | {2 * m for m in range(1, 41)})
+
+
+@pytest.mark.parametrize("n", REDUCTION_CONDUCTORS)
+def test_reduction_table_matches_long_division(n):
+    # lengths up to n + 2 phi(n) cover products (2 phi(n) - 1 terms), lifts and
+    # Galois images (at most n terms) and over-long constructor input
+    phi, rng = euler_phi(n), random.Random(n)
+    table = cyclo._reduction_table(n)
+    assert len(table) == n - phi
+    assert all(type(c) is int for row in table for _, c in row)
+    for length in range(n + 2 * phi + 1):
+        p = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(length)]
+        # Phi_n is monic with integer coefficients, so the division of 6p
+        # (integer, as every denominator divides 6) stays in the integers
+        _, r = pdivmod_monic([int(6 * c) for c in p], cyclotomic_polynomial(n))
+        want = [Fraction(c, 6) for c in r] + [Fraction(0)] * (phi - len(r))
+        got = cyclo._reduce(p, n)
+        assert got == tuple(want), (n, length)
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_reduction_table_is_built_once_per_conductor():
+    cyclo._reduction_table.cache_clear()
+    rng = random.Random(0)
+    for n in (7, 12, 22):
+        xs = [Cyclo(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                        for _ in range(euler_phi(n))]) for _ in range(4)]
+        products = [x * y for x in xs for y in xs]
+        assert all(type(c) is Fraction for z in products for c in z.coeffs)
+        assert all(type(c) is Fraction
+                   for x in xs for z in (x.galois(-1 % n), x.lifted(2 * n))
+                   for c in z.coeffs)
+    info = cyclo._reduction_table.cache_info()
+    # one table each for 7, 12, 22 and 14: lifting from 7 to 14 gives 11 terms,
+    # over phi(14) = 6, while lifts from 12 and 22 stay within phi(24), phi(44)
+    assert info.misses == info.currsize == 4 and info.hits > 0
