@@ -214,17 +214,6 @@ def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> ClassFunction:
         carrier, lambda c: sign(c) * W.det_on_root_span(W.conj(c, x), J))
 
 
-def reflection_fix_character(carrier: Subgroup) -> ClassFunction:
-    """Number of reflecting hyperplanes fixed under conjugation."""
-    W = carrier.parent
-    refl = W.reflections
-
-    def count(w):
-        return Fraction(sum(1 for t in refl if W.conj(t, w) == t))
-
-    return ClassFunction.from_function(carrier, count)
-
-
 def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:
     """The character of the rotation subgroup of a dihedral parabolic sending
     the standard rotation to the j-th power of a primitive root of unity."""

@@ -3,7 +3,7 @@
 Subcommands:
   group    order, conjugacy classes, cuspidal classes and shapes
   descent  subset incidence matrix, idempotent coefficients, ideal characters
-  os       NBC dimensions, component characters, dihedral hyperplane angles
+  os       dimensions, component characters, dihedral hyperplane angles
   verify   run one of the verifications (a, b or c) and emit its report
   table    the dihedral character table of both families
 
@@ -168,7 +168,7 @@ def cmd_os(args) -> CommandOutput:
     W = _build(args)
     alg = orlik_solomon.os_algebra(W, seed_order=args.seed_order)
     full = W.full()
-    dims = [len(level) for level in alg.nbc_basis]
+    dims = alg.dimensions
     classes = [W.word_str(c.rep) for c in full.classes]
     characters = []
     char_rows = []
@@ -314,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("os", help="Orlik-Solomon algebra data")
     p.add_argument("spec")
     p.add_argument("--seed-order", type=int, default=None,
-                   help="shuffle the hyperplane order with this seed")
+                   help="shuffle the hyperplane order with this seed; this only reorders "
+                        "the hyperplanes: no dimension or character changes")
     common(p)
 
     p = sub.add_parser("verify", help="verify one of the conjectures")

@@ -634,17 +634,29 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
         return False
     evecs = [x.vector(uni) for x in efs[1:]]
 
+    # a_L and its images in the basis e_h0 e_h of the flat of W_L
     alg = os_algebra(W)
-    pa = alg.arr.position[W.generators[a]]
-    pb = alg.arr.position[W.generators[b]]
-    aL = alg.element({(pa, pb): Fraction(1)})
-    monos = alg.monomials_of_flat(alg.parabolic_flat(L))
+    key = alg.lattice.flats[alg.parabolic_flat(L)].key
+    monos = [(min(key), h) for h in sorted(key)[1:]]
+
+    def combine(terms):
+        """The sum of c * x over the given (c, x), each x in coordinates."""
+        out = {}
+        for c, x in terms:
+            for mono, c2 in x.items():
+                out[mono] = out.get(mono, Fraction(0)) + c * c2
+        return {mono: c for mono, c in out.items() if c}
+
+    def act(x, w):
+        return combine((c, alg.straighten((alg.arr.act(p, w), alg.arr.act(q, w))))
+                       for (p, q), c in x.items())
 
     def avec(x):
-        return [x.coefficient(mono) for mono in monos]
+        return [x.get(mono, Fraction(0)) for mono in monos]
 
-    afs = [aL.act_sum(f) for f in fs]
-    if not afs[0].is_zero() or any(x.is_zero() for x in afs[1:]):
+    aL = alg.straighten((alg.arr.position[W.generators[a]], alg.arr.position[W.generators[b]]))
+    afs = [combine((c, act(aL, w)) for w, c in f.coeffs.items()) for f in fs]
+    if afs[0] or not all(afs[1:]):
         return False
     avecs = [avec(x) for x in afs[1:]]
 
@@ -655,7 +667,7 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
         for j in range(1, m):
             ecoords = linalg.coords_in_span(
                 evecs, efs[j].translate(w).vector(uni))
-            acoords = linalg.coords_in_span(avecs, avec(afs[j].act(w)))
+            acoords = linalg.coords_in_span(avecs, avec(act(afs[j], w)))
             if ecoords is None or acoords is None:
                 return False
             if not all(ac == factor * ec for ac, ec in zip(acoords, ecoords)):

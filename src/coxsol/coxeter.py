@@ -12,7 +12,8 @@ whose orders are all 2 or 3 is built without a cyclotomic product.  Every
 element is stored as the permutation it induces on the roots.
 Lengths, reduced words, conjugacy classes, coset transversals, shapes,
 normalizers, fixed-space dimensions and determinants on root spans are all
-derived from that data; fixed spaces over Q(zeta_n) remain as test oracles.
+derived from that data; the determinant on a subspace over Q(zeta_n),
+`det_on_subspace`, remains as a test oracle.
 """
 
 from __future__ import annotations
@@ -371,14 +372,6 @@ class CoxeterGroup:
             out = self.mult_table[out][e]
         return out
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv_table[x], -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.mult_table[out][x]
-        return out
-
     def length(self, w: int) -> int:
         return self.lengths[w]
 
@@ -412,20 +405,6 @@ class CoxeterGroup:
         """Rows are the images of the simple roots under w."""
         pw = self.perms[w]
         return [self.roots[pw[self.simple_root[i]]] for i in range(self.rank)]
-
-    def _minus_identity(self, w: int):
-        m = self.matrix_of(w)
-        return [tuple(m[i][j] - (self._one if i == j else self._zero)
-                      for i in range(self.rank)) for j in range(self.rank)]
-
-    def fixed_space(self, w: int):
-        """Canonical basis (rref rows) of the fixed space of w; a test oracle."""
-        return linalg.nullspace(self._minus_identity(w), self.rank)
-
-    def parabolic_fixed_space(self, J):
-        """Basis of the common fixed space of the standard parabolic W_J; a test oracle."""
-        rows = [r for s in J for r in self._minus_identity(self.generators[s])]
-        return linalg.nullspace(rows, self.rank)
 
     def det_on_subspace(self, w: int, basis):
         """Determinant of w on an invariant subspace with rref basis rows; a test oracle."""

@@ -64,10 +64,6 @@ def rref(rows):
     return [tuple(out[i]) for i in order], [pivots[i] for i in order]
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
 def coords_in_rowspace(basis, pivots, vec):
     """Coordinates of vec in an rref basis, or None if vec is outside the span."""
     coeffs = [vec[p] for p in pivots]
@@ -80,25 +76,6 @@ def coords_in_rowspace(basis, pivots, vec):
     if any(residual):
         return None
     return coeffs
-
-
-def nullspace(rows, ncols: int):
-    """A canonical basis of {x : A x = 0} for the matrix with the given rows."""
-    basis, pivots = rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    if not rows:
-        some = Fraction(1)
-    else:
-        some = next((x for r in rows for x in r), Fraction(1))
-    one, zero = one_of(some), zero_of(some)
-    out = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for row, p in zip(basis, pivots):
-            v[p] = -row[f]
-        out.append(tuple(v))
-    return rref(out)[0] if out else []
 
 
 def det(rows):

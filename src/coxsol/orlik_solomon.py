@@ -2,15 +2,20 @@
 
 Hyperplanes are identified with the reflections of the group.  By Steinberg's
 theorem a flat is the reflection set of a conjugate x^-1 W_J x, of rank |J|, so
-the matroid data (ranks, closures, circuits) comes from the group, not from
-linear algebra.  Each flat keeps the first such J; the subgroup, so the
-shape of J, is the same for every J giving the flat.  The algebra is presented
-on no-broken-circuit monomials with respect to a linear order of the
-hyperplanes; arbitrary monomials are rewritten into that basis by the circuit
-boundary relations.  Flats decompose the algebra into components permuted like
-the flats, which yields one character per shape of J.  The arrangement of a
-parabolic W_L is the flat refl(W_L), and its top component is that flat's
-component (Brieskorn), so one algebra per group serves every L.
+the lattice of flats comes from the group, not from linear algebra.  Each flat
+keeps the first such J; the subgroup, so the shape of J, is the same for every
+J giving the flat.  The algebra is the direct sum of components A_X, one per
+flat X, which the group permutes like the flats (Brieskorn); this yields one
+character per shape of J.  No basis of the algebra is needed for the
+characters or the dimensions: the trace of w on A_X is (-1)^rk X times the
+Moebius number mu_w(V, X) of the poset of w-stable flats, so dim A_X is
+|mu(V, X)| (see `OSAlgebra.component_character`).  Only degree 2 is written
+in a basis, the monomials e_h0 e_h of each rank 2 flat with h0 its least
+hyperplane, which `OSAlgebra.straighten` reaches in closed form.  The seed
+order of the hyperplanes only reorders them, so it changes that basis and
+no character or dimension.  The arrangement of a parabolic W_L is the flat
+refl(W_L), and its top component is that flat's component (Brieskorn), so
+one algebra per group serves every L.
 """
 
 from __future__ import annotations
@@ -26,10 +31,6 @@ from .coxeter import CoxeterGroup, Subgroup
 
 class RankGuard(RuntimeError):
     """Arrangement rank outside the supported range."""
-
-
-class StraighteningFailure(RuntimeError):
-    """No rewriting step applies; the monomial order logic is broken."""
 
 
 class OrbitMismatch(RuntimeError):
@@ -98,147 +99,112 @@ class IntersectionLattice:
             fid = self.child[fid, p]
         return fid
 
-    def rank(self, positions) -> int:
-        return self.flats[self.flat_of(positions)].rank
-
-    def independent(self, positions) -> bool:
-        positions = tuple(positions)
-        return self.rank(positions) == len(positions)
-
 
 class OSAlgebra:
-    """Exterior-style algebra on the hyperplanes modulo circuit boundaries."""
+    """The algebra of an arrangement, through its flats and their components."""
 
     def __init__(self, arrangement: Arrangement):
         if arrangement.W.rank > MAX_RANK:
             raise RankGuard(f"rank {arrangement.W.rank} arrangement")
         self.arr = arrangement
         self.lattice = IntersectionLattice(arrangement)
-        self._memo = {}
 
-    # -- the no-broken-circuit basis ------------------------------------------
+    def straighten(self, mono) -> dict:
+        """Coordinates of a monomial of degree at most 2 in the basis 1, the e_h,
+        and e_h0 e_h for each rank 2 flat with least hyperplane h0 (its NBC basis).
 
-    def _broken_circuit_witness(self, mono):
-        """(h, circuit) for a sorted circuit whose least element h is not in
-        mono and whose rest is; None when mono, independent and sorted, is NBC.
-        By Bjorner's criterion it is exactly when every suffix starts with the
-        least hyperplane of its closure.  At the last suffix whose closure holds
-        a smaller h, h and the suffix members it depends on form the circuit."""
-        lat = self.lattice
-        for i in reversed(range(len(mono))):
-            suffix = mono[i:]
-            h = min(lat.flats[lat.flat_of(suffix)].key)
-            if h < mono[i]:
-                return h, [h] + [x for x in suffix if lat.independent(
-                    [y for y in suffix if y != x] + [h])]
-        return None
+        For p != q in the flat X of {p, q}, the hyperplanes h0, p, q are
+        dependent, so the boundary e_p e_q - e_h0 e_q + e_h0 e_p vanishes:
+        e_p e_q = e_h0 e_q - e_h0 e_p, where e_h0 e_h0 = 0.
+        """
+        mono = tuple(mono)
+        if len(mono) < 2:
+            return {mono: Fraction(1)}
+        if len(mono) > 2:
+            raise ValueError(f"closed-form straightening stops at degree 2, not {len(mono)}")
+        p, q = mono
+        if p == q:
+            return {}
+        h0 = min(self.lattice.flats[self.lattice.flat_of(mono)].key)
+        out = {}
+        if q != h0:
+            out[h0, q] = Fraction(1)
+        if p != h0:
+            out[h0, p] = Fraction(-1)
+        return out
+
+    def _mobius(self, flats, stable) -> dict:
+        """mu_w(V, X) for the flats X of `flats` in `stable`, where `flats` is
+        closed under going down, in rank order, and `stable` holds the
+        w-stable ones: mu_w(V, V) = 1, and for X != V the numbers mu_w(V, Y)
+        over the stable Y <= X add up to 0."""
+        mu, below = {}, []
+        for f in flats:
+            if f.id in stable:
+                m = -sum(n for key, n in below if key < f.key) if f.rank else 1
+                mu[f.id] = m
+                below.append((f.key, m))
+        return mu
 
     @cached_property
-    def nbc_basis(self):
-        """NBC monomials grouped by degree."""
-        levels = [[()]]
-        while levels[-1]:
-            nxt = []
-            for mono in levels[-1]:
-                start = mono[-1] + 1 if mono else 0
-                for p in range(start, self.arr.n):
-                    cand = mono + (p,)
-                    if self.lattice.independent(cand) and \
-                            self._broken_circuit_witness(cand) is None:
-                        nxt.append(cand)
-            levels.append(nxt)
-        return levels[:-1]
+    def dimensions(self) -> list:
+        """dim A_p = the sum of |mu(V, X)| over the flats X of rank p."""
+        flats = self.lattice.flats
+        mu = self._mobius(flats, range(len(flats)))
+        dims = [0] * (flats[-1].rank + 1)
+        for f in flats:
+            dims[f.rank] += abs(mu[f.id])
+        return dims
 
     @property
     def dimension(self) -> int:
-        return sum(len(level) for level in self.nbc_basis)
-
-    @cached_property
-    def _flat_monomials(self):
-        out = {}
-        for level in self.nbc_basis:
-            for mono in level:
-                out.setdefault(self.lattice.flat_of(mono), []).append(mono)
-        return out
-
-    def monomials_of_flat(self, fid: int):
-        return self._flat_monomials.get(fid, [])
-
-    # -- straightening ---------------------------------------------------------
-
-    def straighten(self, mono) -> dict:
-        """Coordinates of a product of generators in the NBC basis."""
-        mono = tuple(mono)
-        if len(set(mono)) < len(mono):
-            return {}
-        sign, mono = _sort_sign(mono)
-        out = self._straighten_sorted(mono)
-        if sign == 1:
-            return dict(out)
-        return {m: -c for m, c in out.items()}
-
-    def _straighten_sorted(self, mono) -> dict:
-        if mono in self._memo:
-            return self._memo[mono]
-        if not self.lattice.independent(mono):
-            out = {}
-        else:
-            found = self._broken_circuit_witness(mono)
-            if found is None:
-                out = {mono: Fraction(1)}
-            else:
-                h, circuit = found
-                rest = tuple(x for x in mono if x not in circuit)
-                s0, merged = _wedge_sign(rest, tuple(circuit[1:]))
-                if merged != mono:
-                    raise StraighteningFailure(str(mono))
-                out = {}
-                for i in range(1, len(circuit)):
-                    dropped = tuple(circuit[:i] + circuit[i + 1:])
-                    si, m2 = _wedge_sign(rest, dropped)
-                    coeff = -s0 * si * (-1 if i % 2 else 1)
-                    for m3, c3 in self._straighten_sorted(m2).items():
-                        acc = out.get(m3, Fraction(0)) + coeff * c3
-                        out[m3] = acc
-                out = {m: c for m, c in out.items() if c}
-        self._memo[mono] = out
-        return out
-
-    # -- elements ----------------------------------------------------------------
-
-    def element(self, coeffs: dict) -> "OSElement":
-        acc = {}
-        for mono, c in coeffs.items():
-            for m2, c2 in self.straighten(mono).items():
-                acc[m2] = acc.get(m2, Fraction(0)) + c * c2
-        return OSElement(self, acc)
-
-    def generator(self, pos: int) -> "OSElement":
-        return self.element({(pos,): Fraction(1)})
-
-    def one(self) -> "OSElement":
-        return OSElement(self, {(): Fraction(1)})
-
-    def act_monomial(self, mono, w: int) -> dict:
-        image = tuple(self.arr.act(p, w) for p in mono)
-        return self.straighten(image)
-
-    # -- characters of flat components ---------------------------------------------
+        return sum(self.dimensions)
 
     def component_character(self, flat_ids, acting: Subgroup) -> ClassFunction:
-        """Trace of the acting subgroup on the components of the given flats."""
-        W = self.arr.W
+        """Trace of the acting subgroup on the components of the given flats:
+        at w, the sum of (-1)^rk X mu_w(V, X) over the given X with wX = X.
+
+        Proof.  The algebra A is the exterior algebra on the e_H modulo the
+        ideal I generated by the boundaries d(e_S) of the dependent sets S,
+        where d is the derivation of degree -1 with d(e_H) = 1; as d(d(e_S)) = 0,
+        d(I) lies in I and d acts on A.  The algebra is the direct sum of the
+        components A_X, A_X spanned by the e_S with independent S whose
+        hyperplanes meet in X, and A_X has degree rk X (Brieskorn).  An element w
+        permutes the hyperplanes (here by conjugating their reflections) and acts
+        by e_H -> e_wH, mapping A_X onto A_wX; it commutes with d, since
+        w d w^-1 is again a derivation sending each e_H to 1.
+        (1) Let Y != V be a w-stable flat, and let B be the sum of the A_X with
+        X <= Y, i.e. the subalgebra generated by the e_H with H containing Y
+        (the algebra of the localization at Y).  It is w-stable and d-stable,
+        and for one such H, d(e_H x) + e_H d(x) = x, so (B, d) is an exact complex
+        of representations of <w>.  Traces are additive on exact sequences of
+        representations, so the alternating sum over the degrees p of
+        tr(w, B_p) is 0.  Summands A_X with wX != X are moved to other
+        summands and add 0 to a trace, so with t(X) = (-1)^rk X tr(w, A_X),
+        the sum of t(X) over the w-stable X <= Y is 0.
+        (2) t(V) = 1, as A_V is spanned by 1.  These are the relations that
+        define the Moebius function of the poset of w-stable flats, so by
+        induction on the rank t(X) = mu_w(V, X) for every w-stable X.  The
+        trace on a sum of components is the sum of the traces of the stable
+        ones, which is the formula.  (Topologically, (1) says that the
+        Lefschetz number of w on the complement of the localization at Y is
+        0: C* acts freely on the w-fixed points.)
+
+        The given flats must be permuted by each class representative, or
+        `NotInvariant` is raised.
+        """
+        flats = self.lattice.flats
         wanted = set(flat_ids)
-        basis = [m for fid in sorted(wanted) for m in self.monomials_of_flat(fid)]
+        below = [f for f in flats if any(f.key <= flats[x].key for x in wanted)]
         traces = []
         for c in acting.classes:
-            t = Fraction(0)
-            for mono in basis:
-                img = self.act_monomial(mono, c.rep)
-                if any(self.lattice.flat_of(m2) not in wanted for m2 in img):
-                    raise NotInvariant("component is not invariant under the acting subgroup")
-                t = t + img.get(mono, Fraction(0))
-            traces.append(t)
+            image = {f.id: self.lattice.by_key[frozenset(self.arr.act(p, c.rep) for p in f.key)]
+                     for f in below}
+            if any(image[x] not in wanted for x in wanted):
+                raise NotInvariant("component is not invariant under the acting subgroup")
+            mu = self._mobius(below, {x for x, y in image.items() if x == y})
+            traces.append(Fraction(sum((-1) ** flats[x].rank * mu[x]
+                                       for x in wanted if x in mu)))
         return ClassFunction(acting, traces)
 
     def whole_character(self, acting: Subgroup) -> ClassFunction:
@@ -248,89 +214,6 @@ class OSAlgebra:
         """The flat refl(W_L): the closure of the hyperplanes of L's generators."""
         W = self.arr.W
         return self.lattice.flat_of(self.arr.position[W.generators[s]] for s in L)
-
-
-class OSElement:
-    """An element written in the NBC basis of its algebra."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: OSAlgebra, coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
-
-    def coefficient(self, mono):
-        return self.coeffs.get(tuple(mono), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return OSElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        return OSElement(self.algebra,
-                         {m: c * scalar for m, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return OSElement(self.algebra,
-                         {m: scalar * c for m, c in self.coeffs.items()})
-
-    def wedge(self, other) -> "OSElement":
-        alg = self.algebra
-        acc = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if set(m1) & set(m2):
-                    continue
-                sign, merged = _wedge_sign(m1, m2)
-                for m3, c3 in alg._straighten_sorted(merged).items():
-                    acc[m3] = acc.get(m3, Fraction(0)) + sign * c1 * c2 * c3
-        return OSElement(alg, acc)
-
-    def act(self, w: int) -> "OSElement":
-        alg = self.algebra
-        acc = {}
-        for mono, c in self.coeffs.items():
-            for m2, c2 in alg.act_monomial(mono, w).items():
-                acc[m2] = acc.get(m2, Fraction(0)) + c * c2
-        return OSElement(alg, acc)
-
-    def act_sum(self, galg) -> "OSElement":
-        """Right action of a group algebra element, extended linearly."""
-        out = OSElement(self.algebra, {})
-        for w, c in galg.coeffs.items():
-            out = out + c * self.act(w)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, OSElement):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(m) == other.coefficient(m) for m in keys)
-
-    __hash__ = None  # equality is by value, and Cyclo coefficients have no hash
-
-    def __repr__(self):
-        return f"OSElement({self.coeffs!r})"
-
-
-def _sort_sign(mono):
-    """Sign of the permutation that sorts a tuple of distinct entries, and the sort."""
-    inv = sum(1 for i, x in enumerate(mono) for y in mono[i + 1:] if x > y)
-    return (-1 if inv % 2 else 1), tuple(sorted(mono))
-
-
-def _wedge_sign(a, b):
-    """Sign and merge of the concatenation of two sorted disjoint tuples."""
-    inv = sum(1 for x in a for y in b if x > y)
-    return (-1 if inv % 2 else 1), tuple(sorted(a + b))
 
 
 # -- cached algebras and the standard characters --------------------------------------

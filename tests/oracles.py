@@ -1,0 +1,315 @@
+"""General slow paths that the package replaced by structural facts, kept to
+check those facts against.
+
+- The Orlik-Solomon algebra in its full no-broken-circuit (NBC) basis, with
+  Bjorner's broken-circuit witness, general straightening of any monomial,
+  elements, the wedge product and the group action.  The package reads the
+  characters and dimensions off Moebius numbers of flats and straightens
+  degree 2 only, in closed form; `NBCAlgebra.component_character` is the
+  trace on the straightened basis it replaced.
+- Ranks and independence of hyperplane sets, read off the lattice.
+- Fixed spaces of elements and of standard parabolics, by row reduction
+  (`linalg.nullspace` and `linalg.rank` left the package with them); powers
+  by repeated multiplication; the number of hyperplanes an element fixes.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache, cached_property
+
+from coxsol import linalg
+from coxsol.chars import ClassFunction, NotInvariant
+
+
+class StraighteningFailure(RuntimeError):
+    """No rewriting step applies; the monomial order logic is broken."""
+
+
+# -- the intersection lattice --------------------------------------------------------
+
+
+def flat_rank(lat, positions) -> int:
+    return lat.flats[lat.flat_of(positions)].rank
+
+
+def independent(lat, positions) -> bool:
+    positions = tuple(positions)
+    return flat_rank(lat, positions) == len(positions)
+
+
+# -- the NBC basis and general straightening ------------------------------------------
+
+
+@cache
+def nbc(alg) -> "NBCAlgebra":
+    """The NBC presentation of an Orlik-Solomon algebra, one per algebra, so its
+    straightening memo is shared."""
+    return NBCAlgebra(alg)
+
+
+class NBCAlgebra:
+    """Exterior-style algebra on the hyperplanes modulo circuit boundaries,
+    presented on the NBC monomials of the hyperplane order of `alg`."""
+
+    def __init__(self, alg):
+        self.arr = alg.arr
+        self.lattice = alg.lattice
+        self._memo = {}
+
+    def _broken_circuit_witness(self, mono):
+        """(h, circuit) for a sorted circuit whose least element h is not in
+        mono and whose rest is; None when mono, independent and sorted, is NBC.
+        By Bjorner's criterion it is exactly when every suffix starts with the
+        least hyperplane of its closure.  At the last suffix whose closure holds
+        a smaller h, h and the suffix members it depends on form the circuit."""
+        lat = self.lattice
+        for i in reversed(range(len(mono))):
+            suffix = mono[i:]
+            h = min(lat.flats[lat.flat_of(suffix)].key)
+            if h < mono[i]:
+                return h, [h] + [x for x in suffix if independent(
+                    lat, [y for y in suffix if y != x] + [h])]
+        return None
+
+    @cached_property
+    def nbc_basis(self):
+        """NBC monomials grouped by degree."""
+        levels = [[()]]
+        while levels[-1]:
+            nxt = []
+            for mono in levels[-1]:
+                start = mono[-1] + 1 if mono else 0
+                for p in range(start, self.arr.n):
+                    cand = mono + (p,)
+                    if independent(self.lattice, cand) and \
+                            self._broken_circuit_witness(cand) is None:
+                        nxt.append(cand)
+            levels.append(nxt)
+        return levels[:-1]
+
+    @cached_property
+    def _flat_monomials(self):
+        out = {}
+        for level in self.nbc_basis:
+            for mono in level:
+                out.setdefault(self.lattice.flat_of(mono), []).append(mono)
+        return out
+
+    def monomials_of_flat(self, fid: int):
+        return self._flat_monomials.get(fid, [])
+
+    def straighten(self, mono) -> dict:
+        """Coordinates of a product of generators in the NBC basis."""
+        mono = tuple(mono)
+        if len(set(mono)) < len(mono):
+            return {}
+        sign, mono = _sort_sign(mono)
+        out = self._straighten_sorted(mono)
+        if sign == 1:
+            return dict(out)
+        return {m: -c for m, c in out.items()}
+
+    def _straighten_sorted(self, mono) -> dict:
+        if mono in self._memo:
+            return self._memo[mono]
+        if not independent(self.lattice, mono):
+            out = {}
+        else:
+            found = self._broken_circuit_witness(mono)
+            if found is None:
+                out = {mono: Fraction(1)}
+            else:
+                h, circuit = found
+                rest = tuple(x for x in mono if x not in circuit)
+                s0, merged = _wedge_sign(rest, tuple(circuit[1:]))
+                if merged != mono:
+                    raise StraighteningFailure(str(mono))
+                out = {}
+                for i in range(1, len(circuit)):
+                    dropped = tuple(circuit[:i] + circuit[i + 1:])
+                    si, m2 = _wedge_sign(rest, dropped)
+                    coeff = -s0 * si * (-1 if i % 2 else 1)
+                    for m3, c3 in self._straighten_sorted(m2).items():
+                        out[m3] = out.get(m3, Fraction(0)) + coeff * c3
+                out = {m: c for m, c in out.items() if c}
+        self._memo[mono] = out
+        return out
+
+    def element(self, coeffs: dict) -> "OSElement":
+        acc = {}
+        for mono, c in coeffs.items():
+            for m2, c2 in self.straighten(mono).items():
+                acc[m2] = acc.get(m2, Fraction(0)) + c * c2
+        return OSElement(self, acc)
+
+    def generator(self, pos: int) -> "OSElement":
+        return self.element({(pos,): Fraction(1)})
+
+    def one(self) -> "OSElement":
+        return OSElement(self, {(): Fraction(1)})
+
+    def act_monomial(self, mono, w: int) -> dict:
+        image = tuple(self.arr.act(p, w) for p in mono)
+        return self.straighten(image)
+
+    def component_character(self, flat_ids, acting) -> ClassFunction:
+        """Trace of the acting subgroup on the NBC monomials of the given flats."""
+        wanted = set(flat_ids)
+        basis = [m for fid in sorted(wanted) for m in self.monomials_of_flat(fid)]
+        traces = []
+        for c in acting.classes:
+            t = Fraction(0)
+            for mono in basis:
+                img = self.act_monomial(mono, c.rep)
+                if any(self.lattice.flat_of(m2) not in wanted for m2 in img):
+                    raise NotInvariant("component is not invariant under the acting subgroup")
+                t = t + img.get(mono, Fraction(0))
+            traces.append(t)
+        return ClassFunction(acting, traces)
+
+
+class OSElement:
+    """An element written in the NBC basis of its algebra."""
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra: NBCAlgebra, coeffs: dict):
+        self.algebra = algebra
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
+
+    def coefficient(self, mono):
+        return self.coeffs.get(tuple(mono), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return OSElement(self.algebra, out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        return OSElement(self.algebra,
+                         {m: c * scalar for m, c in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        return OSElement(self.algebra,
+                         {m: scalar * c for m, c in self.coeffs.items()})
+
+    def wedge(self, other) -> "OSElement":
+        alg = self.algebra
+        acc = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                if set(m1) & set(m2):
+                    continue
+                sign, merged = _wedge_sign(m1, m2)
+                for m3, c3 in alg._straighten_sorted(merged).items():
+                    acc[m3] = acc.get(m3, Fraction(0)) + sign * c1 * c2 * c3
+        return OSElement(alg, acc)
+
+    def act(self, w: int) -> "OSElement":
+        alg = self.algebra
+        acc = {}
+        for mono, c in self.coeffs.items():
+            for m2, c2 in alg.act_monomial(mono, w).items():
+                acc[m2] = acc.get(m2, Fraction(0)) + c * c2
+        return OSElement(alg, acc)
+
+    def act_sum(self, galg) -> "OSElement":
+        """Right action of a group algebra element, extended linearly."""
+        out = OSElement(self.algebra, {})
+        for w, c in galg.coeffs.items():
+            out = out + c * self.act(w)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, OSElement):
+            return NotImplemented
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self.coefficient(m) == other.coefficient(m) for m in keys)
+
+    __hash__ = None  # equality is by value, and Cyclo coefficients have no hash
+
+    def __repr__(self):
+        return f"OSElement({self.coeffs!r})"
+
+
+def _sort_sign(mono):
+    """Sign of the permutation that sorts a tuple of distinct entries, and the sort."""
+    inv = sum(1 for i, x in enumerate(mono) for y in mono[i + 1:] if x > y)
+    return (-1 if inv % 2 else 1), tuple(sorted(mono))
+
+
+def _wedge_sign(a, b):
+    """Sign and merge of the concatenation of two sorted disjoint tuples."""
+    inv = sum(1 for x in a for y in b if x > y)
+    return (-1 if inv % 2 else 1), tuple(sorted(a + b))
+
+
+# -- the reflection representation by row reduction ------------------------------------
+
+
+def rank(rows) -> int:
+    return len(linalg.rref(rows)[0])
+
+
+def nullspace(rows, ncols: int):
+    """A canonical basis of {x : A x = 0} for the matrix with the given rows."""
+    basis, pivots = linalg.rref(rows)
+    free = [j for j in range(ncols) if j not in pivots]
+    if not rows:
+        some = Fraction(1)
+    else:
+        some = next((x for r in rows for x in r), Fraction(1))
+    one, zero = linalg.one_of(some), linalg.zero_of(some)
+    out = []
+    for f in free:
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(basis, pivots):
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return linalg.rref(out)[0] if out else []
+
+
+def _minus_identity(W, w: int):
+    m = W.matrix_of(w)
+    return [tuple(m[i][j] - (W._one if i == j else W._zero)
+                  for i in range(W.rank)) for j in range(W.rank)]
+
+
+def fixed_space(W, w: int):
+    """Canonical basis (rref rows) of the fixed space of w."""
+    return nullspace(_minus_identity(W, w), W.rank)
+
+
+def parabolic_fixed_space(W, J):
+    """Basis of the common fixed space of the standard parabolic W_J."""
+    rows = [r for s in J for r in _minus_identity(W, W.generators[s])]
+    return nullspace(rows, W.rank)
+
+
+def power(W, x: int, k: int) -> int:
+    if k < 0:
+        return power(W, W.inv_table[x], -k)
+    out = W.identity
+    for _ in range(k):
+        out = W.mult_table[out][x]
+    return out
+
+
+def reflection_fix_character(carrier) -> ClassFunction:
+    """Number of reflecting hyperplanes fixed under conjugation."""
+    W = carrier.parent
+    refl = W.reflections
+
+    def count(w):
+        return Fraction(sum(1 for t in refl if W.conj(t, w) == t))
+
+    return ClassFunction.from_function(carrier, count)

@@ -263,3 +263,26 @@ def test_output_matches_recorded_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+# SHA-256 of the stdout of `os` commands, recorded before Psi and the dimensions
+# came from Moebius numbers; the benchmark digests hold no `os` command
+OS_DIGESTS = {
+    "os A3": "2d66cb62d4c63464a6617a4abbbafaa98532b55d34acb3807b46d729d4d9ba00",
+    "os B3": "3dd720dca1a7ddbeafe39056358566629063f6388e7957e8bedf78e2d2178b67",
+    "os H3": "45681dab24a105c827da64d1a7122b549b3b60f79b057deb2718fd4047f7ddd7",
+    "os H3 --seed-order 3": "1b67b9a83503f7d51ba6d2025528e216a36898de1d6ada6ba31906d315b7becd",
+    "os A4": "5df4466b7f5cae64b2a05f925c489bf5953a425d13a4dd415b2bdc911f2236fb",
+    "os D4": "8f02cc02a8663c3fde5dba5c9c16d3db5d178f08e6111c90952e7d8963685672",
+    "os B4": "d3528c5e3b167d80a630ec24596650f17e98b3278cc2e581b9dd014d4985edf5",
+    "os I2(7)": "78cdc2708e603afad0eab20c482968097bc971bb66dd907f921f0e35d2edc35f",
+    "os A1xH3": "eeabe4661e46cdbb392da735793a7ca7dfd6ae76a90eba9ca67814204a1cb1ac",
+    "os H3 --format markdown": "0279b1d3fcb135277c8489e393f00779f76ff786b0f6997d99a7eddba7924ec1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OS_DIGESTS))
+def test_os_output_matches_recorded_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == OS_DIGESTS[command]

@@ -32,7 +32,10 @@ is checked against the walk that summed every image's pairing over the
 cyclotomic form.  The group tables, filled from a right-multiplication
 table, are checked against composing root permutations.  The NBC basis, found by
 Bjorner's suffix criterion, is checked against the independent sets that
-hold no broken circuit.  The top component of a parabolic W_L, read in W's
+hold no broken circuit.  The characters Psi, traces summed from Moebius
+numbers of stable flats, and the closed-form degree 2 straightening are
+checked against the NBC basis and its general straightening (`oracles.nbc`).
+The top component of a parabolic W_L, read in W's
 algebra at the flat of W_L's reflections, is checked against the top
 component of W_L built as a Coxeter group of its own.  Cyclotomic sums,
 differences, products and comparisons, which build their results without
@@ -61,7 +64,10 @@ from coxsol.cyclo import (Cyclo, cos_pi_over, cyclotomic_polynomial, euler_phi,
                           rational, zeta)
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             averaging, descent_algebra, parabolic_ideal_character)
-from coxsol.orlik_solomon import flat_shape_map, os_algebra, top_component_character
+from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
+                                  top_component_character, top_component_tilde)
+from oracles import (fixed_space, flat_rank, independent, nbc, parabolic_fixed_space,
+                     power)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -237,7 +243,7 @@ def test_rotations_match_powers(spec):
         m = W.matrix[a, b]
         st = W.mult(W.generators[a], W.generators[b])
         rot = W.rotations((a, b))
-        assert rot == tuple(W.power(st, k) for k in range(m)), (spec, a, b)
+        assert rot == tuple(power(W, st, k) for k in range(m)), (spec, a, b)
         assert W.rotations((b, a)) is rot
         # the Cyclo-valued build rotation_character replaced; for m = 2 the
         # exponent map gives the same values as Fractions
@@ -254,10 +260,10 @@ def brute_nbc(lat, n: int):
     a circuit is a dependent set whose proper subsets are all independent."""
     sets = [c for k in range(lat.arr.W.rank + 2)
             for c in itertools.combinations(range(n), k)]
-    circuits = [c for c in sets if lat.rank(c) == len(c) - 1
-                and all(lat.independent(c[:i] + c[i + 1:]) for i in range(len(c)))]
+    circuits = [c for c in sets if flat_rank(lat, c) == len(c) - 1
+                and all(independent(lat, c[:i] + c[i + 1:]) for i in range(len(c)))]
     broken = [set(c[1:]) for c in circuits]
-    return sorted(c for c in sets if lat.independent(c)
+    return sorted(c for c in sets if independent(lat, c)
                   and not any(b <= set(c) for b in broken))
 
 
@@ -267,12 +273,54 @@ def test_nbc_basis_matches_broken_circuits(spec):
     alg = os_algebra(W)
     lat = alg.lattice
     want = brute_nbc(lat, alg.arr.n)
-    assert sorted(mono for level in alg.nbc_basis for mono in level) == want, spec
+    assert sorted(mono for level in nbc(alg).nbc_basis for mono in level) == want, spec
     # the NBC basis of W_L's arrangement is that of its flat, in the same order
     for L in W.all_subsets():
         fid = alg.parabolic_flat(L)
-        got = alg.monomials_of_flat(fid)
+        got = nbc(alg).monomials_of_flat(fid)
         assert got == [c for c in want if lat.flat_of(c) == fid], (spec, L)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4"]
+                         + [f"I2({m})" for m in range(5, 9)])
+def test_closed_form_straightening_matches_nbc(spec, seed):
+    alg = os_algebra(build_group(spec), seed_order=seed)
+    oracle = nbc(alg)
+    n = alg.arr.n
+    for mono in [()] + [(p,) for p in range(n)] + list(itertools.product(range(n), repeat=2)):
+        assert alg.straighten(mono) == oracle.straighten(mono), (spec, seed, mono)
+    # its degree 2 basis is the NBC basis of each rank 2 flat
+    for f in alg.lattice.flats:
+        if f.rank == 2:
+            h0 = min(f.key)
+            assert oracle.monomials_of_flat(f.id) == [(h0, h) for h in sorted(f.key)[1:]]
+
+
+def _same_values(got, want) -> bool:
+    return got == want and list(map(repr, got.values)) == list(map(repr, want.values))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4", "I2(5)", "I2(6)",
+                                  "I2(7)", "A1xH3", "I2(4)xI2(5)",
+                                  pytest.param("F4", marks=pytest.mark.slow)])
+def test_moebius_characters_match_straightened_traces(spec):
+    W = build_group(spec)
+    alg = os_algebra(W)
+    oracle = nbc(alg)
+    full = W.full()
+    for sh in W.shapes():
+        fids = [f.id for f in alg.lattice.flats if f.subset in sh.members]
+        assert _same_values(shape_component_character(W, sh),
+                            oracle.component_character(fids, full)), (spec, sh.canonical)
+    assert _same_values(alg.whole_character(full),
+                        oracle.component_character(range(len(alg.lattice.flats)), full))
+    for L in W.all_subsets():
+        fid = [alg.parabolic_flat(L)]
+        assert _same_values(top_component_character(W, L),
+                            oracle.component_character(fid, W.parabolic(L))), (spec, L)
+        assert _same_values(top_component_tilde(W, L), oracle.component_character(
+            fid, W.normalizer_of_parabolic(L))), (spec, L)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4", "A1xI2(5)"])
@@ -306,20 +354,20 @@ def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
     W = build_group(spec)
     for J in W.all_subsets():
         assert _matches_determinant(alpha_parabolic(W, J), W.normalizer_of_parabolic(J),
-                                    W.parabolic_fixed_space(J)), (spec, J)
+                                    parabolic_fixed_space(W, J)), (spec, J)
         span, _ = linalg.rref([W.roots[W.simple_root[j]] for j in J])
         assert _matches_determinant(sigma_parabolic(W, J),
                                     W.complement_subgroup(J), span), (spec, J)
     for c in W.classes:
         assert _matches_determinant(alpha_element(W, c.rep), W.centralizer(c.rep),
-                                    W.fixed_space(c.rep)), (spec, c.rep)
+                                    fixed_space(W, c.rep)), (spec, c.rep)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
 def test_fix_dim_and_closure_match_fixed_spaces(spec):
     W = build_group(spec)
     for w in range(W.order):
-        assert W.fix_dim(w) == len(W.fixed_space(w)), (spec, w)
+        assert W.fix_dim(w) == len(fixed_space(W, w)), (spec, w)
     for c in W.classes:
         x, J = W.parabolic_closure(c.rep)
         assert set(W.word(W.conj(c.rep, x))) == set(J)
@@ -615,8 +663,8 @@ def cyclo_coset_split(W, L):
     wL = W.parabolic(L).longest_element()
     out = []
     for j in range(1, (m - 1) // 2 + 1):
-        chi = {W.power(st, k): zeta(m, j * k) for k in range(m)}
-        C = W.centralizer(W.power(st, j))
+        chi = {power(W, st, k): zeta(m, j * k) for k in range(m)}
+        C = W.centralizer(power(W, st, j))
         parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
         for side in (lambda u: W.mult(u, wL), lambda u: W.mult(wL, u)):
             try:
@@ -627,7 +675,7 @@ def cyclo_coset_split(W, L):
                 continue
         else:
             raise AssertionError(f"no coset split for {W.spec} at {L}")
-        out.append((W.power(st, j), C, phi))
+        out.append((power(W, st, j), C, phi))
     return out
 
 

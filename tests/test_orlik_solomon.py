@@ -1,12 +1,18 @@
-"""Tests for the Orlik-Solomon algebra and its flat components."""
+"""Tests for the Orlik-Solomon algebra and its flat components.
 
+The NBC basis, general straightening and `OSElement` live in the test oracle
+module `oracles.py`; the tests below reach them through `nbc(alg)`.
+"""
+
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from coxsol import orlik_solomon
-from coxsol.chars import reflection_fix_character, sign_character
+from coxsol.chars import sign_character
+from coxsol.cli import main
 from coxsol.conjectures import verify_a
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import descent_algebra, group_sum
@@ -15,6 +21,8 @@ from coxsol.orlik_solomon import (
     shape_component_character, top_component_character,
     top_component_tilde, whole_space_character,
 )
+from oracles import flat_rank, independent, nbc, reflection_fix_character
+from test_scope import reducible_types
 
 
 NBC_COUNTS = [
@@ -33,8 +41,49 @@ NBC_COUNTS = [
 def test_nbc_dimensions(spec, counts):
     W = build_group(spec)
     alg = os_algebra(W)
-    assert [len(level) for level in alg.nbc_basis] == counts
+    assert [len(level) for level in nbc(alg).nbc_basis] == counts
+    assert alg.dimensions == counts
     assert alg.dimension == W.order
+
+
+# exponents m_i of the irreducible types; a product joins its factors'
+EXPONENTS = {"D4": [1, 3, 3, 5], "F4": [1, 5, 7, 11], "H3": [1, 5, 9]}
+
+
+def exponents(spec):
+    out = []
+    for factor in spec.split("x"):
+        if factor in EXPONENTS:
+            out += EXPONENTS[factor]
+        elif factor.startswith("I2("):
+            out += [1, int(factor[3:-1]) - 1]
+        elif factor[0] == "A":
+            out += range(1, int(factor[1:]) + 1)
+        else:  # B_n
+            out += range(1, 2 * int(factor[1:]), 2)
+    return out
+
+
+def poincare(exps):
+    """Coefficients of the product of (1 + m t) over the exponents m."""
+    poly = [1]
+    for m in exps:
+        poly = [a + m * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B3", "B4", "D4", "H3"]
+                         + [f"I2({m})" for m in range(3, 13)] + reducible_types({3, 4})
+                         + [pytest.param("F4", marks=pytest.mark.slow)])
+def test_dimensions_are_the_poincare_coefficients(capsys, spec):
+    # Orlik-Solomon 1980: the Poincare polynomial is the product of (1 + m_i t)
+    want = poincare(exponents(spec))
+    assert main(["os", spec]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dimensions"] == want
+    assert data["total_dimension"] == sum(want)
+    W = build_group(spec)
+    assert os_algebra(W).dimension == sum(want) == W.order
 
 
 def test_lattice_profiles():
@@ -57,13 +106,13 @@ def test_flat_keys_and_closure():
     # any two distinct hyperplanes of a rank 2 group span the top flat
     top = lat.flat_of((0, 1))
     assert lat.flats[top].key == frozenset(range(alg.arr.n))
-    assert lat.rank((0, 1)) == 2
-    assert not lat.independent((0, 1, 2))
+    assert flat_rank(lat, (0, 1)) == 2
+    assert not independent(lat, (0, 1, 2))
 
 
 def test_straightening_basics():
     W = build_group("A2")
-    alg = os_algebra(W)
+    alg = nbc(os_algebra(W))
     # any triple in rank 2 is dependent, hence zero
     assert alg.straighten((0, 1, 2)) == {}
     # transposition gives a sign
@@ -82,11 +131,15 @@ def test_circuit_relation_dihedral():
     alg = os_algebra(W)
     got = alg.straighten((2, 4))
     assert got == {(0, 4): Fraction(1), (0, 2): Fraction(-1)}
+    assert nbc(alg).straighten((2, 4)) == got
+    # the closed form stops at degree 2
+    with pytest.raises(ValueError):
+        alg.straighten((0, 2, 4))
 
 
 def test_wedge_and_element_algebra():
     W = build_group("A3")
-    alg = os_algebra(W)
+    alg = nbc(os_algebra(W))
     a0, a1 = alg.generator(0), alg.generator(1)
     assert a0.wedge(a0).is_zero()
     assert (a0.wedge(a1) + a1.wedge(a0)).is_zero()
@@ -98,7 +151,7 @@ def test_wedge_and_element_algebra():
 
 
 def test_os_elements_are_unhashable():
-    alg = os_algebra(build_group("A2"))
+    alg = nbc(os_algebra(build_group("A2")))
     a, b = alg.one(), alg.one().wedge(alg.one())
     assert a == b and a is not b
     with pytest.raises(TypeError):
@@ -107,7 +160,7 @@ def test_os_elements_are_unhashable():
 
 def test_action_is_multiplicative():
     W = build_group("B2")
-    alg = os_algebra(W)
+    alg = nbc(os_algebra(W))
     x = alg.generator(0).wedge(alg.generator(2)) + 3 * alg.generator(1).wedge(alg.generator(3))
     # right action: acting by a*b equals acting by a, then by b
     for a in (1, 3, 6):
@@ -184,7 +237,7 @@ def test_order_independence():
 
 def test_act_sum_with_group_algebra():
     W = build_group("I2(5)")
-    alg = os_algebra(W)
+    alg = nbc(os_algebra(W))
     x = alg.generator(0).wedge(alg.generator(1))
     e = group_sum(W, [W.identity])
     assert x.act_sum(e) == x
