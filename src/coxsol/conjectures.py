@@ -615,8 +615,13 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
     agreement on generators gives agreement on every product of them.
     """
     L = tuple(sorted(L))
-    return _intertwines_at(W, L, [W.rotations(L)[1], W.parabolic(L).longest_element(),
-                                  *W.complement_subgroup(L).generators])
+    return _intertwines_at(W, L, _normalizer_generators(W, L))
+
+
+def _normalizer_generators(W: CoxeterGroup, L) -> list:
+    """The rotation st, the longest element of W_L and the generators of N_L."""
+    return [W.rotations(L)[1], W.parabolic(L).longest_element(),
+            *W.complement_subgroup(L).generators]
 
 
 def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
@@ -634,7 +639,33 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
         return False
     evecs = [x.vector(uni) for x in efs[1:]]
 
-    # a_L and its images in the basis e_h0 e_h of the flat of W_L
+    a_side = _a_side(W, L, fs)
+    if a_side is None:
+        return False
+    avecs, image = a_side
+    acoords = _coordinates_against(avecs)
+    if acoords is None:
+        return False
+
+    eps = sign_character(W.normalizer_of_parabolic(L))
+    alphaL = alpha_parabolic(W, L)
+    for w in elements:
+        factor = eps(w) * alphaL(w)
+        for j in range(1, m):
+            ecoords = linalg.coords_in_span(
+                evecs, efs[j].translate(w).vector(uni))
+            if ecoords is None:
+                return False
+            if not all(ac == factor * ec
+                       for ac, ec in zip(acoords(image(j, w)), ecoords)):
+                return False
+    return True
+
+
+def _a_side(W: CoxeterGroup, L, fs):
+    """(avecs, image): the vectors a_L f_j for j != 0 in the basis e_h0 e_h of
+    the flat of W_L, and image(j, w), the vector of (a_L f_j) w in that basis.
+    None when a_L f_0 is nonzero or some a_L f_j with j != 0 is zero."""
     alg = os_algebra(W)
     key = alg.lattice.flats[alg.parabolic_flat(L)].key
     monos = [(min(key), h) for h in sorted(key)[1:]]
@@ -654,25 +685,28 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
     def avec(x):
         return [x.get(mono, Fraction(0)) for mono in monos]
 
+    a, b = L
     aL = alg.straighten((alg.arr.position[W.generators[a]], alg.arr.position[W.generators[b]]))
     afs = [combine((c, act(aL, w)) for w, c in f.coeffs.items()) for f in fs]
     if afs[0] or not all(afs[1:]):
-        return False
-    avecs = [avec(x) for x in afs[1:]]
+        return None
+    return [avec(x) for x in afs[1:]], lambda j, w: avec(act(afs[j], w))
 
-    eps = sign_character(W.normalizer_of_parabolic(L))
-    alphaL = alpha_parabolic(W, L)
-    for w in elements:
-        factor = eps(w) * alphaL(w)
-        for j in range(1, m):
-            ecoords = linalg.coords_in_span(
-                evecs, efs[j].translate(w).vector(uni))
-            acoords = linalg.coords_in_span(avecs, avec(act(afs[j], w)))
-            if ecoords is None or acoords is None:
-                return False
-            if not all(ac == factor * ec for ac, ec in zip(acoords, ecoords)):
-                return False
-    return True
+
+def _coordinates_against(rows):
+    """The map sending a vector to its coordinates against the given square
+    matrix's rows, as the vector times the inverse matrix; None when the rows
+    are not a basis.  The inverse comes from one row reduction of [rows | I],
+    whose pivots are the first len(rows) columns exactly when the rows are
+    independent."""
+    k = len(rows)
+    reduced, pivots = linalg.rref(
+        [list(row) + [Fraction(int(i == h)) for h in range(k)] for i, row in enumerate(rows)])
+    if pivots != list(range(k)):
+        return None
+    inverse = [row[k:] for row in reduced]
+    return lambda vec: [sum((x * inverse[h][i] for h, x in enumerate(vec) if x), Fraction(0))
+                        for i in range(k)]
 
 
 # -- the dihedral table -----------------------------------------------------------------

@@ -265,9 +265,17 @@ def test_verify_dispatch():
     ("I2(3)", (0, 1)), ("I2(5)", (0, 1)), ("I2(7)", (0, 1)),
     ("A3", (0, 1)), ("B3", (1, 2)), ("H3", (0, 1)), ("H3", (1, 2)),
     ("A1xI2(5)", (1, 2)),
+    pytest.param("I2(13)", (0, 1), marks=pytest.mark.slow),
 ])
 def test_intertwiner_odd_pairs(spec, L):
     assert check_intertwiner(build_group(spec), L)
+
+
+@pytest.mark.parametrize("spec", ["I2(7)", "H3"])
+def test_intertwiner_fails_with_the_wrong_twist(monkeypatch, spec):
+    alpha = conjectures.alpha_parabolic
+    monkeypatch.setattr(conjectures, "alpha_parabolic", lambda W, L: -1 * alpha(W, L))
+    assert check_intertwiner(build_group(spec), (0, 1)) is False
 
 
 def test_intertwiner_rejects_even_m():

@@ -26,7 +26,9 @@ are checked against `W.power`.  The shape of a flat, read off the subset it
 comes from, is checked against the orbits of the standard flats under the
 generators.
 The intertwiner check, made on generators of the normalizer, is checked
-against the same check on every member of the complement N_L.  The
+against the same check on every member of the complement N_L, and its a-side
+coordinates, read through one inverse per parabolic, against a row reduction
+per vector (`linalg.coords_in_span`).  The
 root system, closed up with carried pairings and rational Cartan entries,
 is checked against the walk that summed every image's pairing over the
 cyclotomic form.  The group tables, filled from a right-multiplication
@@ -63,7 +65,8 @@ from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
 from coxsol.cyclo import (Cyclo, cos_pi_over, cyclotomic_polynomial, euler_phi,
                           rational, zeta)
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
-                            averaging, descent_algebra, parabolic_ideal_character)
+                            averaging, descent_algebra, parabolic_ideal_character,
+                            rotation_idempotent)
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
 from oracles import (fixed_space, flat_rank, independent, nbc, parabolic_fixed_space,
@@ -694,14 +697,35 @@ def test_coset_split_matches_cyclo_values(spec):
             [list(map(type, phi.values)) for *_, phi in want], (spec, L)
 
 
+def odd_dihedral_parabolics(W):
+    return [L for L in W.all_subsets() if len(L) == 2 and W.matrix[L[0], L[1]] % 2]
+
+
 @pytest.mark.parametrize("spec", ["A4", "D4", "B4", "A1xB3", "A1xH3",
                                   pytest.param("F4", marks=pytest.mark.slow)])
 def test_intertwiner_generators_match_all_members(spec):
     W = build_group(spec)
-    odd = [L for L in W.all_subsets() if len(L) == 2 and W.matrix[L[0], L[1]] % 2]
+    odd = odd_dihedral_parabolics(W)
     assert odd, spec
     for L in odd:
         assert check_intertwiner(W, L) is all_members_intertwiner(W, L) is True, (spec, L)
+
+
+@pytest.mark.parametrize("spec", [f"I2({m})" for m in range(3, 12, 2)] +
+                         ["A3", "B3", "H3", "A4", "D4", "A1xI2(5)", "A1xA3"])
+def test_intertwiner_inverse_matches_span_solves(spec):
+    W = build_group(spec)
+    odd = odd_dihedral_parabolics(W)
+    assert odd, spec
+    for L in odd:
+        m = W.matrix[L[0], L[1]]
+        avecs, image = conjectures._a_side(W, L, [rotation_idempotent(W, L, j)
+                                                  for j in range(m)])
+        coords = conjectures._coordinates_against(avecs)
+        for w in conjectures._normalizer_generators(W, L):
+            for j in range(1, m):
+                target = image(j, w)
+                assert coords(target) == linalg.coords_in_span(avecs, target), (spec, L, w, j)
 
 
 def product_search(phi_top, psi_top, pools):
