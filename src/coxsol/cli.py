@@ -166,14 +166,14 @@ def cmd_descent(args) -> CommandOutput:
 def cmd_os(args) -> CommandOutput:
     from . import orlik_solomon
     W = _build(args)
-    alg = orlik_solomon.os_algebra(W, seed_order=args.seed_order)
+    alg = orlik_solomon.os_algebra(W)
     full = W.full()
     dims = alg.dimensions
     classes = [W.word_str(c.rep) for c in full.classes]
     characters = []
     char_rows = []
     for sh in W.shapes():
-        cf = orlik_solomon.shape_component_character(W, sh, alg)
+        cf = orlik_solomon.shape_component_character(W, sh)
         characters.append({"shape": subset_label(sh.canonical),
                            "values": [scalar_json(v) for v in cf.values]})
         char_rows.append([f"Psi[{subset_label(sh.canonical)}]"]
@@ -314,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("os", help="Orlik-Solomon algebra data")
     p.add_argument("spec")
     p.add_argument("--seed-order", type=int, default=None,
-                   help="shuffle the hyperplane order with this seed; this only reorders "
-                        "the hyperplanes: no dimension or character changes")
+                   help="a hyperplane-order seed, echoed as seed_order; no dimension "
+                        "or character depends on the order of the hyperplanes")
     common(p)
 
     p = sub.add_parser("verify", help="verify one of the conjectures")

@@ -19,7 +19,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .coxeter import CoxeterGroup, Subgroup, build_group, subset_label
+from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterGroup, Subgroup, build_group,
+                      subset_label)
 from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_json,
                     exponent_character, linear_character, linear_characters,
                     regular_character, rotation_character, sign_character,
@@ -415,10 +416,23 @@ def _module_route(W: CoxeterGroup, L, N: Subgroup):
 def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
     """Split each centralizer along rotation and reflection parts of W_L.
 
-    For c = u * n with u in W_L and n in the complement, the value is the
-    rotation character at u when u is a rotation, and at u * w_L when u is a
-    reflection.  The rotation character sends (s_a s_b)^k to zeta_m^(j k), so
-    the values are an exponent map, checked to be additive in Z/m.
+    Write c = u * d as in `normalizer_factors`, u in W_L and d permuting the
+    simple roots a, b of L, and r = s_a s_b.  The value at c is the rotation
+    character at u when u is a rotation, and at u * w_L when u is a
+    reflection.  The rotation character sends r^k to zeta_m^(j k), so the
+    values are the exponent map c -> j k, checked to be additive in Z/m.
+
+    Why it is additive.  As m is odd, conjugation by w_L swaps s_a and s_b,
+    and d either fixes both roots, centralizing W_L, or swaps them, acting on
+    W_L as w_L does.  Let e(c) be 1 when d swaps them and 0 otherwise.  A
+    swapping d inverts r, and c centralizes r^j != r^-j, so u inverts r^j
+    exactly when e(c) = 1: then u is a reflection, otherwise a rotation, and
+    u = r^k w_L^e(c) for the k the value reads.  Hence
+        c c' = u (d u' d^-1) d d' = r^k w_L^e(c) w_L^e(c) r^k' w_L^e(c') w_L^e(c) d d'
+             = r^(k + k') w_L^(e(c) + e(c')) d d',
+    and d d' permutes the simple roots of L, so it is the d of c c' and k
+    adds.  Reading u from the other side, w_L * u = r^-k when e(c) = 1, so
+    that map adds only where the k of the swapping c vanish.
     """
     rot = W.rotations(L)
     m = len(rot)
@@ -428,17 +442,14 @@ def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
     out = []
     for j in range(1, (m - 1) // 2 + 1):
         C = _centralizer_in(W, rot[j], N)
-        parts = {c: W.normalizer_factors(c, L)[0] for c in C.sorted_members}
-        for side in (lambda u: W.mult(u, wL), lambda u: W.mult(wL, u)):
-            ex = {c: j * power[u if u in power else side(u)] % m
-                  for c, u in parts.items()}
-            try:
-                phi = exponent_character(C, m, ex)
-                break
-            except NotLinear:
-                continue
-        else:
-            raise PrerequisiteFailed("coset split values are not multiplicative")
+        ex = {}
+        for c in C.sorted_members:
+            u, _ = W.normalizer_factors(c, L)
+            ex[c] = j * power[u if u in power else W.mult(u, wL)] % m
+        try:
+            phi = exponent_character(C, m, ex)
+        except NotLinear:
+            raise PrerequisiteFailed("coset split values are not multiplicative") from None
         psi = phi * sign_character(C) * alphaL.restrict(C)
         out.append(Assignment(L, rot[j], C, phi, psi, "coset-split"))
     return out
@@ -679,14 +690,14 @@ def _a_side(W: CoxeterGroup, L, fs):
         return {mono: c for mono, c in out.items() if c}
 
     def act(x, w):
-        return combine((c, alg.straighten((alg.arr.act(p, w), alg.arr.act(q, w))))
+        return combine((c, alg.straighten((W.conj(p, w), W.conj(q, w))))
                        for (p, q), c in x.items())
 
     def avec(x):
         return [x.get(mono, Fraction(0)) for mono in monos]
 
     a, b = L
-    aL = alg.straighten((alg.arr.position[W.generators[a]], alg.arr.position[W.generators[b]]))
+    aL = alg.straighten((W.generators[a], W.generators[b]))
     afs = [combine((c, act(aL, w)) for w, c in f.coeffs.items()) for f in fs]
     if afs[0] or not all(afs[1:]):
         return None
@@ -719,7 +730,7 @@ def _as_int(value) -> int:
     return int(q)
 
 
-def dihedral_table(m: int, max_elements: int = 10000) -> dict:
+def dihedral_table(m: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict:
     """All shape characters of a dihedral group, tabulated on class representatives.
 
     Columns are the identity, the reflection classes, for even m the rotation

@@ -1,26 +1,24 @@
 """The Orlik-Solomon algebra of the reflection arrangement of W.
 
-Hyperplanes are identified with the reflections of the group.  By Steinberg's
-theorem a flat is the reflection set of a conjugate x^-1 W_J x, of rank |J|, so
-the lattice of flats comes from the group, not from linear algebra.  Each flat
-keeps the first such J; the subgroup, so the shape of J, is the same for every
-J giving the flat.  The algebra is the direct sum of components A_X, one per
-flat X, which the group permutes like the flats (Brieskorn); this yields one
-character per shape of J.  No basis of the algebra is needed for the
-characters or the dimensions: the trace of w on A_X is (-1)^rk X times the
+A hyperplane is its reflection, an element of the group, and w acts on it by
+conjugation.  By Steinberg's theorem a flat is the reflection set of a
+conjugate x^-1 W_J x, of rank |J|, so the lattice of flats comes from the
+group, not from linear algebra, and each flat is keyed by its reflections.
+Each flat keeps the first such J; the subgroup, so the shape of J, is the same
+for every J giving the flat.  The algebra is the direct sum of components A_X,
+one per flat X, which the group permutes like the flats (Brieskorn); this
+yields one character per shape of J.  No basis of the algebra is needed for
+the characters or the dimensions: the trace of w on A_X is (-1)^rk X times the
 Moebius number mu_w(V, X) of the poset of w-stable flats, so dim A_X is
-|mu(V, X)| (see `OSAlgebra.component_character`).  Only degree 2 is written
-in a basis, the monomials e_h0 e_h of each rank 2 flat with h0 its least
-hyperplane, which `OSAlgebra.straighten` reaches in closed form.  The seed
-order of the hyperplanes only reorders them, so it changes that basis and
-no character or dimension.  The arrangement of a parabolic W_L is the flat
-refl(W_L), and its top component is that flat's component (Brieskorn), so
-one algebra per group serves every L.
-"""
+|mu(V, X)| (see `OSAlgebra.component_character`), and no order of the
+hyperplanes enters.  Only degree 2 is written in a basis, the monomials
+e_h0 e_h of each rank 2 flat with h0 its least reflection, which
+`OSAlgebra.straighten` reaches in closed form.  The arrangement of a parabolic
+W_L is the flat refl(W_L), and its top component is that flat's component
+(Brieskorn), so one algebra per group serves every L."""
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +28,7 @@ from .coxeter import CoxeterGroup, Subgroup
 
 
 class RankGuard(RuntimeError):
-    """Arrangement rank outside the supported range."""
+    """The rank of the arrangement is outside the supported range."""
 
 
 class OrbitMismatch(RuntimeError):
@@ -44,23 +42,7 @@ class NotDihedral(ValueError):
 MAX_RANK = 4
 
 
-class Arrangement:
-    """The reflecting hyperplanes of W, in an order fixed by a seed (None: sorted)."""
-
-    def __init__(self, W: CoxeterGroup, seed_order=None):
-        self.W = W
-        self.hyperplanes = sorted(W.reflections)      # position -> reflection
-        if seed_order is not None:
-            random.Random(seed_order).shuffle(self.hyperplanes)
-        self.position = {t: i for i, t in enumerate(self.hyperplanes)}
-        self.n = len(self.hyperplanes)
-
-    def act(self, pos: int, w: int) -> int:
-        """Position of the image hyperplane under right action by w."""
-        return self.position[self.W.conj(self.hyperplanes[pos], w)]
-
-
-# a flat: its index, the frozenset of positions of its hyperplanes, its rank,
+# a flat: its index, the frozenset of its reflections (its hyperplanes), its rank,
 # and the first subset J of S (in all_subsets order) with the flat conjugate to W_J
 Flat = namedtuple("Flat", "id key rank subset")
 
@@ -69,49 +51,47 @@ class IntersectionLattice:
     """All intersections of hyperplanes, as reflection sets of parabolic subgroups.
     The subsets J giving one flat must all have one shape, which is checked."""
 
-    def __init__(self, arr: Arrangement):
-        self.arr = arr
-        W = arr.W
+    def __init__(self, W: CoxeterGroup):
         shape_of = {J: sh.index for sh in W.shapes() for J in sh.members}
         first = {}
         for J in W.all_subsets():
             refl = [t for t in W.reflections if t in W.parabolic(J).members]
             for x in W.transversal(J):
-                J0 = first.setdefault(
-                    frozenset(arr.position[W.conj(t, x)] for t in refl), J)
+                J0 = first.setdefault(frozenset(W.conj(t, x) for t in refl), J)
                 if shape_of[J0] != shape_of[J]:
                     raise OrbitMismatch(f"one flat comes from {J0} and from {J}")
         order = sorted(first, key=lambda k: (len(first[k]), sorted(k)))
         self.flats = [Flat(fid, key, len(first[key]), first[key])
                       for fid, key in enumerate(order)]
         self.by_key = {f.key: f.id for f in self.flats}
-        # the join of F with p outside it is the flat of rank one more above both
-        self.child = {(f.id, p): f.id for f in self.flats for p in f.key}
+        # the join of F with t outside it is the flat of rank one more above both
+        self.child = {(f.id, t): f.id for f in self.flats for t in f.key}
         for f in self.flats:
             for g in self.flats:
                 if g.rank == f.rank + 1 and f.key < g.key:
-                    for p in g.key - f.key:
-                        self.child[f.id, p] = g.id
+                    for t in g.key - f.key:
+                        self.child[f.id, t] = g.id
 
-    def flat_of(self, positions) -> int:
+    def flat_of(self, reflections) -> int:
         fid = 0
-        for p in positions:
-            fid = self.child[fid, p]
+        for t in reflections:
+            fid = self.child[fid, t]
         return fid
 
 
 class OSAlgebra:
-    """The algebra of an arrangement, through its flats and their components."""
+    """The algebra of W's arrangement, through its flats and their components."""
 
-    def __init__(self, arrangement: Arrangement):
-        if arrangement.W.rank > MAX_RANK:
-            raise RankGuard(f"rank {arrangement.W.rank} arrangement")
-        self.arr = arrangement
-        self.lattice = IntersectionLattice(arrangement)
+    def __init__(self, W: CoxeterGroup):
+        if W.rank > MAX_RANK:
+            raise RankGuard(f"rank {W.rank} arrangement")
+        self.W = W
+        self.lattice = IntersectionLattice(W)
 
     def straighten(self, mono) -> dict:
         """Coordinates of a monomial of degree at most 2 in the basis 1, the e_h,
-        and e_h0 e_h for each rank 2 flat with least hyperplane h0 (its NBC basis).
+        and e_h0 e_h for each rank 2 flat with h0 its least reflection (its NBC
+        basis in the order of the reflections).
 
         For p != q in the flat X of {p, q}, the hyperplanes h0, p, q are
         dependent, so the boundary e_p e_q - e_h0 e_q + e_h0 e_p vanishes:
@@ -198,7 +178,7 @@ class OSAlgebra:
         below = [f for f in flats if any(f.key <= flats[x].key for x in wanted)]
         traces = []
         for c in acting.classes:
-            image = {f.id: self.lattice.by_key[frozenset(self.arr.act(p, c.rep) for p in f.key)]
+            image = {f.id: self.lattice.by_key[frozenset(self.W.conj(t, c.rep) for t in f.key)]
                      for f in below}
             if any(image[x] not in wanted for x in wanted):
                 raise NotInvariant("component is not invariant under the acting subgroup")
@@ -212,31 +192,26 @@ class OSAlgebra:
 
     def parabolic_flat(self, L) -> int:
         """The flat refl(W_L): the closure of the hyperplanes of L's generators."""
-        W = self.arr.W
-        return self.lattice.flat_of(self.arr.position[W.generators[s]] for s in L)
+        return self.lattice.flat_of(self.W.generators[s] for s in L)
 
 
 # -- cached algebras and the standard characters --------------------------------------
 
 
-def os_algebra(W: CoxeterGroup, seed_order=None) -> OSAlgebra:
-    """The algebra of W's arrangement, built once per group and seed order."""
-    return W.cached(("os", seed_order),
-                    lambda: OSAlgebra(Arrangement(W, seed_order=seed_order)))
+def os_algebra(W: CoxeterGroup) -> OSAlgebra:
+    """The algebra of W's arrangement, built once per group."""
+    return W.cached(("os",), lambda: OSAlgebra(W))
 
 
-def flat_shape_map(W: CoxeterGroup, algebra: OSAlgebra | None = None) -> dict:
+def flat_shape_map(W: CoxeterGroup) -> dict:
     """The index of the shape of each flat, read off the subset it comes from."""
-    alg = algebra if algebra is not None else os_algebra(W)
-    return {f.id: sh.index for sh in W.shapes() for f in alg.lattice.flats
+    return {f.id: sh.index for sh in W.shapes() for f in os_algebra(W).lattice.flats
             if f.subset in sh.members}
 
 
-def shape_component_character(W: CoxeterGroup, shape,
-                              algebra: OSAlgebra | None = None) -> ClassFunction:
-    """Character of W on the components of all flats of one shape, in the given
-    algebra of the full arrangement (by default the unseeded one)."""
-    alg = algebra if algebra is not None else os_algebra(W)
+def shape_component_character(W: CoxeterGroup, shape) -> ClassFunction:
+    """Character of W on the components of all flats of one shape."""
+    alg = os_algebra(W)
     return alg.component_character(
         [f.id for f in alg.lattice.flats if f.subset in shape.members], W.full())
 

@@ -3,10 +3,13 @@ check those facts against.
 
 - The Orlik-Solomon algebra in its full no-broken-circuit (NBC) basis, with
   Bjorner's broken-circuit witness, general straightening of any monomial,
-  elements, the wedge product and the group action.  The package reads the
-  characters and dimensions off Moebius numbers of flats and straightens
-  degree 2 only, in closed form; `NBCAlgebra.component_character` is the
-  trace on the straightened basis it replaced.
+  elements, the wedge product and the group action.  The NBC basis is the one
+  thing that depends on an order of the hyperplanes (the reflections), so the
+  oracle takes its own order, optionally shuffled by a seed.  The package
+  reads the characters and dimensions off Moebius numbers of flats and
+  straightens degree 2 only, in closed form, in the order of the reflections
+  as group elements; `NBCAlgebra.component_character` is the trace on the
+  straightened basis it replaced.
 - Ranks and independence of hyperplane sets, read off the lattice.
 - Fixed spaces of elements and of standard parabolics, by row reduction
   (`linalg.nullspace` and `linalg.rank` left the package with them); powers
@@ -15,6 +18,7 @@ check those facts against.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -29,32 +33,39 @@ class StraighteningFailure(RuntimeError):
 # -- the intersection lattice --------------------------------------------------------
 
 
-def flat_rank(lat, positions) -> int:
-    return lat.flats[lat.flat_of(positions)].rank
+def flat_rank(lat, reflections) -> int:
+    return lat.flats[lat.flat_of(reflections)].rank
 
 
-def independent(lat, positions) -> bool:
-    positions = tuple(positions)
-    return flat_rank(lat, positions) == len(positions)
+def independent(lat, reflections) -> bool:
+    reflections = tuple(reflections)
+    return flat_rank(lat, reflections) == len(reflections)
 
 
 # -- the NBC basis and general straightening ------------------------------------------
 
 
 @cache
-def nbc(alg) -> "NBCAlgebra":
-    """The NBC presentation of an Orlik-Solomon algebra, one per algebra, so its
-    straightening memo is shared."""
-    return NBCAlgebra(alg)
+def nbc(alg, seed=None) -> "NBCAlgebra":
+    """The NBC presentation of an Orlik-Solomon algebra, one per algebra and
+    seed, so its straightening memo is shared.  The hyperplanes are ordered as
+    their reflections are, then shuffled with the seed unless it is None."""
+    order = sorted(alg.W.reflections)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return NBCAlgebra(alg, order)
 
 
 class NBCAlgebra:
     """Exterior-style algebra on the hyperplanes modulo circuit boundaries,
-    presented on the NBC monomials of the hyperplane order of `alg`."""
+    presented on the NBC monomials of the given order of the reflections.
+    A monomial is a tuple of reflections; sorted means sorted in that order."""
 
-    def __init__(self, alg):
-        self.arr = alg.arr
+    def __init__(self, alg, order):
+        self.W = alg.W
         self.lattice = alg.lattice
+        self.order = order
+        self.position = {t: i for i, t in enumerate(order)}
         self._memo = {}
 
     def _broken_circuit_witness(self, mono):
@@ -63,11 +74,11 @@ class NBCAlgebra:
         By Bjorner's criterion it is exactly when every suffix starts with the
         least hyperplane of its closure.  At the last suffix whose closure holds
         a smaller h, h and the suffix members it depends on form the circuit."""
-        lat = self.lattice
+        lat, pos = self.lattice, self.position
         for i in reversed(range(len(mono))):
             suffix = mono[i:]
-            h = min(lat.flats[lat.flat_of(suffix)].key)
-            if h < mono[i]:
+            h = min(lat.flats[lat.flat_of(suffix)].key, key=pos.__getitem__)
+            if pos[h] < pos[mono[i]]:
                 return h, [h] + [x for x in suffix if independent(
                     lat, [y for y in suffix if y != x] + [h])]
         return None
@@ -79,9 +90,9 @@ class NBCAlgebra:
         while levels[-1]:
             nxt = []
             for mono in levels[-1]:
-                start = mono[-1] + 1 if mono else 0
-                for p in range(start, self.arr.n):
-                    cand = mono + (p,)
+                start = self.position[mono[-1]] + 1 if mono else 0
+                for t in self.order[start:]:
+                    cand = mono + (t,)
                     if independent(self.lattice, cand) and \
                             self._broken_circuit_witness(cand) is None:
                         nxt.append(cand)
@@ -104,7 +115,7 @@ class NBCAlgebra:
         mono = tuple(mono)
         if len(set(mono)) < len(mono):
             return {}
-        sign, mono = _sort_sign(mono)
+        sign, mono = self._sort_sign(mono)
         out = self._straighten_sorted(mono)
         if sign == 1:
             return dict(out)
@@ -122,19 +133,27 @@ class NBCAlgebra:
             else:
                 h, circuit = found
                 rest = tuple(x for x in mono if x not in circuit)
-                s0, merged = _wedge_sign(rest, tuple(circuit[1:]))
+                s0, merged = self._sort_sign(rest + tuple(circuit[1:]))
                 if merged != mono:
                     raise StraighteningFailure(str(mono))
                 out = {}
                 for i in range(1, len(circuit)):
                     dropped = tuple(circuit[:i] + circuit[i + 1:])
-                    si, m2 = _wedge_sign(rest, dropped)
+                    si, m2 = self._sort_sign(rest + dropped)
                     coeff = -s0 * si * (-1 if i % 2 else 1)
                     for m3, c3 in self._straighten_sorted(m2).items():
                         out[m3] = out.get(m3, Fraction(0)) + coeff * c3
                 out = {m: c for m, c in out.items() if c}
         self._memo[mono] = out
         return out
+
+    def _sort_sign(self, mono):
+        """Sign of the permutation that sorts a tuple of distinct reflections,
+        and the sort; for the concatenation of two sorted tuples, the sign and
+        merge of their wedge."""
+        pos = self.position
+        inv = sum(1 for i, x in enumerate(mono) for y in mono[i + 1:] if pos[x] > pos[y])
+        return (-1 if inv % 2 else 1), tuple(sorted(mono, key=pos.__getitem__))
 
     def element(self, coeffs: dict) -> "OSElement":
         acc = {}
@@ -143,14 +162,14 @@ class NBCAlgebra:
                 acc[m2] = acc.get(m2, Fraction(0)) + c * c2
         return OSElement(self, acc)
 
-    def generator(self, pos: int) -> "OSElement":
-        return self.element({(pos,): Fraction(1)})
+    def generator(self, t: int) -> "OSElement":
+        return self.element({(t,): Fraction(1)})
 
     def one(self) -> "OSElement":
         return OSElement(self, {(): Fraction(1)})
 
     def act_monomial(self, mono, w: int) -> dict:
-        image = tuple(self.arr.act(p, w) for p in mono)
+        image = tuple(self.W.conj(t, w) for t in mono)
         return self.straighten(image)
 
     def component_character(self, flat_ids, acting) -> ClassFunction:
@@ -208,7 +227,7 @@ class OSElement:
             for m2, c2 in other.coeffs.items():
                 if set(m1) & set(m2):
                     continue
-                sign, merged = _wedge_sign(m1, m2)
+                sign, merged = alg._sort_sign(m1 + m2)
                 for m3, c3 in alg._straighten_sorted(merged).items():
                     acc[m3] = acc.get(m3, Fraction(0)) + sign * c1 * c2 * c3
         return OSElement(alg, acc)
@@ -238,18 +257,6 @@ class OSElement:
 
     def __repr__(self):
         return f"OSElement({self.coeffs!r})"
-
-
-def _sort_sign(mono):
-    """Sign of the permutation that sorts a tuple of distinct entries, and the sort."""
-    inv = sum(1 for i, x in enumerate(mono) for y in mono[i + 1:] if x > y)
-    return (-1 if inv % 2 else 1), tuple(sorted(mono))
-
-
-def _wedge_sign(a, b):
-    """Sign and merge of the concatenation of two sorted disjoint tuples."""
-    inv = sum(1 for x in a for y in b if x > y)
-    return (-1 if inv % 2 else 1), tuple(sorted(a + b))
 
 
 # -- the reflection representation by row reduction ------------------------------------

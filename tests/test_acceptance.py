@@ -354,19 +354,15 @@ def test_criterion_10_nbc_order_independence():
     for spec in ("I2(7)", "A3"):
         W = build_group(spec)
         full = W.full()
-        base = os_algebra(W)
-        alt = os_algebra(W, seed_order=5)
-        assert base.arr.hyperplanes != alt.arr.hyperplanes, spec
-        assert [len(lv) for lv in nbc(base).nbc_basis] == \
-               [len(lv) for lv in nbc(alt).nbc_basis] == base.dimensions, spec
-        base_map = flat_shape_map(W, base)
-        alt_map = flat_shape_map(W, alt)
+        alg = os_algebra(W)
+        base, alt = nbc(alg), nbc(alg, 5)
+        assert base.order != alt.order, spec
+        assert [len(lv) for lv in base.nbc_basis] == \
+               [len(lv) for lv in alt.nbc_basis] == alg.dimensions, spec
+        shape_of = flat_shape_map(W)
         for sh in W.shapes():
-            fids1 = sorted(f for f, i in base_map.items() if i == sh.index)
-            fids2 = sorted(f for f, i in alt_map.items() if i == sh.index)
-            cf1 = base.component_character(fids1, full)
-            cf2 = alt.component_character(fids2, full)
-            assert cf1 == cf2, (spec, sh.canonical)
-            # and on the straightened NBC bases of the two orders
-            assert nbc(base).component_character(fids1, full) == \
-                nbc(alt).component_character(fids2, full) == cf1, (spec, sh.canonical)
+            fids = sorted(f for f, i in shape_of.items() if i == sh.index)
+            cf = alg.component_character(fids, full)
+            # the Moebius character against the straightened NBC bases of two orders
+            assert base.component_character(fids, full) == \
+                alt.component_character(fids, full) == cf, (spec, sh.canonical)

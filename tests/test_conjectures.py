@@ -1,13 +1,15 @@
 """Construction routes, verification reports and the dihedral table."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from coxsol import conjectures
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.chars import (ClassFunction, linear_characters, rotation_character,
-                          sign_character, trivial_character)
+from coxsol.chars import (ClassFunction, NotLinear, exponent_character,
+                          linear_characters, rotation_character, sign_character,
+                          trivial_character)
 from coxsol.conjectures import (Assignment, SearchExhausted, UnsupportedCase,
                                 check_intertwiner, construct_C,
                                 construct_parabolic_B, dihedral_table,
@@ -122,6 +124,43 @@ def test_coset_split_route_values():
         chi = rotation_character(W, (0, 1), j)
         for w in chi.carrier.sorted_members:
             assert a.phi(w) == chi(w)
+
+
+def coset_split_rows():
+    """(spec, L, j) for every non-bulky odd dihedral L of the groups, j up to (m-1)/2."""
+    rows = []
+    for spec in ["B3", "H3", "B4", "D4", "F4", "A1xH3", "A1xB3"]:
+        W = build_group(spec)
+        for L in itertools.combinations(range(W.rank), 2):
+            m = W.matrix[L]
+            if m % 2 and m > 2 and not W.is_bulky(L):
+                rows += [(spec, L, j) for j in range(1, (m - 1) // 2 + 1)]
+    return rows
+
+
+def test_coset_split_row_count():
+    assert len(coset_split_rows()) == 15
+
+
+@pytest.mark.parametrize("spec,L,j", coset_split_rows())
+def test_coset_split_reads_u_times_w_L(spec, L, j):
+    # the route reads a reflection u as u * w_L; w_L * u gives the exponent -k
+    # on the coset that swaps the roots of L, which does not add
+    W = build_group(spec)
+    assignment = construct_C(W, L)[j - 1]
+    assert assignment.route == "coset-split"
+    rot = W.rotations(L)
+    m = len(rot)
+    power = {x: k for k, x in enumerate(rot)}
+    wL = W.parabolic(L).longest_element()
+    C = assignment.centralizer
+    assert assignment.element == rot[j]
+    ex = {}
+    for c in C.sorted_members:
+        u, _ = W.normalizer_factors(c, L)
+        ex[c] = j * power[u if u in power else W.mult(wL, u)] % m
+    with pytest.raises(NotLinear):
+        exponent_character(C, m, ex)
 
 
 # -- the verifications --------------------------------------------------------------

@@ -187,40 +187,42 @@ def test_m_inverse_matches_row_reduction(spec):
 def test_flats_are_closed_root_spans(spec):
     W = build_group(spec)
     alg = os_algebra(W)
-    lat, arr = alg.lattice, alg.arr
-    rows = [W.roots[W.reflection_root[t]] for t in arr.hyperplanes]
+    lat = alg.lattice
+    root = {t: W.roots[W.reflection_root[t]] for t in W.reflections}
     for f in lat.flats:
-        basis, pivots = linalg.rref([rows[p] for p in f.key])
+        basis, pivots = linalg.rref([root[t] for t in f.key])
         assert len(basis) == f.rank, (spec, f.key)
-        closure = {p for p in range(arr.n)
-                   if linalg.coords_in_rowspace(basis, pivots, rows[p]) is not None}
+        closure = {t for t in W.reflections
+                   if linalg.coords_in_rowspace(basis, pivots, root[t]) is not None}
         assert closure == f.key, (spec, f.key)
         # the join with a new hyperplane covers the flat, so it is the closure
-        for p in set(range(arr.n)) - f.key:
-            g = lat.flats[lat.child[f.id, p]]
-            assert g.rank == f.rank + 1 and f.key | {p} <= g.key, (spec, p)
+        for t in set(W.reflections) - f.key:
+            g = lat.flats[lat.child[f.id, t]]
+            assert g.rank == f.rank + 1 and f.key | {t} <= g.key, (spec, t)
     # the flat of W_L is the set of its reflections (Steinberg)
     for L in W.all_subsets():
         f = lat.flats[alg.parabolic_flat(L)]
         members = W.parabolic(L).members
         assert f.rank == len(L), (spec, L)
-        assert f.key == {arr.position[t] for t in W.reflections if t in members}, (spec, L)
+        assert f.key == {t for t in W.reflections if t in members}, (spec, L)
 
 
-def orbit_walk_labels(W, alg):
+def orbit_walk_labels(W, lat, seed=None):
     """The labelling `flat_shape_map` replaced: the orbit of each shape's
-    standard flat under the generators, the orbits checked to partition the flats."""
-    lat, arr = alg.lattice, alg.arr
+    standard flat under the generators, the orbits checked to partition the
+    flats.  With a seed, each walk starts at the flat of a conjugate
+    x^-1 W_J x, x drawn with the seed, instead of the standard one."""
+    draw = random.Random(seed) if seed is not None else None
     label = {}
     for sh in W.shapes():
         members = W.parabolic(sh.canonical).members
-        seed = lat.by_key[frozenset(p for p, t in enumerate(arr.hyperplanes)
-                                    if t in members)]
-        orbit, frontier = {seed}, [seed]
+        x = draw.randrange(W.order) if draw else W.identity
+        start = lat.by_key[frozenset(W.conj(t, x) for t in W.reflections if t in members)]
+        orbit, frontier = {start}, [start]
         while frontier:
             key = lat.flats[frontier.pop()].key
             for g in W.generators:
-                image = lat.by_key[frozenset(arr.act(p, g) for p in key)]
+                image = lat.by_key[frozenset(W.conj(t, g) for t in key)]
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
@@ -235,8 +237,7 @@ def orbit_walk_labels(W, alg):
     ("H3", 3), pytest.param("F4", None, marks=pytest.mark.slow)])
 def test_flat_shapes_match_orbit_walk(spec, seed):
     W = build_group(spec)
-    alg = os_algebra(W, seed_order=seed)
-    assert flat_shape_map(W, alg) == orbit_walk_labels(W, alg)
+    assert flat_shape_map(W) == orbit_walk_labels(W, os_algebra(W).lattice, seed)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -258,16 +259,15 @@ def test_rotations_match_powers(spec):
             assert m == 2 or list(map(type, got.values)) == list(map(type, want.values))
 
 
-def brute_nbc(lat, n: int):
-    """Independent sets with no broken circuit, from circuits found by ranks:
-    a circuit is a dependent set whose proper subsets are all independent."""
-    sets = [c for k in range(lat.arr.W.rank + 2)
-            for c in itertools.combinations(range(n), k)]
+def brute_nbc(W, lat, order):
+    """Independent sets with no broken circuit in the given hyperplane order,
+    from circuits found by ranks: a circuit is a dependent set whose proper
+    subsets are all independent."""
+    sets = [c for k in range(W.rank + 2) for c in itertools.combinations(order, k)]
     circuits = [c for c in sets if flat_rank(lat, c) == len(c) - 1
                 and all(independent(lat, c[:i] + c[i + 1:]) for i in range(len(c)))]
     broken = [set(c[1:]) for c in circuits]
-    return sorted(c for c in sets if independent(lat, c)
-                  and not any(b <= set(c) for b in broken))
+    return [c for c in sets if independent(lat, c) and not any(b <= set(c) for b in broken)]
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A1xI2(5)", "I2(7)", "A1xA3", "B4"])
@@ -275,29 +275,39 @@ def test_nbc_basis_matches_broken_circuits(spec):
     W = build_group(spec)
     alg = os_algebra(W)
     lat = alg.lattice
-    want = brute_nbc(lat, alg.arr.n)
-    assert sorted(mono for level in nbc(alg).nbc_basis for mono in level) == want, spec
-    # the NBC basis of W_L's arrangement is that of its flat, in the same order
-    for L in W.all_subsets():
-        fid = alg.parabolic_flat(L)
-        got = nbc(alg).monomials_of_flat(fid)
-        assert got == [c for c in want if lat.flat_of(c) == fid], (spec, L)
+    for seed in (None, 1):
+        oracle = nbc(alg, seed)
+        want = brute_nbc(W, lat, oracle.order)
+        assert [mono for level in oracle.nbc_basis for mono in level] == want, (spec, seed)
+        # the NBC basis of W_L's arrangement is that of its flat, in the same order
+        for L in W.all_subsets():
+            fid = alg.parabolic_flat(L)
+            got = oracle.monomials_of_flat(fid)
+            assert got == [c for c in want if lat.flat_of(c) == fid], (spec, seed, L)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4"]
                          + [f"I2({m})" for m in range(5, 9)])
 def test_closed_form_straightening_matches_nbc(spec, seed):
-    alg = os_algebra(build_group(spec), seed_order=seed)
-    oracle = nbc(alg)
-    n = alg.arr.n
-    for mono in [()] + [(p,) for p in range(n)] + list(itertools.product(range(n), repeat=2)):
-        assert alg.straighten(mono) == oracle.straighten(mono), (spec, seed, mono)
-    # its degree 2 basis is the NBC basis of each rank 2 flat
+    """The closed form, in the order of the reflections, against the NBC oracle
+    in the seed's order: equal as elements of the algebra, and, unshuffled, equal
+    coordinates, as the closed form's basis is the NBC basis of that order."""
+    W = build_group(spec)
+    alg = os_algebra(W)
+    oracle = nbc(alg, seed)
+    refl = sorted(W.reflections)
+    for mono in [()] + [(t,) for t in refl] + list(itertools.product(refl, repeat=2)):
+        closed = alg.straighten(mono)
+        assert oracle.element(closed) == oracle.element({mono: Fraction(1)}), \
+            (spec, seed, mono)
+        if seed is None:
+            assert closed == oracle.straighten(mono), (spec, mono)
+    # in any order, the degree 2 NBC basis of a rank 2 flat is e_h0 e_h, h0 least
     for f in alg.lattice.flats:
         if f.rank == 2:
-            h0 = min(f.key)
-            assert oracle.monomials_of_flat(f.id) == [(h0, h) for h in sorted(f.key)[1:]]
+            h0, *rest = sorted(f.key, key=oracle.position.__getitem__)
+            assert oracle.monomials_of_flat(f.id) == [(h0, h) for h in rest]
 
 
 def _same_values(got, want) -> bool:
@@ -310,20 +320,21 @@ def _same_values(got, want) -> bool:
 def test_moebius_characters_match_straightened_traces(spec):
     W = build_group(spec)
     alg = os_algebra(W)
-    oracle = nbc(alg)
     full = W.full()
-    for sh in W.shapes():
-        fids = [f.id for f in alg.lattice.flats if f.subset in sh.members]
-        assert _same_values(shape_component_character(W, sh),
-                            oracle.component_character(fids, full)), (spec, sh.canonical)
-    assert _same_values(alg.whole_character(full),
-                        oracle.component_character(range(len(alg.lattice.flats)), full))
-    for L in W.all_subsets():
-        fid = [alg.parabolic_flat(L)]
-        assert _same_values(top_component_character(W, L),
-                            oracle.component_character(fid, W.parabolic(L))), (spec, L)
-        assert _same_values(top_component_tilde(W, L), oracle.component_character(
-            fid, W.normalizer_of_parabolic(L))), (spec, L)
+    for seed in (None, 3):
+        oracle = nbc(alg, seed)
+        for sh in W.shapes():
+            fids = [f.id for f in alg.lattice.flats if f.subset in sh.members]
+            assert _same_values(shape_component_character(W, sh), oracle.component_character(
+                fids, full)), (spec, seed, sh.canonical)
+        assert _same_values(alg.whole_character(full), oracle.component_character(
+            range(len(alg.lattice.flats)), full)), (spec, seed)
+        for L in W.all_subsets():
+            fid = [alg.parabolic_flat(L)]
+            assert _same_values(top_component_character(W, L), oracle.component_character(
+                fid, W.parabolic(L))), (spec, seed, L)
+            assert _same_values(top_component_tilde(W, L), oracle.component_character(
+                fid, W.normalizer_of_parabolic(L))), (spec, seed, L)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "B4", "A1xI2(5)"])

@@ -17,7 +17,7 @@ from coxsol.conjectures import verify_a
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import descent_algebra, group_sum
 from coxsol.orlik_solomon import (
-    Arrangement, OSAlgebra, dihedral_top_model, os_algebra,
+    dihedral_top_model, os_algebra,
     shape_component_character, top_component_character,
     top_component_tilde, whole_space_character,
 )
@@ -104,49 +104,52 @@ def test_flat_keys_and_closure():
     # the whole space is the unique rank 0 flat with empty key
     assert lat.flats[0].key == frozenset()
     # any two distinct hyperplanes of a rank 2 group span the top flat
-    top = lat.flat_of((0, 1))
-    assert lat.flats[top].key == frozenset(range(alg.arr.n))
-    assert flat_rank(lat, (0, 1)) == 2
-    assert not independent(lat, (0, 1, 2))
+    h = sorted(W.reflections)
+    top = lat.flat_of(h[:2])
+    assert lat.flats[top].key == frozenset(h)
+    assert flat_rank(lat, h[:2]) == 2
+    assert not independent(lat, h[:3])
 
 
 def test_straightening_basics():
     W = build_group("A2")
     alg = nbc(os_algebra(W))
+    h = alg.order
     # any triple in rank 2 is dependent, hence zero
-    assert alg.straighten((0, 1, 2)) == {}
+    assert alg.straighten(h[:3]) == {}
     # transposition gives a sign
-    a = alg.straighten((1, 0))
-    b = alg.straighten((0, 1))
+    a = alg.straighten((h[1], h[0]))
+    b = alg.straighten((h[0], h[1]))
     keys = set(a) | set(b)
     for k in keys:
         assert a.get(k, Fraction(0)) == -b.get(k, Fraction(0))
     # repeated generator vanishes
-    assert alg.straighten((1, 1)) == {}
+    assert alg.straighten((h[1], h[1])) == {}
 
 
 def test_circuit_relation_dihedral():
-    # in rank 2, a_p a_q = a_0 a_q - a_0 a_p for 0 < p < q
+    # in rank 2, a_p a_q = a_0 a_q - a_0 a_p for 0 < p < q, hyperplanes
+    # numbered in the order of their reflections
     W = build_group("I2(5)")
     alg = os_algebra(W)
-    got = alg.straighten((2, 4))
-    assert got == {(0, 4): Fraction(1), (0, 2): Fraction(-1)}
-    assert nbc(alg).straighten((2, 4)) == got
+    h = sorted(W.reflections)
+    got = alg.straighten((h[2], h[4]))
+    assert got == {(h[0], h[4]): Fraction(1), (h[0], h[2]): Fraction(-1)}
+    assert nbc(alg).straighten((h[2], h[4])) == got
     # the closed form stops at degree 2
     with pytest.raises(ValueError):
-        alg.straighten((0, 2, 4))
+        alg.straighten((h[0], h[2], h[4]))
 
 
 def test_wedge_and_element_algebra():
     W = build_group("A3")
     alg = nbc(os_algebra(W))
-    a0, a1 = alg.generator(0), alg.generator(1)
+    a0, a1, a2 = (alg.generator(t) for t in alg.order[:3])
     assert a0.wedge(a0).is_zero()
     assert (a0.wedge(a1) + a1.wedge(a0)).is_zero()
     one = alg.one()
     assert one.wedge(a0) == a0
     # associativity sample
-    a2 = alg.generator(2)
     assert a0.wedge(a1.wedge(a2)) == (a0.wedge(a1)).wedge(a2)
 
 
@@ -161,7 +164,8 @@ def test_os_elements_are_unhashable():
 def test_action_is_multiplicative():
     W = build_group("B2")
     alg = nbc(os_algebra(W))
-    x = alg.generator(0).wedge(alg.generator(2)) + 3 * alg.generator(1).wedge(alg.generator(3))
+    a = [alg.generator(t) for t in alg.order]
+    x = a[0].wedge(a[2]) + 3 * a[1].wedge(a[3])
     # right action: acting by a*b equals acting by a, then by b
     for a in (1, 3, 6):
         for b in (2, 5, 7):
@@ -226,19 +230,22 @@ def test_order_independence():
     for spec, seed in [("I2(7)", 5), ("A3", 11)]:
         W = build_group(spec)
         alg = os_algebra(W)
-        alt = os_algebra(W, seed_order=seed)
-        assert alt.arr.hyperplanes != alg.arr.hyperplanes
-        assert alt.dimension == alg.dimension
-        assert alt.whole_character(W.full()) == alg.whole_character(W.full())
-        fids = lambda a: [f.id for f in a.lattice.flats if f.rank == 2]
-        assert alt.component_character(fids(alt), W.full()) == \
-            alg.component_character(fids(alg), W.full())
+        base, alt = nbc(alg), nbc(alg, seed)
+        assert alt.order != base.order
+        assert sum(map(len, alt.nbc_basis)) == sum(map(len, base.nbc_basis)) == alg.dimension
+        whole = range(len(alg.lattice.flats))
+        assert alt.component_character(whole, W.full()) == \
+            base.component_character(whole, W.full()) == alg.whole_character(W.full())
+        rank2 = [f.id for f in alg.lattice.flats if f.rank == 2]
+        assert alt.component_character(rank2, W.full()) == \
+            base.component_character(rank2, W.full()) == \
+            alg.component_character(rank2, W.full())
 
 
 def test_act_sum_with_group_algebra():
     W = build_group("I2(5)")
     alg = nbc(os_algebra(W))
-    x = alg.generator(0).wedge(alg.generator(1))
+    x = alg.generator(alg.order[0]).wedge(alg.generator(alg.order[1]))
     e = group_sum(W, [W.identity])
     assert x.act_sum(e) == x
     both = group_sum(W, [W.identity, W.identity])
@@ -249,13 +256,11 @@ def test_act_sum_with_group_algebra():
 def test_full_arrangement_is_built_once(spec):
     W = CoxeterGroup(matrix_from_spec(spec))
     assert os_algebra(W) is os_algebra(W)
-    assert os_algebra(W, seed_order=3) is os_algebra(W, seed_order=3)
-    assert os_algebra(W) is not os_algebra(W, seed_order=3)
     # the top components of the parabolics are read in the same algebra
     for L in W.all_subsets():
         top_component_character(W, L)
         top_component_tilde(W, L)
-    assert {key for key in W._store if key[0] == "os"} == {("os", None), ("os", 3)}
+    assert [key for key in W._store if key[0] == "os"] == [("os",)]
 
 
 @pytest.mark.parametrize("spec", ["H3", "B4"])
@@ -263,9 +268,9 @@ def test_verify_a_builds_one_lattice(monkeypatch, spec):
     built = []
 
     class Counted(orlik_solomon.IntersectionLattice):
-        def __init__(self, arr):
-            built.append(arr)
-            super().__init__(arr)
+        def __init__(self, W):
+            built.append(W)
+            super().__init__(W)
 
     monkeypatch.setattr(orlik_solomon, "IntersectionLattice", Counted)
     report = verify_a(CoxeterGroup(matrix_from_spec(spec)))
