@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup
-from .cyclo import Cyclo, scalar_json, zeta
+from .cyclo import scalar_json, zeta
 
 
 class NotASubgroup(ValueError):
@@ -200,12 +200,6 @@ def alpha_element(W: CoxeterGroup, w: int) -> ClassFunction:
     return _fixed_space_det(W, W.centralizer(w), J, x)
 
 
-def sigma_parabolic(W: CoxeterGroup, J) -> ClassFunction:
-    """Determinant on the span of the roots of J, on the complement N_J."""
-    return ClassFunction.from_function(W.complement_subgroup(J),
-                                       lambda n: W.det_on_root_span(n, J))
-
-
 def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> ClassFunction:
     """Determinant on x times the fixed space of W_J, for a carrier that
     normalizes x W_J x^-1: the sign over the determinant on the root span."""
@@ -335,15 +329,3 @@ def class_function_json(cf: ClassFunction) -> dict:
     return {"group": W.spec or f"rank{W.rank}",
             "classes": [W.word_str(c.rep) for c in cf.carrier.classes],
             "values": [scalar_json(v) for v in cf.values]}
-
-
-def class_function_from_json(data: dict, carrier: Subgroup) -> ClassFunction:
-    """Rebuild a class function on the given carrier from its serialized form."""
-    W = carrier.parent
-    vals = [None] * len(carrier.classes)
-    for word, value in zip(data["classes"], data["values"]):
-        w = W.element_from_word(W.parse_word_str(word))
-        vals[carrier.class_of(w)] = Cyclo.from_json(value)
-    if any(v is None for v in vals):
-        raise ValueError("serialized classes do not cover the carrier")
-    return ClassFunction(carrier, vals)

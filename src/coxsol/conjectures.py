@@ -637,7 +637,23 @@ def _normalizer_generators(W: CoxeterGroup, L) -> list:
 
 def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
     """Whether e_L f_j -> a_L f_j intertwines the right actions of each of the
-    given normalizer elements up to sign * alpha, for every j != 0."""
+    given normalizer elements up to sign * alpha, for every j != 0.
+
+    The a side is read off eigenlines, with no system solved.  Let r = st and
+    w one of the elements.  Then r_w = w^-1 r w must be r or r^-1: it is for
+    every element of the normalizer W_L N_L, as rotations commute with r,
+    reflections of W_L invert it and N_L permutes {s, t}.  Set sigma(j) = j
+    or m - j accordingly.  As f_j is the average of zeta^(jk) r^-k,
+    w^-1 f_j w = f_sigma(j), so f_j w = w f_sigma(j) and
+    (a_L f_j) w = (a_L w) f_sigma(j).  The flat of W_L is w-stable, so a_L w
+    lies in its (m-1)-dimensional degree 2 component A, and the image lies
+    in A f_sigma(j).  The f_i are orthogonal idempotents summing to 1, so A
+    is the direct sum of the A f_i; A f_i holds the nonzero a_L f_i for each
+    of the m - 1 values i != 0, so each of these is the line through a_L f_i
+    (and A f_0 = 0).  Hence (a_L f_j) w = c a_L f_sigma(j), whose coordinates
+    are c at sigma(j) and 0 elsewhere; c is read off one entry and the whole
+    vector is checked.
+    """
     a, b = L
     m = W.matrix[a, b]
     if m % 2 == 0:
@@ -654,23 +670,36 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
     if a_side is None:
         return False
     avecs, image = a_side
-    acoords = _coordinates_against(avecs)
-    if acoords is None:
-        return False
 
+    rot = W.rotations(L)
     eps = sign_character(W.normalizer_of_parabolic(L))
     alphaL = alpha_parabolic(W, L)
     for w in elements:
+        rw = W.conj(rot[1], w)
+        if rw not in (rot[1], rot[-1]):
+            return False
         factor = eps(w) * alphaL(w)
         for j in range(1, m):
+            k = j if rw == rot[1] else m - j
+            c = _multiple_of(image(j, w), avecs[k - 1])
+            if c is None:
+                return False
             ecoords = linalg.coords_in_span(
                 evecs, efs[j].translate(w).vector(uni))
             if ecoords is None:
                 return False
-            if not all(ac == factor * ec
-                       for ac, ec in zip(acoords(image(j, w)), ecoords)):
+            if not all((c if i == k else 0) == factor * ec
+                       for i, ec in enumerate(ecoords, 1)):
                 return False
     return True
+
+
+def _multiple_of(vec, base):
+    """c with vec = c * base, read off base's first nonzero entry; None when
+    vec is no multiple of base."""
+    i = next(i for i, x in enumerate(base) if x)
+    c = vec[i] / base[i]
+    return c if all(x == c * y for x, y in zip(vec, base)) else None
 
 
 def _a_side(W: CoxeterGroup, L, fs):
@@ -702,22 +731,6 @@ def _a_side(W: CoxeterGroup, L, fs):
     if afs[0] or not all(afs[1:]):
         return None
     return [avec(x) for x in afs[1:]], lambda j, w: avec(act(afs[j], w))
-
-
-def _coordinates_against(rows):
-    """The map sending a vector to its coordinates against the given square
-    matrix's rows, as the vector times the inverse matrix; None when the rows
-    are not a basis.  The inverse comes from one row reduction of [rows | I],
-    whose pivots are the first len(rows) columns exactly when the rows are
-    independent."""
-    k = len(rows)
-    reduced, pivots = linalg.rref(
-        [list(row) + [Fraction(int(i == h)) for h in range(k)] for i, row in enumerate(rows)])
-    if pivots != list(range(k)):
-        return None
-    inverse = [row[k:] for row in reduced]
-    return lambda vec: [sum((x * inverse[h][i] for h, x in enumerate(vec) if x), Fraction(0))
-                        for i in range(k)]
 
 
 # -- the dihedral table -----------------------------------------------------------------

@@ -43,6 +43,7 @@ class NotClosed(ArithmeticError):
 
 
 DEFAULT_MAX_ELEMENTS = 10000
+MAX_RANK = 4
 
 
 def _per_subset(kind):
@@ -110,7 +111,7 @@ _NAMED = {
 }
 
 
-def matrix_from_spec(spec: str, rank_bound: int = 4) -> CoxeterMatrix:
+def matrix_from_spec(spec: str) -> CoxeterMatrix:
     """Parse a group specification like "A3", "I2(7)" or "A1xI2(5)"."""
     blocks = []
     for part in spec.split("x"):
@@ -128,8 +129,8 @@ def matrix_from_spec(spec: str, rank_bound: int = 4) -> CoxeterMatrix:
         else:
             raise InvalidMatrix(f"unknown group factor {part!r}")
     rank = sum(len(b) for b in blocks)
-    if rank > rank_bound:
-        raise InvalidMatrix(f"total rank {rank} exceeds bound {rank_bound}")
+    if rank > MAX_RANK:
+        raise InvalidMatrix(f"total rank {rank} exceeds bound {MAX_RANK}")
     rows = [[2] * rank for _ in range(rank)]
     at = 0
     for b in blocks:
@@ -380,24 +381,6 @@ class CoxeterGroup:
 
     def word_str(self, w: int) -> str:
         return "*".join(f"s{i + 1}" for i in self.words[w]) or "e"
-
-    def element_from_word(self, word) -> int:
-        return self.prod(self.generators[i] for i in word)
-
-    def parse_word_str(self, text: str):
-        """Inverse of word_str: 'e' or 's1*s2*...' back to generator indices."""
-        text = text.strip()
-        if text == "e":
-            return ()
-        out = []
-        for part in text.split("*"):
-            if not part.startswith("s") or not part[1:].isdigit():
-                raise ValueError(f"bad word {text!r}")
-            i = int(part[1:]) - 1
-            if not 0 <= i < self.rank:
-                raise ValueError(f"generator out of range in {text!r}")
-            out.append(i)
-        return tuple(out)
 
     # -- reflection representation ----------------------------------------------
 

@@ -145,12 +145,6 @@ def group_sum(W: CoxeterGroup, elems) -> GroupAlgebraElement:
     return GroupAlgebraElement(W, out)
 
 
-def averaging(H: Subgroup) -> GroupAlgebraElement:
-    """The averaging idempotent of a subgroup, inside the ambient algebra."""
-    q = Fraction(1, H.order)
-    return GroupAlgebraElement(H.parent, {w: q for w in H.members})
-
-
 def x_element(W: CoxeterGroup, J, within: Subgroup | None = None) -> GroupAlgebraElement:
     """Sum of the inverses of the minimal coset representatives X_J."""
     return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .chars import ClassFunction, NotInvariant
-from .coxeter import CoxeterGroup, Subgroup
+from .coxeter import MAX_RANK, CoxeterGroup, Subgroup
 
 
 class RankGuard(RuntimeError):
@@ -37,9 +37,6 @@ class OrbitMismatch(RuntimeError):
 
 class NotDihedral(ValueError):
     """A dihedral construction was given a group of rank other than 2."""
-
-
-MAX_RANK = 4
 
 
 # a flat: its index, the frozenset of its reflections (its hyperplanes), its rank,
@@ -253,22 +250,3 @@ def dihedral_hyperplane_angles(W: CoxeterGroup) -> dict:
     if len(out) != m:  # I2(m) has m reflections, each a rotated s or t
         raise OrbitMismatch(f"the rotated hyperplanes of s and t are not {m} hyperplanes")
     return out
-
-
-def dihedral_top_model(W: CoxeterGroup) -> ClassFunction:
-    """Independent model of the top component character of a dihedral group.
-
-    Hyperplanes around a 2m-gon are labelled 0..m-1 with the hyperplane of s
-    at 0 and the hyperplane of t at m-1; conjugation acts on labels and the
-    top component has basis a_0 a_j, giving the trace in closed form.
-    """
-    m = W.matrix[0, 1]
-    label_of_refl = dihedral_hyperplane_angles(W)
-    refl_of_label = {j: r for r, j in label_of_refl.items()}
-
-    def trace(w):
-        pi = {j: label_of_refl[W.conj(r, w)] for j, r in refl_of_label.items()}
-        fixed = sum(1 for j in range(1, m) if pi[j] == j)
-        return Fraction(fixed - (1 if pi[0] != 0 else 0))
-
-    return ClassFunction.from_function(W.full(), trace)

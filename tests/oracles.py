@@ -14,6 +14,10 @@ check those facts against.
 - Fixed spaces of elements and of standard parabolics, by row reduction
   (`linalg.nullspace` and `linalg.rank` left the package with them); powers
   by repeated multiplication; the number of hyperplanes an element fixes.
+- Characters and elements the package no longer builds: sigma_J, the
+  determinant on the root span of J on the complement N_J; the averaging
+  idempotent of a subgroup; and a closed-form model of the top component
+  character of a dihedral group, from the angles of its hyperplanes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from functools import cache, cached_property
 
 from coxsol import linalg
 from coxsol.chars import ClassFunction, NotInvariant
+from coxsol.descent import GroupAlgebraElement
+from coxsol.orlik_solomon import dihedral_hyperplane_angles
 
 
 class StraighteningFailure(RuntimeError):
@@ -320,3 +326,37 @@ def reflection_fix_character(carrier) -> ClassFunction:
         return Fraction(sum(1 for t in refl if W.conj(t, w) == t))
 
     return ClassFunction.from_function(carrier, count)
+
+
+# -- characters and elements the package no longer builds --------------------------------
+
+
+def sigma_parabolic(W, J) -> ClassFunction:
+    """Determinant on the span of the roots of J, on the complement N_J."""
+    return ClassFunction.from_function(W.complement_subgroup(J),
+                                       lambda n: W.det_on_root_span(n, J))
+
+
+def averaging(H) -> GroupAlgebraElement:
+    """The averaging idempotent of a subgroup, inside the ambient algebra."""
+    q = Fraction(1, H.order)
+    return GroupAlgebraElement(H.parent, {w: q for w in H.members})
+
+
+def dihedral_top_model(W) -> ClassFunction:
+    """Independent model of the top component character of a dihedral group.
+
+    Hyperplanes around a 2m-gon are labelled 0..m-1 with the hyperplane of s
+    at 0 and the hyperplane of t at m-1; conjugation acts on labels and the
+    top component has basis a_0 a_j, giving the trace in closed form.
+    """
+    m = W.matrix[0, 1]
+    label_of_refl = dihedral_hyperplane_angles(W)
+    refl_of_label = {j: r for r, j in label_of_refl.items()}
+
+    def trace(w):
+        pi = {j: label_of_refl[W.conj(r, w)] for j, r in refl_of_label.items()}
+        fixed = sum(1 for j in range(1, m) if pi[j] == j)
+        return Fraction(fixed - (1 if pi[0] != 0 else 0))
+
+    return ClassFunction.from_function(W.full(), trace)

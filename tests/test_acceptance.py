@@ -11,17 +11,17 @@ import itertools
 import json
 from fractions import Fraction
 
-from coxsol.chars import (alpha_parabolic, linear_characters, sigma_parabolic,
-                          sign_character, trivial_character)
+from coxsol.chars import (alpha_parabolic, linear_characters, sign_character,
+                          trivial_character)
 from coxsol.cli import main
 from coxsol.conjectures import check_intertwiner, verify_a, verify_b, verify_c
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.descent import averaging, descent_algebra
+from coxsol.descent import descent_algebra
 from coxsol.chars import regular_character, rotation_character
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra,
                                   shape_component_character,
                                   whole_space_character)
-from oracles import nbc, power, reflection_fix_character
+from oracles import averaging, nbc, power, reflection_fix_character, sigma_parabolic
 
 DIHEDRALS = [f"I2({m})" for m in range(2, 13)]
 RANK3 = ["A3", "B3", "H3"]

@@ -6,14 +6,14 @@ import pytest
 
 from coxsol import chars
 from coxsol.chars import (
-    CarrierMismatch, ClassFunction, NotASubgroup, NotInComplement, NotLinear,
+    CarrierMismatch, NotASubgroup, NotInComplement, NotLinear,
     alpha_element, alpha_parabolic, commutator_subgroup, exponent_character,
     linear_character, linear_characters, rotation_character,
-    sigma_parabolic, sign_character, trivial_character,
+    sign_character, trivial_character,
 )
 from coxsol.coxeter import _NAMED, Subgroup, build_group
 from coxsol.cyclo import zeta
-from oracles import power, reflection_fix_character
+from oracles import power, reflection_fix_character, sigma_parabolic
 
 
 def test_class_function_basics():

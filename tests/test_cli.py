@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import coxsol
-from coxsol.chars import class_function_from_json
 from coxsol.cli import main
 from coxsol.coxeter import CoxeterGroup, build_group
 from coxsol.cyclo import Cyclo
@@ -110,8 +109,9 @@ def test_verify_residual_roundtrip(capsys):
     data = run_json(capsys, "verify", "c", "A3", "--L", "s1,s3")
     W = build_group("A3")
     N = W.normalizer_of_parabolic((0, 2))
-    cf = class_function_from_json(data["residuals"]["descent-tilde-sum"], N)
-    assert cf.is_zero()
+    residual = data["residuals"]["descent-tilde-sum"]
+    assert residual["classes"] == [W.word_str(c.rep) for c in N.classes]
+    assert all(Cyclo.from_json(v).is_zero() for v in residual["values"])
     assert data["assignments"]["s1*s3"]["route"] == "module"
 
 

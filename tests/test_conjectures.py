@@ -10,8 +10,7 @@ from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
 from coxsol.chars import (ClassFunction, NotLinear, exponent_character,
                           linear_characters, rotation_character, sign_character,
                           trivial_character)
-from coxsol.conjectures import (Assignment, SearchExhausted, UnsupportedCase,
-                                check_intertwiner, construct_C,
+from coxsol.conjectures import (UnsupportedCase, check_intertwiner, construct_C,
                                 construct_parabolic_B, dihedral_table,
                                 integer_vectors, subset_label, verify, verify_a,
                                 verify_b, verify_c)
@@ -315,6 +314,33 @@ def test_intertwiner_fails_with_the_wrong_twist(monkeypatch, spec):
     alpha = conjectures.alpha_parabolic
     monkeypatch.setattr(conjectures, "alpha_parabolic", lambda W, L: -1 * alpha(W, L))
     assert check_intertwiner(build_group(spec), (0, 1)) is False
+
+
+@pytest.mark.parametrize("spec,L", [("I2(7)", (0, 1)), ("H3", (0, 1)), ("A3", (1, 2))])
+def test_intertwiner_fails_off_the_eigenline(monkeypatch, spec, L):
+    """An a-side image pushed off the line of a_L f_sigma(j), by adding 1 to
+    its last entry, is refused, though the entry c is read from is unchanged
+    wherever a_L f_sigma(j) has a nonzero entry before the last."""
+    a_side = conjectures._a_side
+
+    def pushed(W, L, fs):
+        avecs, image = a_side(W, L, fs)
+        return avecs, lambda j, w: [*image(j, w)[:-1], image(j, w)[-1] + 1]
+
+    W = build_group(spec)
+    assert check_intertwiner(W, L)
+    monkeypatch.setattr(conjectures, "_a_side", pushed)
+    assert check_intertwiner(W, L) is False
+
+
+def test_intertwiner_refuses_an_element_moving_the_rotation():
+    """s3 neither fixes nor inverts the rotation s1 s2 of A3; the rotation
+    itself passes."""
+    W = build_group("A3")
+    rot = W.rotations((0, 1))
+    assert W.conj(rot[1], W.generators[2]) not in (rot[1], rot[-1])
+    assert conjectures._intertwines_at(W, (0, 1), [rot[1]]) is True
+    assert conjectures._intertwines_at(W, (0, 1), [W.generators[2]]) is False
 
 
 def test_intertwiner_rejects_even_m():

@@ -2,12 +2,11 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from coxsol.coxeter import (
-    CoxeterGroup, CoxeterMatrix, InfiniteOrTooLarge, InvalidMatrix,
+    MAX_RANK, CoxeterGroup, CoxeterMatrix, InfiniteOrTooLarge, InvalidMatrix,
     build_group, matrix_from_spec,
 )
 from coxsol.cyclo import Cyclo
@@ -38,9 +37,9 @@ def test_spec_parsing():
         matrix_from_spec("E8")
     with pytest.raises(InvalidMatrix):
         matrix_from_spec("I2(1)")
-    with pytest.raises(InvalidMatrix):
-        matrix_from_spec("A3xA3")  # rank 6 over the default bound
-    assert matrix_from_spec("A3xA3", rank_bound=6).rank == 6
+    assert matrix_from_spec("A1xA3").rank == MAX_RANK
+    with pytest.raises(InvalidMatrix, match=f"total rank 6 exceeds bound {MAX_RANK}"):
+        matrix_from_spec("A3xA3")
 
 
 def test_conductors():
@@ -119,7 +118,7 @@ def test_length_is_inversion_count(spec):
                   if not W.root_positive[W.perms[w][i]])
         assert neg == W.lengths[w]
         assert len(W.words[w]) == W.lengths[w]
-        assert W.element_from_word(W.words[w]) == w
+        assert W.prod(W.generators[s] for s in W.words[w]) == w
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "A3"])
@@ -129,7 +128,7 @@ def test_words_are_lex_least(spec):
     top = W.lengths[W.longest]
     for length in range(top + 1):
         for word in itertools.product(range(W.rank), repeat=length):
-            w = W.element_from_word(word)
+            w = W.prod(W.generators[s] for s in word)
             if W.lengths[w] == length and w not in best:
                 best[w] = word  # first hit in lex order per length
     for w in range(W.order):

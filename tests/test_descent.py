@@ -8,10 +8,10 @@ from coxsol.chars import ClassFunction
 from coxsol.coxeter import build_group
 from coxsol.cyclo import zeta
 from coxsol.descent import (
-    DescentAlgebra, GroupAlgebraElement, averaging, descent_algebra,
-    group_sum, parabolic_ideal_character, rotation_idempotent, unit,
-    x_element,
+    descent_algebra, group_sum, parabolic_ideal_character, rotation_idempotent,
+    unit, x_element,
 )
+from oracles import averaging
 
 
 def regular_character(G):

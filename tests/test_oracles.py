@@ -27,7 +27,7 @@ comes from, is checked against the orbits of the standard flats under the
 generators.
 The intertwiner check, made on generators of the normalizer, is checked
 against the same check on every member of the complement N_L, and its a-side
-coordinates, read through one inverse per parabolic, against a row reduction
+coordinates, read off the eigenlines of the rotation, against a row reduction
 per vector (`linalg.coords_in_span`).  The
 root system, closed up with carried pairings and rational Cartan entries,
 is checked against the walk that summed every image's pairing over the
@@ -57,20 +57,19 @@ import pytest
 from coxsol import chars, conjectures, cyclo, linalg
 from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabolic,
                           commutator_subgroup, det_character, linear_character,
-                          linear_characters, rotation_character, sigma_parabolic,
-                          trivial_character)
+                          linear_characters, rotation_character, trivial_character)
 from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
 from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
                             matrix_from_spec)
 from coxsol.cyclo import (Cyclo, cos_pi_over, cyclotomic_polynomial, euler_phi,
                           rational, zeta)
 from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
-                            averaging, descent_algebra, parabolic_ideal_character,
+                            descent_algebra, parabolic_ideal_character,
                             rotation_idempotent)
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
-from oracles import (fixed_space, flat_rank, independent, nbc, parabolic_fixed_space,
-                     power)
+from oracles import (averaging, fixed_space, flat_rank, independent, nbc,
+                     parabolic_fixed_space, power, sigma_parabolic)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -351,7 +350,7 @@ def test_top_components_match_the_parabolics_own_algebras(spec):
         letter = {s: i for i, s in enumerate(L)}
         psi = top_component_character(W, L)
         for c in W.parabolic(L).classes:
-            v = V.element_from_word(letter[s] for s in W.word(c.rep))
+            v = V.prod(V.generators[letter[s]] for s in W.word(c.rep))
             assert psi.value(c.rep) == psi_own.value(v), (spec, L, W.word_str(c.rep))
 
 
@@ -725,18 +724,26 @@ def test_intertwiner_generators_match_all_members(spec):
 @pytest.mark.parametrize("spec", [f"I2({m})" for m in range(3, 12, 2)] +
                          ["A3", "B3", "H3", "A4", "D4", "A1xI2(5)", "A1xA3"])
 def test_intertwiner_inverse_matches_span_solves(spec):
+    """The a-side coordinates read off eigenlines, c times the sigma(j)-th unit
+    vector, against a row reduction solving for them."""
     W = build_group(spec)
     odd = odd_dihedral_parabolics(W)
     assert odd, spec
     for L in odd:
         m = W.matrix[L[0], L[1]]
+        rot = W.rotations(L)
         avecs, image = conjectures._a_side(W, L, [rotation_idempotent(W, L, j)
                                                   for j in range(m)])
-        coords = conjectures._coordinates_against(avecs)
         for w in conjectures._normalizer_generators(W, L):
+            rw = W.conj(rot[1], w)
+            assert rw in (rot[1], rot[-1]), (spec, L, w)
             for j in range(1, m):
+                k = j if rw == rot[1] else m - j
                 target = image(j, w)
-                assert coords(target) == linalg.coords_in_span(avecs, target), (spec, L, w, j)
+                c = conjectures._multiple_of(target, avecs[k - 1])
+                assert c is not None, (spec, L, w, j)
+                assert [c if i == k else 0 for i in range(1, m)] == \
+                    linalg.coords_in_span(avecs, target), (spec, L, w, j)
 
 
 def product_search(phi_top, psi_top, pools):

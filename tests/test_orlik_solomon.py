@@ -17,11 +17,11 @@ from coxsol.conjectures import verify_a
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
 from coxsol.descent import descent_algebra, group_sum
 from coxsol.orlik_solomon import (
-    dihedral_top_model, os_algebra,
-    shape_component_character, top_component_character,
+    os_algebra, shape_component_character, top_component_character,
     top_component_tilde, whole_space_character,
 )
-from oracles import flat_rank, independent, nbc, reflection_fix_character
+from oracles import (dihedral_top_model, flat_rank, independent, nbc,
+                     reflection_fix_character)
 from test_scope import reducible_types
 
 
