@@ -550,14 +550,13 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
     spsi = _sum_induced((a.psi.restrict(CWl) for a, CWl in zip(assignments, local)), WL)
     report.add("restriction-assignments", _total(local_phi) == phi_rel and spsi == psi_rel)
 
-    mackey = True
-    for a, ind, loc in zip(assignments, induced, local_phi):
-        product = {W.mult(u, c) for u in WL.sorted_members
-                   for c in a.centralizer.sorted_members}
-        if product != set(N.members) or ind.restrict(WL) != loc:
-            mackey = False
-            break
-    report.add("mackey", mackey)
+    # W_L is normal in N, so for C inside N, W_L * C is a subgroup of N of
+    # order |W_L| |C| / |W_L cap C|; it is N exactly when the orders agree
+    report.add("mackey", all(
+        C.members <= N.members
+        and WL.order * C.order == N.order * len(WL.members & C.members)
+        and ind.restrict(WL) == loc
+        for C, ind, loc in zip((a.centralizer for a in assignments), induced, local_phi)))
     report.add("degrees", phi_tilde.degree == sum(
         Fraction(N.order, a.centralizer.order) for a in assignments))
     if len(L) == 2 and W.matrix[L[0], L[1]] % 2:

@@ -376,9 +376,6 @@ class CoxeterGroup:
     def length(self, w: int) -> int:
         return self.lengths[w]
 
-    def word(self, w: int):
-        return self.words[w]
-
     def word_str(self, w: int) -> str:
         return "*".join(f"s{i + 1}" for i in self.words[w]) or "e"
 

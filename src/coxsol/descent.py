@@ -20,12 +20,14 @@ e = sum_K c_K x_K that sum is sum_K c_K times the class count of X_K, and
 e * e = e is checked in coordinates, so no product in QU is formed.
 
 The same construction runs relative to a parabolic subgroup by restricting
-every transversal to it.  The normalizer N of W_L acts on e_L * QW_L; that
-module is isomorphic to the right ideal of an idempotent f = eps_L * a_L of
-QN, checked by a certificate, so its character is the same trace formula.
-The certificate forms no product in QN: it compares x_J coordinates in the
-descent algebra of W_L, permutes coefficients of e_L by the generators of
-N_L and forms e_L * eps_L inside QW_L; see `parabolic_ideal_character`.
+every transversal to it; an element is built in one pass over the universe,
+as x^-1 has coefficient sum_{K in above(x)} c_K.  The normalizer N of W_L acts
+on e_L * QW_L; that module is isomorphic to the right ideal of an idempotent
+f = eps_L * a_L of QN, checked by a certificate, so its character is the same
+trace formula.  e_L = x_L * z with z in the descent algebra of W_L, and left
+multiplication by x_L is injective and fixed by the complement N_L, so the
+certificate is read in x_J coordinates of W_L and forms no product in the
+group algebra; see `parabolic_ideal_character`.
 """
 
 from __future__ import annotations
@@ -138,18 +140,6 @@ def unit(W: CoxeterGroup) -> GroupAlgebraElement:
     return GroupAlgebraElement(W, {W.identity: Fraction(1)})
 
 
-def group_sum(W: CoxeterGroup, elems) -> GroupAlgebraElement:
-    out = {}
-    for w in elems:
-        out[w] = out.get(w, Fraction(0)) + 1
-    return GroupAlgebraElement(W, out)
-
-
-def x_element(W: CoxeterGroup, J, within: Subgroup | None = None) -> GroupAlgebraElement:
-    """Sum of the inverses of the minimal coset representatives X_J."""
-    return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
-
-
 def _mask(J) -> int:
     return sum(1 << s for s in J)
 
@@ -180,17 +170,10 @@ class DescentAlgebra:
         self.shapes = W.shapes(within=self.L)
         self._tally()
         self._invert_m()
-        self._x = {}
         self._e = {}
         self._phi = {}
 
     # -- the basis, its structure constants and the incidence matrix ---------------
-
-    def x(self, J) -> GroupAlgebraElement:
-        J = tuple(sorted(J))
-        if J not in self._x:
-            self._x[J] = x_element(self.W, J, within=self.universe)
-        return self._x[J]
 
     def _tally(self):
         """The incidence matrix, the structure constants and the class counts
@@ -205,11 +188,13 @@ class DescentAlgebra:
           m[K][J] = |{x in X_K : J^x lies in S}| for J in K,
           x_J * x_K = sum over d in X_J cap X_K^-1 of x_{J^d cap K}
         (Solomon 1976), and counts[K][k] = |{x in X_K : x^-1 in class k}|.
+        The pairs (x^-1, above(x)) are kept for `element`.
         """
         W, U = self.W, self.universe
         simple = {a: s for s, a in enumerate(W.simple_root)}
         roots = [(s, W.simple_root[s]) for s in self.L]
         by_image, by_class = Counter(), Counter()
+        self._above = []
         for x in U.sorted_members:
             xinv = W.inv(x)
             px, pxi = W.perms[x], W.perms[xinv]
@@ -223,6 +208,7 @@ class DescentAlgebra:
                         image.append((s, simple[b]))
                 if W.root_positive[px[a]]:
                     below |= 1 << s
+            self._above.append((xinv, above))
             by_image[above, tuple(image), below] += 1
             by_class[above, U.class_of(xinv)] += 1
 
@@ -275,12 +261,15 @@ class DescentAlgebra:
         return out
 
     def element(self, coords) -> GroupAlgebraElement:
-        """The group algebra element with the given x_J coordinates."""
-        acc = GroupAlgebraElement(self.W, {})
-        for K, c in zip(self.subsets, coords):
-            if c:
-                acc = acc + c * self.x(K)
-        return acc
+        """The group algebra element with the given x_J coordinates.
+
+        x_K sums the x^-1 with x in X_K, that is with K in above(x), so x^-1
+        has the coefficient sum_{K in above(x)} c_K, summed once per above(x).
+        """
+        c = {_mask(K): v for K, v in zip(self.subsets, coords)}
+        sums = {a: sum((c[K] for K in _submasks(a)), Fraction(0))
+                for a in {above for _, above in self._above}}
+        return GroupAlgebraElement(self.W, {xinv: sums[a] for xinv, a in self._above})
 
     # -- idempotents -------------------------------------------------------------
 
@@ -299,9 +288,6 @@ class DescentAlgebra:
         if J not in self._e:
             self._e[J] = self.element(self.coords(J))
         return self._e[J]
-
-    def e_shape(self, shape) -> GroupAlgebraElement:
-        return self.element(self.shape_coords(shape))
 
     def check_square(self, c, what: str):
         """Raise NotIdempotent unless c * c = c."""
@@ -387,24 +373,38 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
             N-invariant and the image of fQN;
       (iv)  f * pi(e_L) * f = c * f for a rational c != 0, so y -> pi(f * y)
             is c times an inverse.
-    No product in QN is formed.  An n that permutes L keeps lengths in W_L
-    under u -> n^-1 u n, which takes x_J of W_L to x_{J^n}.  For u in W_L,
-    u^-1 is in X_K exactly when it is in X_{K cap L} of W_L, so p = pi_{W_L}(e_L)
-    has coordinates p_J = sum_{K cap L = J} c_K there, and the coordinates
-    multiply as in QW_L (Solomon 1976).  The checks are:
+    x_J sums the w with w(alpha_s) > 0 for s in J.  Four facts move every
+    check into x_J coordinates of W_L (x_J^L below), with no product formed:
+      Support.  c_K != 0 only for K inside L: m[K][J] != 0 only for J inside
+        K, matrices with that support are closed under products, and the
+        inverse of m is a polynomial in m (Cayley-Hamilton); e_L is its row L.
+      Factorization.  Each w is y * u for one u in W_L and one y with
+        y(alpha_s) > 0 for s in L (Geck-Pfeiffer 2.1.1).  Such a y keeps
+        the positive roots of W_L positive, so w(alpha_s) = y(u(alpha_s)) > 0
+        exactly when u(alpha_s) > 0, for s in L.  So x_K = x_L * x_K^L for K
+        inside L, and e_L = x_L * z with z = sum_{K in L} c_K x_K^L.
+      Injectivity.  y * u lies in W_L only for y = 1, so pi_{W_L}(x_L * v) = v
+        for v in QW_L: v -> x_L * v is injective, and p = pi_{W_L}(e_L) = z
+        has the coordinates c_K, K inside L.
+      The complement.  n in N_L permutes the simple roots of L, so y -> y * n
+        permutes the y above, and x_L * n = x_L.
+    An n that permutes L keeps lengths in W_L under u -> n^-1 u n, which
+    takes x_J^L to x_{J^n}^L, and the coordinates multiply as in QW_L
+    (Solomon 1976).  The checks are:
       (a) eps_L * eps_L = eps_L;
       (b) each generator n of N_L permutes L, and eps_L and p have equal
           coordinates at J and J^n, so n commutes with both, as does a_L;
-      (c) e_L * n = e_L, so e_L * a_L = e_L, as N_L is a subgroup, which
-          `complement_subgroup` checks; so a_L * a_L = a_L;
-      (d) e_L * eps_L = e_L, a product inside QW_L; for L = S it is (a);
-      (e) eps_L * p * eps_L = c' * eps_L for a rational c' != 0.
+          then e_L * n = x_L * n * (n^-1 p n) = e_L, so e_L * a_L = e_L,
+          as N_L is a subgroup, which `complement_subgroup` checks; so
+          a_L * a_L = a_L;
+      (c) p * eps_L = p, so e_L * eps_L = x_L * p * eps_L = e_L; for L = S,
+          p = eps_L and it is (a);
+      (d) eps_L * p * eps_L = c' * eps_L for a rational c' != 0.
     Then f * f = eps_L^2 * a_L^2 = f, e_L * f = e_L * a_L = e_L, and by (i)
-    and (c) pi(e_L) = |N_L| p * a_L, so f * pi(e_L) * f = |N_L| c' * f.
+    and (b) pi(e_L) = |N_L| p * a_L, so f * pi(e_L) * f = |N_L| c' * f.
     """
     L = tuple(sorted(L))
     amb, rel, WL = descent_algebra(W), descent_algebra(W, L), W.parabolic(L)
-    eL = amb.e(L)
     NL = W.complement_subgroup(L)
     N = W.normalizer_of_parabolic(L)
     if N.order != WL.order * NL.order or \
@@ -412,9 +412,10 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
         raise NotInvariant("the normalizer is not W_L times its complement")
     eps = rel.coords(L)
     rel.check_square(eps, "eps_L")
-    pos, p = rel._subset_pos, [Fraction(0)] * len(rel.subsets)
-    for K, c in zip(amb.subsets, amb.coords(L)):
-        p[pos[tuple(s for s in K if s in L)]] += c
+    pos, cL = rel._subset_pos, amb.coords(L)
+    if any(c and K not in pos for K, c in zip(amb.subsets, cL)):
+        raise NotInvariant("e_L has a coordinate at a subset that is not inside L")
+    p = [cL[amb._subset_pos[J]] for J in rel.subsets]
     gens = {g: s for s, g in enumerate(W.generators)}
     for n in NL.generators:
         image = {s: gens.get(W.conj(W.generators[s], n)) for s in L}
@@ -424,19 +425,17 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
         if [eps[i] for i in moved] != eps:
             raise NotIdempotent("conjugation by the complement moves eps_L, so "
                                 "f = eps_L * a_L is not shown to square to itself")
-        if eL.translate(n) != eL:
-            raise NotInvariant("e_L is not fixed by the complement")
         if [p[i] for i in moved] != p:
             raise NotInvariant("conjugation by the complement moves pi(e_L)")
-    eps_W = rel.element(eps)
-    if rel is not amb and eL * eps_W != eL:
+    if rel.product(p, eps) != p:
         raise NotInvariant("e_L * eps_L is not e_L, so e_L is not fixed by "
                            "the complement's f = eps_L * a_L")
     q = rel.product(rel.product(eps, p), eps)
     c = next((q[i] / v for i, v in enumerate(eps) if v), 0)
     if not c or q != [c * v for v in eps]:
         raise NotInvariant("eps_L * pi(e_L) * eps_L is not a nonzero multiple of eps_L")
-    f = {W.mult(u, n): a / NL.order for u, a in eps_W.coeffs.items() for n in NL.members}
+    f = {W.mult(u, n): a / NL.order
+         for u, a in rel.element(eps).coeffs.items() for n in NL.members}
     return _trace_character(N, lambda k: sum(
         (f.get(h, Fraction(0)) for h in N.classes[k].members), Fraction(0)))
 

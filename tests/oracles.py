@@ -18,6 +18,9 @@ check those facts against.
   determinant on the root span of J on the complement N_J; the averaging
   idempotent of a subgroup; and a closed-form model of the top component
   character of a dihedral group, from the angles of its hyperplanes.
+- The x_J basis as sums of group elements (`x_element`), and elements of a
+  descent algebra summed from it term by term; the package builds an element
+  in one pass over its universe.
 """
 
 from __future__ import annotations
@@ -335,6 +338,37 @@ def sigma_parabolic(W, J) -> ClassFunction:
     """Determinant on the span of the roots of J, on the complement N_J."""
     return ClassFunction.from_function(W.complement_subgroup(J),
                                        lambda n: W.det_on_root_span(n, J))
+
+
+def group_sum(W, elems) -> GroupAlgebraElement:
+    out = {}
+    for w in elems:
+        out[w] = out.get(w, Fraction(0)) + 1
+    return GroupAlgebraElement(W, out)
+
+
+def x_element(W, J, within=None) -> GroupAlgebraElement:
+    """Sum of the inverses of the minimal coset representatives X_J."""
+    return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
+
+
+def descent_x(D, J) -> GroupAlgebraElement:
+    """x_J of the descent algebra D, inside its universe."""
+    return x_element(D.W, J, within=D.universe)
+
+
+def dense_element(D, coords) -> GroupAlgebraElement:
+    """sum_K c_K x_K, one x_K at a time."""
+    acc = GroupAlgebraElement(D.W, {})
+    for K, c in zip(D.subsets, coords):
+        if c:
+            acc = acc + c * descent_x(D, K)
+    return acc
+
+
+def e_shape(D, shape) -> GroupAlgebraElement:
+    """The shape idempotent of D as a group algebra element."""
+    return D.element(D.shape_coords(shape))
 
 
 def averaging(H) -> GroupAlgebraElement:

@@ -287,3 +287,27 @@ def test_os_output_matches_recorded_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == OS_DIGESTS[command]
+
+
+# (exit code, SHA-256 of stdout) of rank-4 commands, recorded before Phi~ was
+# read in x_J coordinates of the parabolic; rows slower than about 2 s are slow
+RANK4_PINS = {
+    "descent A4": (0, "79b4d07e99596595e618cb1683261936fb70d6d3b37ed65f3525ce70ed872ee0"),
+    "descent B4": (0, "809e712a2a4f867525615019dd87ea2cf255a34a68acafdaeebd1744cd73552d"),
+    "descent D4": (0, "59c104f62b6b5cbca0edf8df65280ac3c915afb7181bbe0370adf1f6ff059ef6"),
+    "descent F4": (0, "f600543155ef90715d57599f1d1072c83b5139b3378413e52521256e4e441f06"),
+    "verify a A4": (0, "583429319de4dc4fd1ecc9feaa45f2f79ab8bf86909531a19f3634a1cc1f67b6"),
+    "verify a D4": (0, "f63bb770ce74920eaf45f2a7dec2d5f51ab27bbbb80940ad745cad1d8a15cfcf"),
+    "verify a B4": (0, "d6d5ef8e720c21aea228ec5874a9af352d6fbd7ab780c905bf9ce74a4ddbb07c"),
+    "verify a F4": (0, "b8724e8a530fc71a4b6d1880830063e45c9a18dc544292c8d7d6332a2bd7ffb0"),
+    "verify b B4": (0, "8958a36a73bd1d425a20e942017355c8359218abb0f83c8dc027e015632c6d0a"),
+    "verify b F4": (0, "fd49c5be9bf487527e2ffcb774ecf8e03c264f2a070eeb9565a09419bcd94fc1"),
+}
+SLOW_PINS = {"verify a B4", "verify a F4", "verify b F4"}
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(c, marks=pytest.mark.slow) if c in SLOW_PINS else c for c in RANK4_PINS])
+def test_rank4_output_matches_pin(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == RANK4_PINS[command]

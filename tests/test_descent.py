@@ -8,10 +8,9 @@ from coxsol.chars import ClassFunction
 from coxsol.coxeter import build_group
 from coxsol.cyclo import zeta
 from coxsol.descent import (
-    descent_algebra, group_sum, parabolic_ideal_character, rotation_idempotent,
-    unit, x_element,
+    descent_algebra, parabolic_ideal_character, rotation_idempotent, unit,
 )
-from oracles import averaging
+from oracles import averaging, descent_x, e_shape, group_sum, x_element
 
 
 def regular_character(G):
@@ -79,7 +78,7 @@ def test_dihedral_m_matrix(m):
 def test_dihedral_idempotent_formulas(m):
     W = build_group(f"I2({m})")
     D = descent_algebra(W)
-    x0, xs, xt = D.x(()), D.x((0,)), D.x((1,))
+    x0, xs, xt = (descent_x(D, J) for J in [(), (0,), (1,)])
     assert D.e(()) == Fraction(1, 2 * m) * x0
     assert D.e((0,)) == Fraction(1, 2) * xs - Fraction(1, 4) * x0
     assert D.e((0, 1)) == \
@@ -112,7 +111,7 @@ def test_character_projection_oracle(spec):
     W = build_group(spec)
     D = descent_algebra(W)
     for sh in D.shapes:
-        e = D.e_shape(sh)
+        e = e_shape(D, sh)
         phi = D.ideal_character(sh)
         for c in W.full().classes:
             winv = W.inv(c.rep)

@@ -8,10 +8,12 @@ the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
 substitution.  The descent algebra multiplies x_J coordinates with Solomon's
 structure constants and reads Phi's class sums off class counts of the
 transversals; both are checked against dense products in the group algebra,
-and Phi against the trace formula after a dense e * e = e check.  Phi~'s
-certificate, checked in x_J coordinates and by products inside the parabolic,
-is checked against the same certificate formed by products over the whole
-normalizer.
+and Phi against the trace formula after a dense e * e = e check.  Elements,
+built in one pass over the universe, are checked against sums of the x_J as
+group elements.  Phi~'s certificate, read in x_J coordinates of W_L, is
+checked against the same certificate formed by products over the whole
+normalizer, and the facts it rests on by dense products: e_L is supported on
+the subsets of L, e_L = x_L * z, and x_L * n = x_L for n in the complement.
 The assignment search meets in the middle on integer vectors; it is checked
 against the plain walk through `itertools.product` that it replaced.  Its
 options induce each centralizer character once and twist the induced one;
@@ -68,8 +70,9 @@ from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             rotation_idempotent)
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
-from oracles import (averaging, fixed_space, flat_rank, independent, nbc,
-                     parabolic_fixed_space, power, sigma_parabolic)
+from oracles import (averaging, dense_element, descent_x, e_shape, fixed_space,
+                     flat_rank, independent, nbc, parabolic_fixed_space, power,
+                     sigma_parabolic, x_element)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -350,7 +353,7 @@ def test_top_components_match_the_parabolics_own_algebras(spec):
         letter = {s: i for i, s in enumerate(L)}
         psi = top_component_character(W, L)
         for c in W.parabolic(L).classes:
-            v = V.prod(V.generators[letter[s]] for s in W.word(c.rep))
+            v = V.prod(V.generators[letter[s]] for s in W.words[c.rep])
             assert psi.value(c.rep) == psi_own.value(v), (spec, L, W.word_str(c.rep))
 
 
@@ -383,7 +386,7 @@ def test_fix_dim_and_closure_match_fixed_spaces(spec):
         assert W.fix_dim(w) == len(fixed_space(W, w)), (spec, w)
     for c in W.classes:
         x, J = W.parabolic_closure(c.rep)
-        assert set(W.word(W.conj(c.rep, x))) == set(J)
+        assert set(W.words[W.conj(c.rep, x)]) == set(J)
         assert len(J) == W.rank - W.fix_dim(c.rep)
 
 
@@ -392,7 +395,7 @@ def row_reduced_character(D, shape):
     right translates of the shape idempotent."""
     W, uni = D.W, D.universe
     pos, members = uni.positions, uni.sorted_members
-    e = D.e_shape(shape)
+    e = e_shape(D, shape)
     basis, pivots = linalg.rref([e.translate(g).vector(uni) for g in members])
     traces = []
     for c in uni.classes:
@@ -488,11 +491,11 @@ def test_structure_constants_match_dense_products(spec):
         basis = {J: [int(I == J) for I in D.subsets] for J in D.subsets}
         for J in D.subsets:
             for K in D.subsets:
-                want = D.x(J) * D.x(K)
+                want = descent_x(D, J) * descent_x(D, K)
                 assert D.element(D.product(basis[J], basis[K])) == want, (spec, L, J, K)
         uni = D.universe
         for K in D.subsets:
-            xK = D.x(K)
+            xK = descent_x(D, K)
             counts = [sum(xK.coefficient(h) for h in c.members) for c in uni.classes]
             assert D._class_counts[D.subsets.index(K)] == counts, (spec, L, K)
 
@@ -517,7 +520,10 @@ def dense_parabolic_ideal_character(W, L):
     N = W.normalizer_of_parabolic(L)
     assert {W.mult(u, n) for u in W.parabolic(L).members
             for n in NL.members} == N.members
-    f = descent_algebra(W, L).e(L) * averaging(NL)
+    eps = descent_algebra(W, L).e(L)
+    assert all(eL.translate(n) == eL for n in NL.generators)
+    assert eL * eps == eL
+    f = eps * averaging(NL)
     chi = dense_trace_character(f, N)
     assert eL * f == eL
     g = f * GroupAlgebraElement(W, {w: c for w, c in eL.coeffs.items()
@@ -535,7 +541,7 @@ def test_characters_match_dense_squares(spec):
         D = descent_algebra(W, L)
         for sh in D.shapes:
             got = D.ideal_character(sh).values
-            want = dense_trace_character(D.e_shape(sh), D.universe).values
+            want = dense_trace_character(e_shape(D, sh), D.universe).values
             assert [repr(v) for v in got] == [repr(v) for v in want], (spec, L, sh)
         got = parabolic_ideal_character(W, L).values
         want = dense_parabolic_ideal_character(W, L).values
@@ -550,6 +556,42 @@ def test_rank_four_parabolic_characters_match_dense_certificate(spec):
         got = parabolic_ideal_character(W, sh.canonical).values
         want = dense_parabolic_ideal_character(W, sh.canonical).values
         assert [repr(v) for v in got] == [repr(v) for v in want], (spec, sh.canonical)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_elements_match_summed_x_basis(spec):
+    W = build_group(spec)
+    for L in W.all_subsets():
+        D = descent_algebra(W, L)
+        rows = D.m_inverse + [[int(I == J) for I in D.subsets] for J in D.subsets]
+        for coords in rows:
+            assert D.element(coords) == dense_element(D, coords), (spec, L, coords)
+
+
+def check_factorization(spec):
+    """e_L = x_L * z with z read off e_L's coordinates, all of them on subsets
+    of L, and x_L fixed by the complement N_L."""
+    W = build_group(spec)
+    amb = descent_algebra(W)
+    for L in W.all_subsets():
+        rel, c = descent_algebra(W, L), amb.coords(L)
+        assert all(set(K) <= set(L) for K, v in zip(amb.subsets, c) if v), (spec, L)
+        z = rel.element([c[amb.subsets.index(J)] for J in rel.subsets])
+        xL = x_element(W, L)
+        assert xL * z == dense_element(amb, c), (spec, L)
+        for n in W.complement_subgroup(L).generators:
+            assert xL.translate(n) == xL, (spec, L, n)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_idempotent_factors_through_the_parabolic(spec):
+    check_factorization(spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["A4", "D4", "B4"])
+def test_rank_four_idempotents_factor_through_the_parabolic(spec):
+    check_factorization(spec)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -581,18 +623,14 @@ def test_ideal_characters_need_no_group_algebra_product(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["H3", "B3"])
-def test_parabolic_ideal_characters_multiply_only_inside_the_parabolic(monkeypatch, spec):
-    mul = GroupAlgebraElement.__mul__
+def test_parabolic_ideal_characters_form_no_group_algebra_product(monkeypatch, spec):
+    def refuse(self, other):
+        raise AssertionError("Phi~ must not multiply or translate in the group algebra")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(GroupAlgebraElement, "translate", refuse)
     W = CoxeterGroup(matrix_from_spec(spec))  # a fresh group with no algebras built
     for L in W.all_subsets():
-        members = W.parabolic(L).members
-
-        def inside(self, other, members=members):
-            if isinstance(other, GroupAlgebraElement) and not other.coeffs.keys() <= members:
-                raise AssertionError("Phi~ must not multiply by an element off W_L")
-            return mul(self, other)
-
-        monkeypatch.setattr(GroupAlgebraElement, "__mul__", inside)
         rel = descent_algebra(W, L)
         assert parabolic_ideal_character(W, L).restrict(W.parabolic(L)) == \
             rel.ideal_character(rel.shape_of(L)), L

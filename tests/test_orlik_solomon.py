@@ -15,12 +15,12 @@ from coxsol.chars import sign_character
 from coxsol.cli import main
 from coxsol.conjectures import verify_a
 from coxsol.coxeter import CoxeterGroup, build_group, matrix_from_spec
-from coxsol.descent import descent_algebra, group_sum
+from coxsol.descent import descent_algebra
 from coxsol.orlik_solomon import (
     os_algebra, shape_component_character, top_component_character,
     top_component_tilde, whole_space_character,
 )
-from oracles import (dihedral_top_model, flat_rank, independent, nbc,
+from oracles import (dihedral_top_model, flat_rank, group_sum, independent, nbc,
                      reflection_fix_character)
 from test_scope import reducible_types
 

@@ -222,19 +222,19 @@ def _set_e(W, L, J):
     _set_row(amb, L, amb.coords(J))
 
 
-def _unsynced_e(W, L, J):
-    """Keep e_L, once formed, in the group algebra, but put the coordinates
-    of e_J in its row: the checks on e_L * n and e_L * eps_L read the formed
-    element, the checks on pi(e_L) the coordinates."""
-    descent_algebra(W).e(L)
-    _set_e(W, L, J)
+def _e_off_L(W, L, J):
+    """Add 1 to e_L's coordinate at J, a subset that is not inside L."""
+    amb = descent_algebra(W)
+    row = list(amb.coords(L))
+    row[amb.subsets.index(J)] += 1
+    _set_row(amb, L, row)
 
 
 # Each way of breaking the certificate for Phi~ of A3, at L = (s1,) unless
 # given, with the check that catches it: N = W_L * N_L, eps_L * eps_L = eps_L,
-# eps_L and pi(e_L) fixed under conjugation by N_L, e_L * n = e_L for n in
-# N_L, e_L * eps_L = e_L, and eps_L * pi(e_L) * eps_L a nonzero multiple of
-# eps_L.
+# e_L supported on the subsets of L, eps_L and pi(e_L) fixed under
+# conjugation by N_L, pi(e_L) * eps_L = pi(e_L), and eps_L * pi(e_L) * eps_L a
+# nonzero multiple of eps_L.
 BROKEN_CERTIFICATES = {
     "trivial-complement": (
         (0,), lambda W, L, rel: setattr(W, "complement_subgroup",
@@ -257,16 +257,20 @@ BROKEN_CERTIFICATES = {
     # and s3, so it moves e_(s1) to e_(s3), and f * f = f / 2
     "unfixed-eps": ((0, 2), lambda W, L, rel: _set_row(rel, L, rel.coords((0,))),
                     NotIdempotent, "square to itself"),
-    # e_(s2) is not fixed by s3, which generates the complement of <s1>
+    # e_(s2) is not fixed by s3, which generates the complement of <s1>; its
+    # coordinate at (s2,) lies off the subsets of L, which is caught first
     "e-moved-by-complement": ((0,), lambda W, L, rel: _set_e(W, L, (1,)),
-                              NotInvariant, "is not fixed by the complement$"),
+                              NotInvariant, "subset that is not inside L"),
+    # only the support is broken: pi(e_L) reads the subsets of L alone, so
+    # every other check holds
+    "e-off-L": ((0,), lambda W, L, rel: _e_off_L(W, L, (1,)),
+                NotInvariant, "subset that is not inside L"),
     # e_() averages over W, so eps_L, the sign idempotent of <s1>, kills it
     "eps-kills-e": ((0,), lambda W, L, rel: _set_e(W, L, ()),
                     NotInvariant, r"e_L \* eps_L is not e_L"),
-    # pi(e_(s1)) is not fixed by the swap of s1 and s3; on coordinates that
-    # agree with the formed e_L, the checks e_L * n = e_L and e_L * eps_L = e_L
-    # have so far always implied that pi(e_L) is fixed
-    "moved-pi-e": ((0, 2), lambda W, L, rel: _unsynced_e(W, L, (0,)),
+    # pi(e_(s1)) is not fixed by the swap of s1 and s3, which generates the
+    # complement of <s1, s3>; e_L * n = e_L is read off that same check
+    "moved-pi-e": ((0, 2), lambda W, L, rel: _set_e(W, L, (0,)),
                    NotInvariant, r"moves pi\(e_L\)"),
 }
 
