@@ -386,14 +386,16 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
       Injectivity.  y * u lies in W_L only for y = 1, so pi_{W_L}(x_L * v) = v
         for v in QW_L: v -> x_L * v is injective, and p = pi_{W_L}(e_L) = z
         has the coordinates c_K, K inside L.
-      The complement.  n in N_L permutes the simple roots of L, so y -> y * n
-        permutes the y above, and x_L * n = x_L.
-    An n that permutes L keeps lengths in W_L under u -> n^-1 u n, which
-    takes x_J^L to x_{J^n}^L, and the coordinates multiply as in QW_L
-    (Solomon 1976).  The checks are:
+      The complement.  n in N_L sends each alpha_s, s in L, to a simple root
+        alpha_{s^n} of L, so y -> y * n permutes the y above, and
+        x_L * n = x_L; an n that only permutes the reflections of L may send
+        alpha_s to -alpha_s, and then x_L * n is not x_L.
+    Then u -> n u n^-1 keeps lengths in W_L and takes x_J^L to x_{J^n}^L,
+    and the coordinates multiply as in QW_L (Solomon 1976).  The checks are:
       (a) eps_L * eps_L = eps_L;
-      (b) each generator n of N_L permutes L, and eps_L and p have equal
-          coordinates at J and J^n, so n commutes with both, as does a_L;
+      (b) each generator n of N_L permutes the simple roots of L, and eps_L
+          and p have equal coordinates at J and J^n, so n commutes with
+          both, as does a_L;
           then e_L * n = x_L * n * (n^-1 p n) = e_L, so e_L * a_L = e_L,
           as N_L is a subgroup, which `complement_subgroup` checks; so
           a_L * a_L = a_L;
@@ -416,11 +418,11 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     if any(c and K not in pos for K, c in zip(amb.subsets, cL)):
         raise NotInvariant("e_L has a coordinate at a subset that is not inside L")
     p = [cL[amb._subset_pos[J]] for J in rel.subsets]
-    gens = {g: s for s, g in enumerate(W.generators)}
+    simple = {W.simple_root[s]: s for s in L}
     for n in NL.generators:
-        image = {s: gens.get(W.conj(W.generators[s], n)) for s in L}
+        image = {s: simple.get(W.perms[n][W.simple_root[s]]) for s in L}
         if set(image.values()) != set(L):
-            raise NotInvariant("the complement does not permute the generators in L")
+            raise NotInvariant("the complement does not permute the simple roots of L")
         moved = [pos[tuple(sorted(image[s] for s in J))] for J in rel.subsets]
         if [eps[i] for i in moved] != eps:
             raise NotIdempotent("conjugation by the complement moves eps_L, so "

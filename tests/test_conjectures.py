@@ -241,6 +241,29 @@ def test_verify_c_report_structure():
     assert data["ok"] is True
 
 
+def test_mackey_fails_when_the_centralizers_miss_the_normalizer(monkeypatch):
+    """Shrink the first centralizer C to its part inside W_L = <s1, s3>, with
+    phi and psi restricted to it: then W_L * C = W_L, and |W_L| |C| = 16 is
+    not |N| |W_L cap C| = 32, which the mackey check reports.  Res_{W_L} of
+    phi induced to N then has twice the degree of the local sum, so the
+    character half of the check fails as well."""
+    construct = conjectures.construct_C
+
+    def shrunk(W, L):
+        out = construct(W, L)
+        a = out[0]
+        local = W.centralizer(a.element, within=W.parabolic(L))
+        assert local.members < a.centralizer.members
+        a.centralizer, a.phi, a.psi = local, a.phi.restrict(local), a.psi.restrict(local)
+        return out
+
+    monkeypatch.setattr(conjectures, "construct_C", shrunk)
+    W = build_group("A3")
+    report = verify_c(W, (0, 2))
+    assert report.check("mackey") is False
+    assert report.status == "failed"
+
+
 @pytest.mark.parametrize("which,spec,order", [
     ("a", "A4", 120), ("a", "D4", 192), ("b", "B4", 384), ("b", "I2(5)xI2(4)", 80),
     pytest.param("a", "B4", 384, marks=pytest.mark.slow),

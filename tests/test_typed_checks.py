@@ -272,6 +272,14 @@ BROKEN_CERTIFICATES = {
     # complement of <s1, s3>; e_L * n = e_L is read off that same check
     "moved-pi-e": ((0, 2), lambda W, L, rel: _set_e(W, L, (0,)),
                    NotInvariant, r"moves pi\(e_L\)"),
+    # s1 * s3 fixes the reflection s1 but sends alpha_1 to -alpha_1; N is still
+    # W_L times <s1 * s3>, yet f = eps_L * (1 + s1 s3) / 2 = (1 - s1)(1 - s3) / 4
+    # would give sign x sign where the true Phi~ is sign x trivial
+    "negating-complement": (
+        (0,), lambda W, L, rel: setattr(
+            W, "complement_subgroup",
+            lambda J: W.generated_subgroup([W.mult(*W.generators[0:3:2])])),
+        NotInvariant, "permute the simple roots of L"),
 }
 
 
