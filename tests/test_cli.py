@@ -290,7 +290,8 @@ def test_os_output_matches_recorded_digest(capsys, command):
 
 
 # (exit code, SHA-256 of stdout) of rank-4 commands, recorded before Phi~ was
-# read in x_J coordinates of the parabolic; rows slower than about 2 s are slow
+# read in x_J coordinates of the parabolic (`verify b` on A4 and D4 before linear
+# characters were built on H itself); rows slower than about 2 s are slow
 RANK4_PINS = {
     "descent A4": (0, "79b4d07e99596595e618cb1683261936fb70d6d3b37ed65f3525ce70ed872ee0"),
     "descent B4": (0, "809e712a2a4f867525615019dd87ea2cf255a34a68acafdaeebd1744cd73552d"),
@@ -300,6 +301,8 @@ RANK4_PINS = {
     "verify a D4": (0, "f63bb770ce74920eaf45f2a7dec2d5f51ab27bbbb80940ad745cad1d8a15cfcf"),
     "verify a B4": (0, "d6d5ef8e720c21aea228ec5874a9af352d6fbd7ab780c905bf9ce74a4ddbb07c"),
     "verify a F4": (0, "b8724e8a530fc71a4b6d1880830063e45c9a18dc544292c8d7d6332a2bd7ffb0"),
+    "verify b A4": (0, "4893b85d1d363a27817bad02881fcd252d5f1aee40b1cacd5bc84679822b6137"),
+    "verify b D4": (0, "305a41aa81437aa7f187a0e6264f0a0ef58c2fbb9cdffd0078867776a37db049"),
     "verify b B4": (0, "8958a36a73bd1d425a20e942017355c8359218abb0f83c8dc027e015632c6d0a"),
     "verify b F4": (0, "fd49c5be9bf487527e2ffcb774ecf8e03c264f2a070eeb9565a09419bcd94fc1"),
 }
