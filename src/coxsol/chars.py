@@ -5,10 +5,10 @@ conjugacy class of that subgroup.  Induction uses the averaged conjugation
 formula, so it needs nothing beyond the multiplication table.  A linear
 character is a class function too: `linear_character` checks elementwise
 values for multiplicativity before keeping one value per class.  The full set
-for a subgroup is obtained by factoring through the quotient modulo the
-commutator subgroup and extending characters one cyclic step at a time.  Each
-is kept as an exponent map e: H -> Z/M, M the exponent of the quotient, and
-checked to be additive in Z/M; each root of unity zeta_M^e is formed once.
+for a subgroup is built on the subgroup itself: zero on the commutator
+subgroup, then extended one generator's cyclic step at a time.  Each is kept
+as an exponent map e: H -> Z/M, M the exponent of H/H', and checked to be
+additive in Z/M; each root of unity zeta_M^e is formed once.
 The rotation characters of a dihedral parabolic are exponent maps on the
 powers of its rotation, with M = m.  The commutator subgroup is the normal
 closure of the commutators of the subgroup's generators: their closure, grown
@@ -235,63 +235,56 @@ def commutator_subgroup(H: Subgroup) -> Subgroup:
 def linear_characters(H: Subgroup):
     """All degree one characters of H, in a deterministic order.
 
-    Characters are computed on the quotient modulo the commutator subgroup and
-    extended cyclic step by cyclic step, as exponents of zeta_M for M the
-    exponent of the quotient.  They are ordered by their exponents on the
-    sorted members.
+    Each is an exponent map e: H -> Z/M, h -> zeta_M^e(h), M the lcm of the
+    orders of H's generators modulo H' (the exponent of the abelian H/H'),
+    built on H itself.  A linear character is trivial on commutators, so e = 0
+    on H'.  Then each generator g outside the subgroup K covered so far is
+    taken in turn.  K contains H', so K/H' is a subgroup of the abelian H/H'
+    and K is normal; with d the least power of g in K, K<g> is the disjoint
+    union of the cosets K g^k, 0 <= k < d.  A map e on K is invariant under
+    conjugation by g, since g^-1 h g = h [h, g] with [h, g] in H', so its
+    extensions to K<g> are e(h g^k) = e(h) + k x with d x = e(g^d) in Z/M.
+    As d divides the order of g modulo H', which divides M, and e extends to
+    a character of H/H', whose values are M-th roots of unity, d divides
+    e(g^d), and there are exactly d such x.  The product of the d's is
+    |H : H'|, so every linear character is reached once.  The characters are
+    ordered by their exponents on the sorted members.
     """
     W = H.parent
     D = commutator_subgroup(H)
-    coset_of = {}
-    for h in H.sorted_members:
-        coset_of[h] = min(W.mult(d, h) for d in D.sorted_members)
-    reps = sorted(set(coset_of.values()))
-    qmult = {(a, b): coset_of[W.mult(a, b)] for a in reps for b in reps}
-    e = coset_of[W.identity]
 
-    def qorder(g):
-        k, x = 1, g
-        while x != e:
-            x = qmult[x, g]
-            k += 1
-        return k
-
-    M = math.lcm(*(qorder(g) for g in reps))
-
-    chars = [{e: 0}]          # exponent of zeta_M at each covered coset
-    for g in reps:
-        if g in chars[0]:
-            continue
-        covered = list(chars[0])
-        powers, x = [e], g    # powers[k] = g^k, up to the first covered power
-        while x not in chars[0]:
+    def powers_outside(K, g):
+        """g^0, ..., g^(d-1) and g^d, for d the least positive power with g^d in K."""
+        powers, x = [W.identity], g
+        while x not in K:
             powers.append(x)
-            x = qmult[x, g]
-        d, gd = len(powers), x
-        new_chars = []
-        for chi in chars:
-            a = chi[gd]
-            # d divides the order o(g) of g, which divides M, and zeta_M^a has
-            # order dividing o(g)/d, the order of g^d
+            x = W.mult(x, g)
+        return powers, x
+
+    M = math.lcm(*(len(powers_outside(D.members, g)[0]) for g in H.generators))
+    maps = [dict.fromkeys(D.sorted_members, 0)]
+    for g in H.generators:
+        if g in maps[0]:
+            continue
+        covered = list(maps[0])
+        powers, gd = powers_outside(maps[0], g)
+        d = len(powers)
+        cells = [(W.mult(h, powers[k]), h, k) for k in range(1, d) for h in covered]
+        extended = []
+        for e in maps:
+            a = e[gd]
             if M % d or a % d:
                 raise NotLinear("a cyclic step does not divide the exponent")
             for t in range(d):
-                ex = (a // d + t * (M // d)) % M
-                ext = dict(chi)
-                for k in range(1, d):
-                    for h in covered:
-                        ext[qmult[h, powers[k]]] = (chi[h] + k * ex) % M
-                new_chars.append(ext)
-        chars = new_chars
-    if len(chars) != len(reps):
-        raise NotLinear("the quotient by H' does not have |H/H'| linear characters")
-
-    out = []
-    for chi in chars:
-        ex = {h: chi[coset_of[h]] for h in H.sorted_members}
-        out.append((tuple(ex.values()), exponent_character(H, M, ex)))
-    out.sort(key=lambda p: p[0])
-    return [lc for _, lc in out]
+                x = (a // d + t * (M // d)) % M
+                ext = dict(e)
+                ext.update((hg, (e[h] + k * x) % M) for hg, h, k in cells)
+                extended.append(ext)
+        maps = extended
+    if len(maps) * D.order != H.order:
+        raise NotLinear("H does not have |H/H'| linear characters")
+    maps.sort(key=lambda e: [e[h] for h in H.sorted_members])
+    return [exponent_character(H, M, e) for e in maps]
 
 
 def exponent_character(H: Subgroup, M: int, ex: dict) -> ClassFunction:

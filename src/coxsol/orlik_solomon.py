@@ -61,19 +61,14 @@ class IntersectionLattice:
         self.flats = [Flat(fid, key, len(first[key]), first[key])
                       for fid, key in enumerate(order)]
         self.by_key = {f.key: f.id for f in self.flats}
-        # the join of F with t outside it is the flat of rank one more above both
-        self.child = {(f.id, t): f.id for f in self.flats for t in f.key}
-        for f in self.flats:
-            for g in self.flats:
-                if g.rank == f.rank + 1 and f.key < g.key:
-                    for t in g.key - f.key:
-                        self.child[f.id, t] = g.id
 
     def flat_of(self, reflections) -> int:
-        fid = 0
-        for t in reflections:
-            fid = self.child[fid, t]
-        return fid
+        """The intersection X of the hyperplanes of the given reflections: the
+        first flat, in (rank, key) order, whose key contains them.  X is a flat
+        and its key contains them; a flat whose key contains them lies in each
+        of their hyperplanes, so inside X, and has a higher rank unless it is X."""
+        R = set(reflections)
+        return next(f.id for f in self.flats if R <= f.key)
 
 
 class OSAlgebra:

@@ -21,16 +21,19 @@ check those facts against.
 - The x_J basis as sums of group elements (`x_element`), and elements of a
   descent algebra summed from it term by term; the package builds an element
   in one pass over its universe.
+- Linear characters through a multiplication table of H/H', each member
+  mapped to its coset; the package builds them on H itself.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cache, cached_property
 
-from coxsol import linalg
-from coxsol.chars import ClassFunction, NotInvariant
+from coxsol import chars, linalg
+from coxsol.chars import ClassFunction, NotInvariant, NotLinear, commutator_subgroup
 from coxsol.descent import GroupAlgebraElement
 from coxsol.orlik_solomon import dihedral_hyperplane_angles
 
@@ -332,6 +335,64 @@ def reflection_fix_character(carrier) -> ClassFunction:
 
 
 # -- characters and elements the package no longer builds --------------------------------
+
+
+def quotient_linear_characters(H):
+    """The linear characters of H through the quotient H/H': each member mapped
+    to its coset (its least member), a multiplication table of the cosets, and
+    the characters extended cyclic step by cyclic step over the cosets, as
+    exponents of zeta_M for M the exponent of the quotient.  They are ordered
+    by their exponents on the sorted members."""
+    W = H.parent
+    D = commutator_subgroup(H)
+    coset_of = {}
+    for h in H.sorted_members:
+        coset_of[h] = min(W.mult(d, h) for d in D.sorted_members)
+    reps = sorted(set(coset_of.values()))
+    qmult = {(a, b): coset_of[W.mult(a, b)] for a in reps for b in reps}
+    e = coset_of[W.identity]
+
+    def qorder(g):
+        k, x = 1, g
+        while x != e:
+            x = qmult[x, g]
+            k += 1
+        return k
+
+    M = math.lcm(*(qorder(g) for g in reps))
+
+    found = [{e: 0}]          # exponent of zeta_M at each covered coset
+    for g in reps:
+        if g in found[0]:
+            continue
+        covered = list(found[0])
+        powers, x = [e], g    # powers[k] = g^k, up to the first covered power
+        while x not in found[0]:
+            powers.append(x)
+            x = qmult[x, g]
+        d, gd = len(powers), x
+        extended = []
+        for chi in found:
+            a = chi[gd]
+            if M % d or a % d:
+                raise NotLinear("a cyclic step does not divide the exponent")
+            for t in range(d):
+                ex = (a // d + t * (M // d)) % M
+                ext = dict(chi)
+                for k in range(1, d):
+                    for h in covered:
+                        ext[qmult[h, powers[k]]] = (chi[h] + k * ex) % M
+                extended.append(ext)
+        found = extended
+    if len(found) != len(reps):
+        raise NotLinear("the quotient by H' does not have |H/H'| linear characters")
+
+    out = []
+    for chi in found:
+        ex = {h: chi[coset_of[h]] for h in H.sorted_members}
+        out.append((tuple(ex.values()), chars.exponent_character(H, M, ex)))
+    out.sort(key=lambda p: p[0])
+    return [lc for _, lc in out]
 
 
 def sigma_parabolic(W, J) -> ClassFunction:

@@ -20,8 +20,9 @@ options induce each centralizer character once and twist the induced one;
 the twisted character is checked against the induced twisted character.
 The commutator subgroup, the normal closure of the generators' commutators,
 is checked against the closure of the commutators of all pairs.  Linear
-characters, built from exponent maps with one root of unity per class, are
-checked against a root of unity per member validated by `linear_character`;
+characters, built from exponent maps on H with one root of unity per class,
+are checked against the same maps built through a multiplication table of
+H/H', and against a root of unity per member validated by `linear_character`;
 so are the rotation characters and the coset split of an odd dihedral
 parabolic, both exponent maps on the powers of its rotation, and those powers
 are checked against `W.power`.  The shape of a flat, read off the subset it
@@ -72,7 +73,7 @@ from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_ch
                                   top_component_character, top_component_tilde)
 from oracles import (averaging, dense_element, descent_x, e_shape, fixed_space,
                      flat_rank, independent, nbc, parabolic_fixed_space, power,
-                     sigma_parabolic, x_element)
+                     quotient_linear_characters, sigma_parabolic, x_element)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -199,7 +200,7 @@ def test_flats_are_closed_root_spans(spec):
         assert closure == f.key, (spec, f.key)
         # the join with a new hyperplane covers the flat, so it is the closure
         for t in set(W.reflections) - f.key:
-            g = lat.flats[lat.child[f.id, t]]
+            g = lat.flats[lat.flat_of(f.key | {t})]
             assert g.rank == f.rank + 1 and f.key | {t} <= g.key, (spec, t)
     # the flat of W_L is the set of its reflections (Steinberg)
     for L in W.all_subsets():
@@ -647,14 +648,33 @@ def dense_commutator_subgroup(H):
     return W.generated_subgroup(comms)
 
 
-@pytest.mark.parametrize("spec", GROUPS + ["A4", "D4", "B4", "F4"])
-def test_commutator_subgroups_match_all_pairs(spec):
-    W = build_group(spec)
+def searched_subgroups(W):
+    """The centralizers of W's classes, and the parabolics and their normalizers."""
     subgroups = {W.centralizer(c.rep) for c in W.full().classes}
     for J in W.all_subsets():
         subgroups |= {W.parabolic(J), W.normalizer_of_parabolic(J)}
-    for H in sorted(subgroups, key=lambda H: H.sorted_members):
+    return subgroups
+
+
+@pytest.mark.parametrize("spec", GROUPS + ["A4", "D4", "B4", "F4"])
+def test_commutator_subgroups_match_all_pairs(spec):
+    W = build_group(spec)
+    for H in sorted(searched_subgroups(W), key=lambda H: H.sorted_members):
         assert commutator_subgroup(H) is dense_commutator_subgroup(H), (spec, H)
+
+
+@pytest.mark.parametrize("spec", GROUPS + ["A4", "D4", "B4", "F4"])
+def test_linear_characters_match_the_quotient_table(spec):
+    W = build_group(spec)
+    subgroups = searched_subgroups(W)
+    for J in W.all_subsets():
+        WJ = W.parabolic(J)
+        subgroups |= {W.centralizer(c.rep, within=WJ) for c in WJ.classes}
+    for H in sorted(subgroups, key=lambda H: H.sorted_members):
+        got, want = linear_characters(H), quotient_linear_characters(H)
+        assert got == want, (spec, H.sorted_members)
+        assert [[type(v) for v in chi.values] for chi in got] == \
+            [[type(v) for v in chi.values] for chi in want], (spec, H.sorted_members)
 
 
 def elementwise_character(H, M, ex):
