@@ -264,12 +264,12 @@ def linear_characters(H: Subgroup):
     M = math.lcm(*(len(powers_outside(D.members, g)[0]) for g in H.generators))
     maps = [dict.fromkeys(D.sorted_members, 0)]
     for g in H.generators:
-        if g in maps[0]:
+        K = maps[0]             # the members covered so far
+        if g in K:
             continue
-        covered = list(maps[0])
-        powers, gd = powers_outside(maps[0], g)
+        powers, gd = powers_outside(K, g)
         d = len(powers)
-        cells = [(W.mult(h, powers[k]), h, k) for k in range(1, d) for h in covered]
+        cells = [(W.mult(h, powers[k]), h, k) for k in range(1, d) for h in K]
         extended = []
         for e in maps:
             a = e[gd]
