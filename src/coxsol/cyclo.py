@@ -7,6 +7,12 @@ conductor are equal iff their tuples are equal.  Values with different
 conductors are compared by lifting both into Q(zeta_lcm); the conductor of
 a value is never minimised automatically.
 
+A product is formed on integers: each factor's coefficients are written over
+the lcm of their own denominators, a = A/d_a and b = B/d_b, the integer lists
+A and B are convolved, and each coefficient of the result is the Fraction
+(sum of A_i*B_j)/(d_a*d_b).  This is exact, as (A/d_a)(B/d_b) = AB/(d_a*d_b).
+The reduction mod Phi_n, sums and inverses stay on Fractions.
+
 >>> zeta(3, 1) + zeta(3, 2) + 1
 Cyclo(3, 0)
 >>> (zeta(5) ** 5).as_rational()
@@ -46,7 +52,9 @@ def euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (index = exponent)
+# dense polynomial helpers over Fraction (index = exponent); a product
+# convolves integer numerators over one common denominator per factor, exact
+# as (A/d_a)(B/d_b) = (A*B)/(d_a*d_b)
 
 def _ptrim(p):
     while p and not p[-1]:
@@ -54,15 +62,25 @@ def _ptrim(p):
     return p
 
 
+def _integer_numerators(p):
+    """(P, d) with p[i] = P[i] / d, d the lcm of the denominators of p."""
+    d = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
+
+
 def _pmul(a, b):
+    """The product of two Fraction coefficient lists, trimmed, as Fractions;
+    only the len(a) + len(b) - 1 output sums are normalised."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    (A, da), (B, db) = _integer_numerators(a), _integer_numerators(b)
+    out = [0] * (len(A) + len(B) - 1)
+    for i, ai in enumerate(A):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(B):
                 out[i + j] += ai * bj
-    return _ptrim(out)
+    d = da * db
+    return _ptrim([Fraction(c, d) for c in out])
 
 
 def _mobius(k: int) -> int:
@@ -155,6 +173,14 @@ def _as_fraction(x):
     return None
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; only an int or a Fraction is a coefficient, never a float."""
+    q = _as_fraction(x)
+    if q is None:
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(x).__name__}")
+    return q
+
+
 class Cyclo:
     """An element of Q(zeta_n), immutable.
 
@@ -167,7 +193,7 @@ class Cyclo:
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) > phi:
             coeffs = list(_reduce(coeffs, conductor))
         else:
@@ -209,8 +235,10 @@ class Cyclo:
         return n, a.lifted(n).coeffs, b.lifted(n).coeffs
 
     # -- ring operations -----------------------------------------------------
-    # Operands are reduced tuples of Fractions, so sums, differences and
-    # reduced products are too, and _from_reduced stores them as they are.
+    # Operands are reduced tuples of Fractions, so sums and differences are
+    # too.  A product is convolved on integer numerators (_pmul) and comes
+    # back as Fractions, which _reduce keeps, so _from_reduced stores both
+    # as they are.
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -388,8 +416,8 @@ def zeta(n: int, k: int = 1) -> Cyclo:
 
 
 def rational(q, n: int = 1) -> Cyclo:
-    """The rational number q as an element of Q(zeta_n)."""
-    return Cyclo(n, [Fraction(q)])
+    """The rational number q, an int or a Fraction, as an element of Q(zeta_n)."""
+    return Cyclo(n, [q])
 
 
 def cos_pi_over(m: int, conductor: int) -> Cyclo:

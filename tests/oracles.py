@@ -23,6 +23,9 @@ check those facts against.
   in one pass over its universe.
 - Linear characters through a multiplication table of H/H', each member
   mapped to its coset; the package builds them on H itself.
+- Products of cyclotomic coefficient lists with one Fraction multiply-add
+  per pair of terms; the package convolves integer numerators over one
+  common denominator per factor.
 """
 
 from __future__ import annotations
@@ -455,3 +458,21 @@ def dihedral_top_model(W) -> ClassFunction:
         return Fraction(fixed - (1 if pi[0] != 0 else 0))
 
     return ClassFunction.from_function(W.full(), trace)
+
+
+# -- cyclotomic products on Fractions ----------------------------------------------
+
+
+def pmul(a, b):
+    """The product of two Fraction coefficient lists (index = exponent), trimmed
+    of trailing zeros, by one Fraction multiply-add per pair of terms."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out

@@ -82,9 +82,9 @@ def test_immutable():
 
 def test_ring_axioms_random():
     rng = random.Random(20240811)
-    conductors = [1, 2, 3, 4, 5, 6, 8, 9, 12]
-    for _ in range(40):
-        n = rng.choice(conductors)
+    # 14, 18 and 22 are the fields of I2(7), I2(9) and I2(11)
+    conductors = [1, 2, 3, 4, 5, 6, 8, 9, 12, 14, 18, 22, 60]
+    for n in conductors * 5:
         a, b, c = (
             Cyclo(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(euler_phi(n))])
@@ -102,9 +102,9 @@ def test_ring_axioms_random():
 
 def test_inverse_and_division():
     rng = random.Random(7)
-    for n in (1, 4, 5, 12):
+    for n in (1, 4, 5, 12, 14, 22, 60):
         for _ in range(10):
-            a = Cyclo(n, [Fraction(rng.randint(-3, 3))
+            a = Cyclo(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 5))
                           for _ in range(euler_phi(n))])
             if not a:
                 continue
@@ -122,6 +122,16 @@ def test_int_and_fraction_mixing():
     assert Fraction(1, 2) * x * 2 == x
     assert (x + Fraction(1, 3)) - x == Fraction(1, 3)
     assert 1 - rational(Fraction(1, 4)) == Fraction(3, 4)
+
+
+def test_floats_are_refused():
+    # no floating point anywhere: the constructors refuse a float as the
+    # arithmetic does, instead of storing its binary expansion
+    for make in (lambda: Cyclo(5, [0.1]), lambda: Cyclo(5, [1, Fraction(1, 2), 0.5]),
+                 lambda: rational(0.5), lambda: rational(0.5, 5),
+                 lambda: zeta(5) * 0.5, lambda: zeta(5) + 0.5):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_as_rational():

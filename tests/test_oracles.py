@@ -45,6 +45,8 @@ algebra at the flat of W_L's reflections, is checked against the top
 component of W_L built as a Coxeter group of its own.  Cyclotomic sums,
 differences, products and comparisons, which build their results without
 re-validating them, are checked against the validating constructor.  The
+product of coefficient lists, convolved on integer numerators, is checked
+against one Fraction multiply-add per pair of terms.  The
 reduction mod Phi_n, read off one integer table of x^k per conductor, is
 checked against long division by Phi_n.
 """
@@ -72,7 +74,7 @@ from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
 from oracles import (averaging, dense_element, descent_x, e_shape, fixed_space,
-                     flat_rank, independent, nbc, parabolic_fixed_space, power,
+                     flat_rank, independent, nbc, parabolic_fixed_space, pmul, power,
                      quotient_linear_characters, sigma_parabolic, x_element)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
@@ -986,12 +988,7 @@ def _oracle_sum(x, y, sign):
 
 def _oracle_product(x, y):
     n = _field_of(x, y)
-    a, b = _in_field(x, n), _in_field(y, n)
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return Cyclo(n, out)
+    return Cyclo(n, pmul(_in_field(x, n), _in_field(y, n)))
 
 
 def _assert_built_like(got, want):
@@ -1031,6 +1028,30 @@ def test_cyclo_fast_paths_match_validating_constructor(n):
         assert (x != y) is not (x == y)
     for x in values:
         _assert_built_like(-x, Cyclo(x.conductor, [-c for c in x.coeffs]))
+
+
+PMUL_CONDUCTORS = list(range(1, 13)) + [14, 18, 22, 24, 60]
+
+
+@pytest.mark.parametrize("n", PMUL_CONDUCTORS)
+def test_pmul_matches_fraction_products(n):
+    phi, rng = euler_phi(n), random.Random(n)
+
+    def draw(length):
+        # zero coefficients, small and large denominators, and a huge numerator
+        pool = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 6),
+                Fraction(1, 997), Fraction(-4, 997), Fraction(10 ** 30, 7),
+                Fraction(-1, 10 ** 12)]
+        return [rng.choice(pool) for _ in range(length)]
+
+    operands = [draw(phi), draw(phi), draw(phi // 2 + 1), draw(2 * phi - 1),
+                [], [Fraction(7, 3)], [Fraction(0)] * phi,
+                [Fraction(0), Fraction(1, 997)], [Fraction(10 ** 30, 7)] + [Fraction(0)] * 2]
+    for a in operands:
+        for b in operands:
+            got = cyclo._pmul(a, b)
+            assert got == pmul(a, b), (a, b)
+            assert all(type(c) is Fraction for c in got)
 
 
 # -- reduction mod Phi_n against long division ---------------------------------------
