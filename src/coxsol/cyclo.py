@@ -7,11 +7,14 @@ conductor are equal iff their tuples are equal.  Values with different
 conductors are compared by lifting both into Q(zeta_lcm); the conductor of
 a value is never minimised automatically.
 
-A product is formed on integers: each factor's coefficients are written over
-the lcm of their own denominators, a = A/d_a and b = B/d_b, the integer lists
-A and B are convolved, and each coefficient of the result is the Fraction
-(sum of A_i*B_j)/(d_a*d_b).  This is exact, as (A/d_a)(B/d_b) = AB/(d_a*d_b).
-The reduction mod Phi_n, sums and inverses stay on Fractions.
+Products, the reduction mod Phi_n and inverses run on integers, with one
+division at the end.  A list of Fractions is written as A/d, with A the
+integer numerators over d, the lcm of the denominators.  A product convolves
+A and B and keeps the denominator d_a*d_b, as (A/d_a)(B/d_b) = AB/(d_a*d_b);
+the reduction rewrites the integer list with the integer rows of
+_reduction_table and only then forms the phi(n) Fractions c/d; an inverse runs
+extended Euclid over Z[x] (see Cyclo.inverse).  Sums and differences stay on
+the stored Fractions.
 
 >>> zeta(3, 1) + zeta(3, 2) + 1
 Cyclo(3, 0)
@@ -52,9 +55,13 @@ def euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (index = exponent); a product
-# convolves integer numerators over one common denominator per factor, exact
-# as (A/d_a)(B/d_b) = (A*B)/(d_a*d_b)
+# dense polynomial helpers (index = exponent) on integer numerators A over one
+# common denominator d, standing for the Fraction list A/d; scaling a list by
+# an integer or adding integer multiples of Phi_n's rows to it is exact, so
+# the only Fractions are the phi(n) quotients c/d that _reduce returns
+
+_ZERO = Fraction(0)  # Fractions are immutable, so every stored zero can be this one
+
 
 def _ptrim(p):
     while p and not p[-1]:
@@ -69,18 +76,18 @@ def _integer_numerators(p):
 
 
 def _pmul(a, b):
-    """The product of two Fraction coefficient lists, trimmed, as Fractions;
-    only the len(a) + len(b) - 1 output sums are normalised."""
+    """(P, d) with P/d the product of two Fraction coefficient lists: P is the
+    convolution of their integer numerators, of length len(a) + len(b) - 1,
+    and d = d_a*d_b."""
     if not a or not b:
-        return []
+        return [], 1
     (A, da), (B, db) = _integer_numerators(a), _integer_numerators(b)
     out = [0] * (len(A) + len(B) - 1)
     for i, ai in enumerate(A):
         if ai:
             for j, bj in enumerate(B):
                 out[i + j] += ai * bj
-    d = da * db
-    return _ptrim([Fraction(c, d) for c in out])
+    return out, da * db
 
 
 def _mobius(k: int) -> int:
@@ -142,25 +149,27 @@ def _reduction_table(n: int) -> tuple:
     return tuple(rows)
 
 
-def _reduce(p, n: int):
-    """Reduce a Fraction coefficient list mod Phi_n, returning a tuple of
-    Fractions of length phi(n).
+def _reduce(P, d: int, n: int):
+    """The value P/d mod Phi_n, for an integer list P and an integer d != 0, as
+    a tuple of phi(n) Fractions.
 
     Exponents k >= n are first folded onto k mod n, as x^n = 1 mod Phi_n;
-    then each x^k with phi(n) <= k < n is replaced by its table row.
+    then each x^k with phi(n) <= k < n is replaced by its integer table row.
+    Both steps keep integers, so each coefficient is divided by d once.
     """
     phi = euler_phi(n)
-    out = list(p[:n])
-    for k in range(n, len(p)):
-        if p[k]:
-            out[k % n] += p[k]
+    out = list(P[:n])
+    for k in range(n, len(P)):
+        if P[k]:
+            out[k % n] += P[k]
     head = out[:phi]
-    head += [Fraction(0)] * (phi - len(head))
-    for v, row in zip(out[phi:], _reduction_table(n)):
-        if v:
-            for j, c in row:
-                head[j] += c * v
-    return tuple(head)
+    head += [0] * (phi - len(head))
+    if len(out) > phi:  # a shorter list is only padded, and needs no table
+        for v, row in zip(out[phi:], _reduction_table(n)):
+            if v:
+                for j, c in row:
+                    head[j] += c * v
+    return tuple(Fraction(c, d) if c else _ZERO for c in head)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +204,7 @@ class Cyclo:
         phi = euler_phi(conductor)
         coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) > phi:
-            coeffs = list(_reduce(coeffs, conductor))
+            coeffs = list(_reduce(*_integer_numerators(coeffs), conductor))
         else:
             coeffs = coeffs + [Fraction(0)] * (phi - len(coeffs))
         object.__setattr__(self, "conductor", conductor)
@@ -221,10 +230,11 @@ class Cyclo:
         if n % self.conductor:
             raise ValueError("can only lift to a multiple of the conductor")
         step = n // self.conductor
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
+        A, d = _integer_numerators(self.coeffs)
+        out = [0] * ((len(A) - 1) * step + 1)
+        for j, c in enumerate(A):
             out[j * step] = c
-        return Cyclo(n, out)
+        return Cyclo._from_reduced(n, _reduce(out, d, n))
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo"):
@@ -236,9 +246,9 @@ class Cyclo:
 
     # -- ring operations -----------------------------------------------------
     # Operands are reduced tuples of Fractions, so sums and differences are
-    # too.  A product is convolved on integer numerators (_pmul) and comes
-    # back as Fractions, which _reduce keeps, so _from_reduced stores both
-    # as they are.
+    # too.  A product is convolved (_pmul) and reduced (_reduce) on integer
+    # numerators, and _reduce hands back phi(n) Fractions, so _from_reduced
+    # stores both as they are.
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -284,7 +294,7 @@ class Cyclo:
     def __mul__(self, other):
         if isinstance(other, Cyclo):
             n, a, b = Cyclo._common(self, other)
-            return Cyclo._from_reduced(n, _reduce(_pmul(a, b), n))
+            return Cyclo._from_reduced(n, _reduce(*_pmul(a, b), n))
         q = _as_fraction(other)
         if q is None:
             return NotImplemented
@@ -305,29 +315,54 @@ class Cyclo:
         return out
 
     def inverse(self) -> "Cyclo":
+        """1/self, by extended Euclid over Z[x] against Phi_n.
+
+        Write self = A/d with A an integer list and d > 0.  The loop keeps two
+        pairs (r0, s0) and (r1, s1) of integer lists with s*A = r mod Phi_n
+        and r0 at least as long as r1, starting from (Phi_n, 0) and (A, 1).
+        A step is one pseudo-division step: with u and v the leading
+        coefficients of r0 and r1, h = gcd(u, v) and j the difference of
+        their degrees, (r0, s0) becomes (v/h)*(r0, s0) - (u/h)*x^j*(r1, s1),
+        and the pairs swap if r0 is now the shorter.
+        - The invariant holds: the new pair is an integer combination of two
+          pairs that satisfy it, and the relation is linear.  Dividing both
+          lists by their common content g keeps it too, and keeps them
+          integer lists, since g divides every coefficient: no step rounds.
+        - The loop ends at a nonzero constant.  Each step cancels the leading
+          term of r0, so the degree of r0 falls, and the loop ends.
+          Over Q the step is invertible (v/h != 0), so gcd(r0, r1) stays
+          gcd(Phi_n, A) up to a unit.  Phi_n is irreducible over Q and A is a
+          nonzero list of degree < phi(n), so that gcd is 1.  The loop stops
+          when r1 is a constant g.  It is nonzero: r1 becomes 0 only as the
+          r0 of a step that left the other r, not a constant, as the gcd.
+        Then s*A = g mod Phi_n, so 1/self = d*s/g, reduced by _reduce.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended euclid of self against Phi_n inside Q[x]
-        a = _ptrim(list(self.coeffs))
-        b = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        u0, u1 = [Fraction(1)], []
-        while b:
-            if len(a) < len(b):
-                a, b, u0, u1 = b, a, u1, u0
-                continue
-            lead = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for j, c in enumerate(b):
-                a[shift + j] -= lead * c
-            mov = [Fraction(0)] * shift + [lead * c for c in u1]
-            u0 = _ptrim([x - y for x, y in
-                         zip(u0 + [Fraction(0)] * max(0, len(mov) - len(u0)),
-                             mov + [Fraction(0)] * max(0, len(u0) - len(mov)))])
-            a = _ptrim(a)
-        if len(a) != 1:
+        A, d = _integer_numerators(self.coeffs)
+        r0, s0 = list(cyclotomic_polynomial(self.conductor)), []
+        r1, s1 = _ptrim(A), [1]
+        while len(r1) > 1:
+            u, v = r0[-1], r1[-1]
+            h = math.gcd(u, v)
+            u, v = u // h, v // h
+            j = len(r0) - len(r1)
+            r0 = [v * c for c in r0]
+            for i, c in enumerate(r1):
+                r0[i + j] -= u * c
+            s0 = [v * c for c in s0] + [0] * max(0, len(s1) + j - len(s0))
+            for i, c in enumerate(s1):
+                s0[i + j] -= u * c
+            g = math.gcd(*r0, *s0)
+            if g > 1:
+                r0, s0 = [c // g for c in r0], [c // g for c in s0]
+            r0, s0 = _ptrim(r0), _ptrim(s0)
+            if len(r0) < len(r1):
+                r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
             raise ZeroDivisionError("not invertible mod Phi_n")
-        g = a[0]
-        return Cyclo(self.conductor, [c / g for c in u0])
+        return Cyclo._from_reduced(self.conductor,
+                                   _reduce([d * c for c in s1], r1[0], self.conductor))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -369,10 +404,11 @@ class Cyclo:
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise NotCoprime(f"gcd({k}, {n}) != 1")
-        out = [Fraction(0)] * n
-        for j, c in enumerate(self.coeffs):
+        A, d = _integer_numerators(self.coeffs)
+        out = [0] * n
+        for j, c in enumerate(A):
             out[(j * k) % n] += c
-        return Cyclo(n, out)
+        return Cyclo._from_reduced(n, _reduce(out, d, n))
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation zeta_n -> zeta_n^(-1)."""

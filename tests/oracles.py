@@ -23,9 +23,10 @@ check those facts against.
   in one pass over its universe.
 - Linear characters through a multiplication table of H/H', each member
   mapped to its coset; the package builds them on H itself.
-- Products of cyclotomic coefficient lists with one Fraction multiply-add
-  per pair of terms; the package convolves integer numerators over one
-  common denominator per factor.
+- Cyclotomic arithmetic on Fractions: products of coefficient lists with one
+  Fraction multiply-add per pair of terms, the reduction mod Phi_n with one
+  per table entry, and inverses by extended Euclid over Q[x].  The package
+  does all three on integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import cache, cached_property
 
 from coxsol import chars, linalg
 from coxsol.chars import ClassFunction, NotInvariant, NotLinear, commutator_subgroup
+from coxsol.cyclo import _reduction_table, cyclotomic_polynomial, euler_phi
 from coxsol.descent import GroupAlgebraElement
 from coxsol.orlik_solomon import dihedral_hyperplane_angles
 
@@ -460,7 +462,7 @@ def dihedral_top_model(W) -> ClassFunction:
     return ClassFunction.from_function(W.full(), trace)
 
 
-# -- cyclotomic products on Fractions ----------------------------------------------
+# -- cyclotomic arithmetic on Fractions ---------------------------------------------
 
 
 def pmul(a, b):
@@ -476,3 +478,56 @@ def pmul(a, b):
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def reduce_fractions(p, n: int) -> tuple:
+    """A Fraction coefficient list mod Phi_n, as a tuple of phi(n) Fractions.
+
+    Exponents k >= n are first folded onto k mod n, as x^n = 1 mod Phi_n;
+    then each x^k with phi(n) <= k < n is replaced by its table row, with one
+    Fraction multiply-add per entry.
+    """
+    phi = euler_phi(n)
+    out = list(p[:n])
+    for k in range(n, len(p)):
+        if p[k]:
+            out[k % n] += p[k]
+    head = out[:phi]
+    head += [Fraction(0)] * (phi - len(head))
+    for v, row in zip(out[phi:], _reduction_table(n)):
+        if v:
+            for j, c in row:
+                head[j] += c * v
+    return tuple(head)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def inverse(x) -> tuple:
+    """The coefficient tuple of 1/x for a nonzero Cyclo x, by extended Euclid of
+    x against Phi_n on Fraction lists inside Q[x]."""
+    a = _trim(list(x.coeffs))
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    b = [Fraction(c) for c in cyclotomic_polynomial(x.conductor)]
+    u0, u1 = [Fraction(1)], []
+    while b:
+        if len(a) < len(b):
+            a, b, u0, u1 = b, a, u1, u0
+            continue
+        lead = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for j, c in enumerate(b):
+            a[shift + j] -= lead * c
+        mov = [Fraction(0)] * shift + [lead * c for c in u1]
+        u0 = _trim([p - q for p, q in
+                    zip(u0 + [Fraction(0)] * max(0, len(mov) - len(u0)),
+                        mov + [Fraction(0)] * max(0, len(u0) - len(mov)))])
+        a = _trim(a)
+    if len(a) != 1:
+        raise ZeroDivisionError("not invertible mod Phi_n")
+    return reduce_fractions([c / a[0] for c in u0], x.conductor)

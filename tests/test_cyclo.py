@@ -110,10 +110,14 @@ def test_inverse_and_division():
                 continue
             assert a * a.inverse() == 1
             assert (a * a) / a == a
+            assert a ** -3 * a ** 3 == 1
+        with pytest.raises(ZeroDivisionError):
+            Cyclo(n, [0]).inverse()
+        with pytest.raises(ZeroDivisionError):
+            _ = (zeta(n) + 2) / rational(0, n)
+        with pytest.raises(ZeroDivisionError):
+            _ = rational(0, n) ** -1
     assert 1 / zeta(9) == zeta(9, 8)
-    with pytest.raises(ZeroDivisionError):
-        rational(1).inverse  # attribute access is fine
-        _ = rational(1) / rational(0)
 
 
 def test_int_and_fraction_mixing():

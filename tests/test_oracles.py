@@ -47,8 +47,10 @@ differences, products and comparisons, which build their results without
 re-validating them, are checked against the validating constructor.  The
 product of coefficient lists, convolved on integer numerators, is checked
 against one Fraction multiply-add per pair of terms.  The
-reduction mod Phi_n, read off one integer table of x^k per conductor, is
-checked against long division by Phi_n.
+reduction mod Phi_n, read off one integer table of x^k per conductor on
+integer numerators, is checked against long division by Phi_n and against
+the same table applied to Fractions.  The inverse, by extended Euclid over
+Z[x], is checked against extended Euclid on Fraction lists.
 """
 
 import itertools
@@ -74,8 +76,9 @@ from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
 from oracles import (averaging, dense_element, descent_x, e_shape, fixed_space,
-                     flat_rank, independent, nbc, parabolic_fixed_space, pmul, power,
-                     quotient_linear_characters, sigma_parabolic, x_element)
+                     flat_rank, independent, inverse, nbc, parabolic_fixed_space, pmul,
+                     power, quotient_linear_characters, reduce_fractions, sigma_parabolic,
+                     x_element)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -1049,9 +1052,17 @@ def test_pmul_matches_fraction_products(n):
                 [Fraction(0), Fraction(1, 997)], [Fraction(10 ** 30, 7)] + [Fraction(0)] * 2]
     for a in operands:
         for b in operands:
-            got = cyclo._pmul(a, b)
+            P, d = cyclo._pmul(a, b)
+            assert type(d) is int and d > 0
+            assert all(type(c) is int for c in P)
+            assert len(P) == (len(a) + len(b) - 1 if a and b else 0)
+            got = cyclo._ptrim([Fraction(c, d) for c in P])
             assert got == pmul(a, b), (a, b)
             assert all(type(c) is Fraction for c in got)
+            # the product reduced on integer numerators, against the Fraction fold
+            red = cyclo._reduce(P, d, n)
+            assert red == reduce_fractions(pmul(a, b), n), (a, b)
+            assert all(type(c) is Fraction for c in red)
 
 
 # -- reduction mod Phi_n against long division ---------------------------------------
@@ -1087,9 +1098,10 @@ def test_reduction_table_matches_long_division(n):
         # (integer, as every denominator divides 6) stays in the integers
         _, r = pdivmod_monic([int(6 * c) for c in p], cyclotomic_polynomial(n))
         want = [Fraction(c, 6) for c in r] + [Fraction(0)] * (phi - len(r))
-        got = cyclo._reduce(p, n)
+        got = cyclo._reduce(*cyclo._integer_numerators(p), n)
         assert got == tuple(want), (n, length)
         assert all(type(c) is Fraction for c in got)
+        assert reduce_fractions(p, n) == tuple(want), (n, length)
 
 
 def test_reduction_table_is_built_once_per_conductor():
@@ -1107,3 +1119,27 @@ def test_reduction_table_is_built_once_per_conductor():
     # one table each for 7, 12, 22 and 14: lifting from 7 to 14 gives 11 terms,
     # over phi(14) = 6, while lifts from 12 and 22 stay within phi(24), phi(44)
     assert info.misses == info.currsize == 4 and info.hits > 0
+
+
+# -- inverses against extended Euclid on Fractions -----------------------------------
+
+@pytest.mark.parametrize("n", PMUL_CONDUCTORS)
+def test_inverse_matches_fraction_euclid(n):
+    phi, rng = euler_phi(n), random.Random(n)
+    pool = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(1, 997), Fraction(10 ** 30, 7),
+            Fraction(-1, 10 ** 12)]
+    operands = [
+        Cyclo(n, [6, 12]),                                    # content 6, 6 + 12 zeta
+        Cyclo(n, [1] * (phi - 1) + [-3]),                     # negative leading coefficient
+        Cyclo(n, [0] * (phi - 1) + [Fraction(-5, 3)]),        # a single nonzero term
+        Cyclo(n, [Fraction(7, 3)]),                           # a rational
+        Cyclo(n, [Fraction(1, 997), Fraction(10 ** 30, 7), Fraction(-1, 10 ** 12)]),
+    ] + [Cyclo(n, [rng.choice(pool) for _ in range(phi)]) for _ in range(6)]
+    for x in operands:
+        if not x:
+            continue
+        got = x.inverse()
+        assert got.conductor == n
+        assert got.coeffs == inverse(x), x
+        assert all(type(c) is Fraction and c.denominator > 0 for c in got.coeffs)
+        assert x * got == 1
