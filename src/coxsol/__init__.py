@@ -7,8 +7,8 @@ identities (called conjectures A, B and C throughout) together with the
 dihedral decomposition table.
 """
 
-from .cyclo import Cyclo, zeta, rational, NotCoprime
+from .cyclo import Cyclo, zeta, rational
 
 __version__ = "0.1.0"
 
-__all__ = ["Cyclo", "zeta", "rational", "NotCoprime", "__version__"]
+__all__ = ["Cyclo", "zeta", "rational", "__version__"]

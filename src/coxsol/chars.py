@@ -133,19 +133,6 @@ class ClassFunction:
             raise NotASubgroup("can only restrict to a subgroup")
         return ClassFunction(target, [self.value(c.rep) for c in target.classes])
 
-    def inner(self, other) -> Fraction:
-        """Hermitian inner product of class functions."""
-        self._same_carrier(other)
-        acc = Fraction(0)
-        for c, a, b in zip(self.carrier.classes, self.values, other.values):
-            acc = acc + c.size * a * b.conjugate()
-        acc = acc * Fraction(1, self.carrier.order)
-        if not isinstance(acc, Fraction):
-            q = acc.as_rational()
-            if q is not None:
-                return q
-        return acc
-
     def __repr__(self):
         return f"ClassFunction({list(self.values)!r})"
 

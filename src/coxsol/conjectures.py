@@ -120,12 +120,6 @@ class ConjectureReport:
                 return sub.aborted
         return "verified" if self.ok else "failed"
 
-    def check(self, label: str) -> bool:
-        for lab, ok, _ in self.checks:
-            if lab == label:
-                return ok
-        raise KeyError(label)
-
     @property
     def title(self) -> str:
         where = f" at L=[{subset_label(self.L)}]" if self.L is not None else ""
@@ -694,10 +688,11 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
 
 
 def _multiple_of(vec, base):
-    """c with vec = c * base, read off base's first nonzero entry; None when
-    vec is no multiple of base."""
+    """c with vec = c * base, read off base's first nonzero entry, a Cyclo;
+    None when vec is no multiple of base.  vec's entry there may be the
+    Fraction 0, so c is that entry times the inverse, not a quotient."""
     i = next(i for i, x in enumerate(base) if x)
-    c = vec[i] / base[i]
+    c = vec[i] * base[i].inverse()
     return c if all(x == c * y for x, y in zip(vec, base)) else None
 
 

@@ -18,7 +18,7 @@ the stored Fractions.
 
 >>> zeta(3, 1) + zeta(3, 2) + 1
 Cyclo(3, 0)
->>> (zeta(5) ** 5).as_rational()
+>>> (zeta(5, 2) * zeta(5, 3)).as_rational()
 Fraction(1, 1)
 >>> zeta(6, 1) == -zeta(3, 2)
 True
@@ -30,10 +30,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-
-
-class NotCoprime(ValueError):
-    """Raised when a Galois conjugation exponent shares a factor with n."""
 
 
 @lru_cache(maxsize=None)
@@ -302,18 +298,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyclo(self.conductor, [1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def inverse(self) -> "Cyclo":
         """1/self, by extended Euclid over Z[x] against Phi_n.
 
@@ -370,19 +354,13 @@ class Cyclo:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     # -- predicates and views --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Cyclo):
@@ -399,23 +377,6 @@ class Cyclo:
             return None
         return self.coeffs[0]
 
-    def galois(self, k: int) -> "Cyclo":
-        """Image under zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
-        n = self.conductor
-        if math.gcd(k, n) != 1:
-            raise NotCoprime(f"gcd({k}, {n}) != 1")
-        A, d = _integer_numerators(self.coeffs)
-        out = [0] * n
-        for j, c in enumerate(A):
-            out[(j * k) % n] += c
-        return Cyclo._from_reduced(n, _reduce(out, d, n))
-
-    def conjugate(self) -> "Cyclo":
-        """Complex conjugation zeta_n -> zeta_n^(-1)."""
-        if self.conductor <= 2:
-            return self
-        return self.galois(self.conductor - 1)
-
     # -- io ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -423,11 +384,6 @@ class Cyclo:
             "conductor": self.conductor,
             "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Cyclo":
-        return Cyclo(int(data["conductor"]),
-                     [Fraction(int(num), int(den)) for num, den in data["coeffs"]])
 
     def __repr__(self):
         terms = []

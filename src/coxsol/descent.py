@@ -48,10 +48,6 @@ class NotIdempotent(ArithmeticError):
     """An element taken for an idempotent does not square to itself."""
 
 
-class NotAResolution(ArithmeticError):
-    """Shape idempotents that are not orthogonal or do not add up to 1."""
-
-
 class GroupAlgebraElement:
     """A finitely supported function on a group, with convolution product."""
 
@@ -61,57 +57,29 @@ class GroupAlgebraElement:
         self.group = group
         self.coeffs = {w: c for w, c in coeffs.items() if c}
 
-    def coefficient(self, w: int):
-        return self.coeffs.get(w, Fraction(0))
-
     def support(self):
         return sorted(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            out = dict(self.coeffs)
-            for w, c in other.coeffs.items():
-                out[w] = out.get(w, Fraction(0)) + c
-            return GroupAlgebraElement(self.group, out)
-        return self + other * unit(self.group)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.group, {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, GroupAlgebraElement)
-                       else -(other * unit(self.group)))
-
-    def __rsub__(self, other):
-        return (-self) + other * unit(self.group)
-
     def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            mt = self.group.mult_table
-            out = {}
-            for x, a in self.coeffs.items():
-                row = mt[x]
-                for y, b in other.coeffs.items():
-                    g = row[y]
-                    out[g] = out.get(g, Fraction(0)) + a * b
-            return GroupAlgebraElement(self.group, out)
-        return GroupAlgebraElement(self.group,
-                                   {w: c * other for w, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        return GroupAlgebraElement(self.group,
-                                   {w: other * c for w, c in self.coeffs.items()})
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
+        mt = self.group.mult_table
+        out = {}
+        for x, a in self.coeffs.items():
+            row = mt[x]
+            for y, b in other.coeffs.items():
+                g = row[y]
+                out[g] = out.get(g, Fraction(0)) + a * b
+        return GroupAlgebraElement(self.group, out)
 
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(w) == other.coefficient(w) for w in keys)
+        # __init__ drops zero coefficients, so equal elements have equal dicts
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # equality is by value, and Cyclo coefficients have no hash
 
@@ -134,10 +102,6 @@ class GroupAlgebraElement:
         parts = [f"{c}*{W.word_str(w)}" for w, c in sorted(self.coeffs.items())[:6]]
         more = "..." if len(self.coeffs) > 6 else ""
         return f"GroupAlgebraElement({' + '.join(parts)}{more})"
-
-
-def unit(W: CoxeterGroup) -> GroupAlgebraElement:
-    return GroupAlgebraElement(W, {W.identity: Fraction(1)})
 
 
 def _mask(J) -> int:
@@ -294,19 +258,6 @@ class DescentAlgebra:
         if self.product(c, c) != c:
             raise NotIdempotent(f"{what} in the descent algebra of a subgroup of "
                                 f"order {self.universe.order} does not square to itself")
-
-    def check_idempotent_family(self):
-        """The shape idempotents are orthogonal and resolve the identity x_L."""
-        es = [self.shape_coords(sh) for sh in self.shapes]
-        total = [Fraction(0)] * len(self.subsets)
-        for i, a in enumerate(es):
-            self.check_square(a, f"e of {self.shapes[i]}")
-            total = [t + v for t, v in zip(total, a)]
-            for b in es[i + 1:]:
-                if any(self.product(a, b)) or any(self.product(b, a)):
-                    raise NotAResolution("two shape idempotents are not orthogonal")
-        if total != [int(J == self.L) for J in self.subsets]:
-            raise NotAResolution("the shape idempotents do not add up to 1")
 
     # -- characters of the right ideals -------------------------------------------
 

@@ -94,7 +94,7 @@ def det(rows):
             m[col], m[piv] = m[piv], m[col]
             result = -result
         result = result * m[col][col]
-        inv = one / m[col][col]
+        inv = one_of(m[col][col]) / m[col][col]
         for i in range(col + 1, n):
             c = m[i][col] * inv
             if c:

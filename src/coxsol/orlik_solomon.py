@@ -128,10 +128,6 @@ class OSAlgebra:
             dims[f.rank] += abs(mu[f.id])
         return dims
 
-    @property
-    def dimension(self) -> int:
-        return sum(self.dimensions)
-
     def component_character(self, flat_ids, acting: Subgroup) -> ClassFunction:
         """Trace of the acting subgroup on the components of the given flats:
         at w, the sum of (-1)^rk X mu_w(V, X) over the given X with wX = X.

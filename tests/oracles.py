@@ -18,9 +18,15 @@ check those facts against.
   determinant on the root span of J on the complement N_J; the averaging
   idempotent of a subgroup; and a closed-form model of the top component
   character of a dihedral group, from the angles of its hyperplanes.
-- The x_J basis as sums of group elements (`x_element`), and elements of a
-  descent algebra summed from it term by term; the package builds an element
-  in one pass over its universe.
+- The group algebra as a vector space (`Element`: sums, differences and
+  scalar multiples, which the package never forms), the x_J basis as sums
+  of group elements (`x_element`), and elements of a descent algebra summed
+  from it term by term; the package builds an element in one pass over its
+  universe.  The check that the shape idempotents of a descent algebra are
+  orthogonal and add up to 1 (`check_idempotent_family`).
+- Complex conjugation of a cyclotomic value and the Hermitian inner product
+  of class functions; decoding a value from its JSON form; reading one
+  check's outcome off a report.
 - Linear characters through a multiplication table of H/H', each member
   mapped to its coset; the package builds them on H itself.
 - Cyclotomic arithmetic on Fractions: products of coefficient lists with one
@@ -38,7 +44,7 @@ from functools import cache, cached_property
 
 from coxsol import chars, linalg
 from coxsol.chars import ClassFunction, NotInvariant, NotLinear, commutator_subgroup
-from coxsol.cyclo import _reduction_table, cyclotomic_polynomial, euler_phi
+from coxsol.cyclo import Cyclo, _reduction_table, cyclotomic_polynomial, euler_phi
 from coxsol.descent import GroupAlgebraElement
 from coxsol.orlik_solomon import dihedral_hyperplane_angles
 
@@ -406,41 +412,113 @@ def sigma_parabolic(W, J) -> ClassFunction:
                                        lambda n: W.det_on_root_span(n, J))
 
 
-def group_sum(W, elems) -> GroupAlgebraElement:
+class Element(GroupAlgebraElement):
+    """A group algebra element with sums, differences and scalar multiples.
+
+    A scalar c stands for c times the identity.  Every result is an Element,
+    also when the other operand is a package GroupAlgebraElement.
+    """
+
+    __slots__ = ()
+
+    def coefficient(self, w: int):
+        return self.coeffs.get(w, Fraction(0))
+
+    def _element(self, x) -> "Element":
+        if isinstance(x, GroupAlgebraElement):
+            return as_element(x)
+        return Element(self.group, {self.group.identity: x})
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for w, c in self._element(other).coeffs.items():
+            out[w] = out.get(w, Fraction(0)) + c
+        return Element(self.group, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Element(self.group, {w: -c for w, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -self._element(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, GroupAlgebraElement):
+            return as_element(super().__mul__(other))
+        return Element(self.group, {w: c * other for w, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, GroupAlgebraElement):
+            return as_element(other) * self
+        return Element(self.group, {w: other * c for w, c in self.coeffs.items()})
+
+
+def as_element(x: GroupAlgebraElement) -> Element:
+    return Element(x.group, x.coeffs)
+
+
+def unit(W) -> Element:
+    return Element(W, {W.identity: Fraction(1)})
+
+
+def group_sum(W, elems) -> Element:
     out = {}
     for w in elems:
         out[w] = out.get(w, Fraction(0)) + 1
-    return GroupAlgebraElement(W, out)
+    return Element(W, out)
 
 
-def x_element(W, J, within=None) -> GroupAlgebraElement:
+def x_element(W, J, within=None) -> Element:
     """Sum of the inverses of the minimal coset representatives X_J."""
     return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
 
 
-def descent_x(D, J) -> GroupAlgebraElement:
+def descent_x(D, J) -> Element:
     """x_J of the descent algebra D, inside its universe."""
     return x_element(D.W, J, within=D.universe)
 
 
-def dense_element(D, coords) -> GroupAlgebraElement:
+def dense_element(D, coords) -> Element:
     """sum_K c_K x_K, one x_K at a time."""
-    acc = GroupAlgebraElement(D.W, {})
+    acc = Element(D.W, {})
     for K, c in zip(D.subsets, coords):
         if c:
             acc = acc + c * descent_x(D, K)
     return acc
 
 
-def e_shape(D, shape) -> GroupAlgebraElement:
+def e_shape(D, shape) -> Element:
     """The shape idempotent of D as a group algebra element."""
-    return D.element(D.shape_coords(shape))
+    return as_element(D.element(D.shape_coords(shape)))
 
 
-def averaging(H) -> GroupAlgebraElement:
+def averaging(H) -> Element:
     """The averaging idempotent of a subgroup, inside the ambient algebra."""
     q = Fraction(1, H.order)
-    return GroupAlgebraElement(H.parent, {w: q for w in H.members})
+    return Element(H.parent, {w: q for w in H.members})
+
+
+class NotAResolution(ArithmeticError):
+    """Shape idempotents that are not orthogonal or do not add up to 1."""
+
+
+def check_idempotent_family(D):
+    """Raise unless the shape idempotents of the descent algebra D square to
+    themselves, are orthogonal and add up to the identity x_L."""
+    es = [D.shape_coords(sh) for sh in D.shapes]
+    total = [Fraction(0)] * len(D.subsets)
+    for i, a in enumerate(es):
+        D.check_square(a, f"e of {D.shapes[i]}")
+        total = [t + v for t, v in zip(total, a)]
+        for b in es[i + 1:]:
+            if any(D.product(a, b)) or any(D.product(b, a)):
+                raise NotAResolution("two shape idempotents are not orthogonal")
+    if total != [int(J == D.L) for J in D.subsets]:
+        raise NotAResolution("the shape idempotents do not add up to 1")
 
 
 def dihedral_top_model(W) -> ClassFunction:
@@ -460,6 +538,45 @@ def dihedral_top_model(W) -> ClassFunction:
         return Fraction(fixed - (1 if pi[0] != 0 else 0))
 
     return ClassFunction.from_function(W.full(), trace)
+
+
+# -- reports, JSON values, conjugation and inner products ---------------------------
+
+
+def check(report, label: str) -> bool:
+    """The outcome of the check of that label in a report."""
+    for lab, ok, _ in report.checks:
+        if lab == label:
+            return ok
+    raise KeyError(label)
+
+
+def from_json(data: dict) -> Cyclo:
+    """A cyclotomic value from its `to_json` form."""
+    return Cyclo(int(data["conductor"]),
+                 [Fraction(int(num), int(den)) for num, den in data["coeffs"]])
+
+
+def conjugate(x):
+    """Complex conjugation zeta_n -> zeta_n^-1 of a Cyclo; a Fraction is real."""
+    if not isinstance(x, Cyclo):
+        return x
+    n = x.conductor
+    out = [Fraction(0)] * n
+    for j, c in enumerate(x.coeffs):
+        out[-j % n] = c
+    return Cyclo(n, reduce_fractions(out, n))
+
+
+def inner(a: ClassFunction, b: ClassFunction):
+    """The Hermitian inner product of two class functions on one carrier, as a
+    Fraction when it is rational."""
+    a._same_carrier(b)
+    H = a.carrier
+    acc = sum((c.size * x * conjugate(y) for c, x, y in zip(H.classes, a.values, b.values)),
+              Fraction(0)) * Fraction(1, H.order)
+    q = acc if isinstance(acc, Fraction) else acc.as_rational()
+    return acc if q is None else q
 
 
 # -- cyclotomic arithmetic on Fractions ---------------------------------------------

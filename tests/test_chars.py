@@ -13,7 +13,7 @@ from coxsol.chars import (
 )
 from coxsol.coxeter import _NAMED, Subgroup, build_group
 from coxsol.cyclo import zeta
-from oracles import power, reflection_fix_character, sigma_parabolic
+from oracles import inner, power, reflection_fix_character, sigma_parabolic
 
 
 def test_class_function_basics():
@@ -26,8 +26,8 @@ def test_class_function_basics():
     assert (triv - triv).is_zero()
     assert (2 * triv).degree == 2
     assert triv * eps == eps
-    assert triv.inner(triv) == 1
-    assert triv.inner(eps) == 0
+    assert inner(triv, triv) == 1
+    assert inner(triv, eps) == 0
     ref = W.generators[0]
     assert eps.value(ref) == -1
 
@@ -76,8 +76,8 @@ def test_induction_degree_and_reciprocity():
         H = W.parabolic(J)
         ind = trivial_character(H).induce(G)
         assert ind.degree == Fraction(W.order, H.order)
-        assert ind.inner(eps) == \
-            trivial_character(H).inner(eps.restrict(H))
+        assert inner(ind, eps) == \
+            inner(trivial_character(H), eps.restrict(H))
 
 
 def test_induction_transitivity():

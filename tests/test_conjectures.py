@@ -1,13 +1,14 @@
 """Construction routes, verification reports and the dihedral table."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from coxsol import conjectures
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.chars import (ClassFunction, NotLinear, exponent_character,
+from coxsol.chars import (ClassFunction, NotLinear, alpha_element, exponent_character,
                           linear_characters, rotation_character, sign_character,
                           trivial_character)
 from coxsol.conjectures import (UnsupportedCase, check_intertwiner, construct_C,
@@ -15,7 +16,9 @@ from coxsol.conjectures import (UnsupportedCase, check_intertwiner, construct_C,
                                 integer_vectors, subset_label, verify, verify_a,
                                 verify_b, verify_c)
 from coxsol.cyclo import Cyclo, zeta
-from oracles import power
+from coxsol.descent import descent_algebra
+from coxsol.orlik_solomon import top_component_character
+from oracles import check, power
 
 
 # -- base assignments --------------------------------------------------------------
@@ -190,6 +193,29 @@ def test_verify_b_rank3_by_search():
     assert W.full().class_of(a.element) == W.full().class_of(cox)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_klyachko_top_characters_of_type_A(n):
+    """Klyachko 1974: on S_n = A_{n-1}, the centralizer of the Coxeter element
+    c = s1...s_{n-1} is <c>, and the top Phi is induced from the character
+    phi_j(c^k) = zeta_n^(jk) exactly when gcd(j, n) = 1; then phi_j * eps *
+    alpha_c induces the top Psi."""
+    W = build_group(f"A{n - 1}")
+    G, S = W.full(), tuple(range(W.rank))
+    c = W.prod(W.generators)
+    C = W.centralizer(c)
+    assert C.members == W.generated_subgroup([c]).members and C.order == n
+    D = descent_algebra(W)
+    phi_top = D.ideal_character(D.shape_of(S))
+    psi_top = top_component_character(W, S)
+    twist = sign_character(C) * alpha_element(W, c).restrict(C)
+    powers = [power(W, c, k) for k in range(n)]
+    for j in range(n):
+        phi = exponent_character(C, n, {x: j * k for k, x in enumerate(powers)})
+        faithful = math.gcd(j, n) == 1
+        assert (phi.induce(G) == phi_top) == faithful, (n, j)
+        assert ((phi * twist).induce(G) == psi_top) == faithful, (n, j)
+
+
 @pytest.mark.parametrize("spec,L", [
     ("A3", ()), ("A3", (0,)), ("A3", (0, 1)), ("A3", (0, 2)),
     ("B3", (1,)), ("B3", (0, 1)), ("B3", (1, 2)),
@@ -235,7 +261,7 @@ def test_verify_c_report_structure():
                      "tilde-restriction", "tilde-induction",
                      "restriction-assignments", "mackey", "degrees"]:
         assert expected in labels
-    assert report.check("mackey") is True
+    assert check(report, "mackey") is True
     data = report.as_dict()
     assert data["conjecture"] == "C" and data["L"] == "s1,s3"
     assert data["ok"] is True
@@ -260,7 +286,7 @@ def test_mackey_fails_when_the_centralizers_miss_the_normalizer(monkeypatch):
     monkeypatch.setattr(conjectures, "construct_C", shrunk)
     W = build_group("A3")
     report = verify_c(W, (0, 2))
-    assert report.check("mackey") is False
+    assert check(report, "mackey") is False
     assert report.status == "failed"
 
 
@@ -285,10 +311,10 @@ def test_verify_rank4(which, spec, order):
 def test_verify_a_rank_le_2(spec):
     report = verify_a(build_group(spec))
     assert report.ok, "\n".join(report.lines())
-    assert report.check("class-partition")
-    assert report.check("regular-sum")
-    assert report.check("arrangement-sum")
-    assert report.check("element-twist")
+    assert check(report, "class-partition")
+    assert check(report, "regular-sum")
+    assert check(report, "arrangement-sum")
+    assert check(report, "element-twist")
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3"])
@@ -297,7 +323,7 @@ def test_verify_a_rank3(spec):
     assert report.status == "verified", "\n".join(report.lines())
     for label in ("class-partition", "regular-sum", "arrangement-sum",
                   "element-twist"):
-        assert report.check(label), label
+        assert check(report, label), label
     assert len(report.subreports) == len(report.W.shapes())
 
 

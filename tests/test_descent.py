@@ -7,10 +7,10 @@ import pytest
 from coxsol.chars import ClassFunction
 from coxsol.coxeter import build_group
 from coxsol.cyclo import zeta
-from coxsol.descent import (
-    descent_algebra, parabolic_ideal_character, rotation_idempotent, unit,
-)
-from oracles import averaging, descent_x, e_shape, group_sum, x_element
+from coxsol.descent import (DescentAlgebra, descent_algebra, parabolic_ideal_character,
+                            rotation_idempotent)
+from oracles import (NotAResolution, as_element, averaging, check_idempotent_family,
+                     descent_x, e_shape, group_sum, unit, x_element)
 
 
 def regular_character(G):
@@ -91,7 +91,14 @@ def test_dihedral_idempotent_formulas(m):
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "I2(5)", "I2(6)", "A1xI2(5)"])
 def test_idempotent_family(spec):
-    descent_algebra(build_group(spec)).check_idempotent_family()
+    check_idempotent_family(descent_algebra(build_group(spec)))
+
+
+def test_idempotent_family_with_a_shape_left_out():
+    D = DescentAlgebra(build_group("A2"))
+    D.shapes = D.shapes[1:]
+    with pytest.raises(NotAResolution):
+        check_idempotent_family(D)
 
 
 @pytest.mark.parametrize("spec", ["I2(5)", "I2(6)", "A3", "B3"])
@@ -133,7 +140,7 @@ def test_character_degrees_partition_order():
 def test_relative_algebra():
     W = build_group("B3")
     D = descent_algebra(W, (1, 2))
-    D.check_idempotent_family()
+    check_idempotent_family(D)
     assert [len(s.members) for s in D.shapes] == [1, 2, 1]
     assert D.universe.order == 6
     total = None
@@ -171,7 +178,7 @@ def test_parabolic_ideal_character_induces_to_shape():
 def test_rotation_idempotents():
     W = build_group("I2(5)")
     st = W.mult(W.generators[0], W.generators[1])
-    fs = [rotation_idempotent(W, (0, 1), j) for j in range(5)]
+    fs = [as_element(rotation_idempotent(W, (0, 1), j)) for j in range(5)]
     total = None
     for j, f in enumerate(fs):
         assert f * f == f

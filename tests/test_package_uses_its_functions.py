@@ -1,11 +1,15 @@
-"""Every top-level function of the package is used by the package.
+"""Every function and method of the package is used by the package.
 
-A function that only tests call is a test oracle and belongs in
-`tests/oracles.py`.  The layer tracer in perfbench/ patches some functions by
-name, so those may stay in the package while the tracer names them.
+A function or method that only tests call is a test oracle and belongs in
+`tests/oracles.py`.  A name counts as used when the package reads it, as a
+variable or as an attribute, anywhere outside its own `def`.  Dunder methods
+are called by the language, so they are left out.  The layer tracer in
+perfbench/ patches some functions and methods by name, so those may stay in
+the package while the tracer names them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import coxsol
@@ -14,21 +18,34 @@ from test_perfbench_targets import _targets
 PACKAGE = Path(coxsol.__file__).parent
 
 
-def _used_names(node) -> set:
-    """The names that node reads, as variables or as attributes."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def _used_names(node) -> Counter:
+    """The names that node reads, as variables or as attributes, with their counts."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    """(class name or None, def) for each top-level function and each method
+    of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield node.name, fn
 
 
 def test_every_function_is_used_by_the_package():
-    traced = {(module, attr) for module, cls, attr, _ in _targets() if cls is None}
+    traced = {(module, cls, attr) for module, cls, attr, _ in _targets()}
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    statements = [node for tree in trees.values() for node in tree.body]
+    used = sum((_used_names(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or (module, fn.name) in traced:
+        for cls, fn in _definitions(tree):
+            name = fn.name
+            if (name.startswith("__") and name.endswith("__")) or (module, cls, name) in traced:
                 continue
-            if not any(fn.name in _used_names(node) for node in statements if node is not fn):
-                unused.append(f"{module}.{fn.name}")
+            if used[name] == _used_names(fn)[name]:
+                unused.append(".".join(filter(None, (module, cls, name))))
     assert unused == []

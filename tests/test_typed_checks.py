@@ -14,20 +14,21 @@ import coxsol
 from coxsol import conjectures, orlik_solomon
 from coxsol.chars import (NotInvariant, NotLinear, linear_character,
                           rotation_character, sign_character)
-from coxsol.conjectures import (construct_parabolic_B, PrerequisiteFailed, verify_b,
-                                verify_c)
+from coxsol.cli import main
+from coxsol.conjectures import (Assignment, construct_parabolic_B, PrerequisiteFailed,
+                                verify_b, verify_c)
 from coxsol.coxeter import (CoxeterGroup, CoxeterMatrix, NotClosed, NotNormalizing,
                             Shape, build_group, matrix_from_spec)
 from coxsol.descent import NotIdempotent, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import IntersectionLattice, OrbitMismatch, RankGuard, os_algebra
+from oracles import check
 
 BAD_INPUTS = """
 import sys
 from fractions import Fraction
 from coxsol.chars import NotLinear, exponent_character, linear_character
 from coxsol.coxeter import CoxeterMatrix, NotClosed, build_group
-from coxsol.descent import (DescentAlgebra, NotAResolution, NotIdempotent,
-                            parabolic_ideal_character)
+from coxsol.descent import DescentAlgebra, NotIdempotent, parabolic_ideal_character
 from coxsol.conjectures import MalformedTable, _as_int
 from coxsol.orlik_solomon import (NotDihedral, NotInvariant, dihedral_hyperplane_angles,
                                   os_algebra)
@@ -55,12 +56,6 @@ try:
     D.ideal_character(D.shapes[-1])
 except NotIdempotent:
     caught.append("doubled-idempotent")
-D = DescentAlgebra(W)
-D.shapes = D.shapes[1:]
-try:
-    D.check_idempotent_family()
-except NotAResolution:
-    caught.append("shape-left-out")
 W3 = build_group("A3")
 W3.complement_subgroup = lambda J: W3.parabolic(())
 try:
@@ -95,9 +90,9 @@ def test_bad_inputs_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize=1", "zero-function",
                                    "non-additive-exponents", "one-line",
-                                   "doubled-idempotent", "shape-left-out",
-                                   "trivial-complement", "half-in-table",
-                                   "rank-three-angles", "rotation-of-order-5-as-4"]
+                                   "doubled-idempotent", "trivial-complement",
+                                   "half-in-table", "rank-three-angles",
+                                   "rotation-of-order-5-as-4"]
 
 
 def test_the_package_has_no_assert_statement():
@@ -309,7 +304,7 @@ def test_uncovered_cuspidal_class_fails_verification(monkeypatch):
     with pytest.raises(PrerequisiteFailed):
         construct_parabolic_B(W, (0, 1))
     report = verify_b(W)
-    assert report.status == "failed" and not report.check("construction")
+    assert report.status == "failed" and not check(report, "construction")
 
 
 def test_rotation_on_the_wrong_carrier_fails_verification(monkeypatch):
@@ -320,7 +315,7 @@ def test_rotation_on_the_wrong_carrier_fails_verification(monkeypatch):
     with pytest.raises(PrerequisiteFailed):
         construct_parabolic_B(W, (0, 1))
     report = verify_b(W)
-    assert report.status == "failed" and not report.check("construction")
+    assert report.status == "failed" and not check(report, "construction")
 
 
 def test_lift_that_misses_its_base_fails_verification(monkeypatch):
@@ -330,8 +325,26 @@ def test_lift_that_misses_its_base_fails_verification(monkeypatch):
     monkeypatch.setattr(conjectures, "alpha_parabolic",
                         lambda W, L: sign_character(W.normalizer_of_parabolic(L)))
     report = verify_c(W, (0,))
-    assert report.status == "failed" and not report.check("construction")
+    assert report.status == "failed" and not check(report, "construction")
     assert "restrict" in report.checks[0][2]
+
+
+def test_a_twisted_assignment_fails_verify_b_through_the_cli(monkeypatch, capsys):
+    # phi * eps in place of phi on the first assignment: the descent sum and
+    # the twist fail, while the arrangement sum and the degrees still hold
+    search = conjectures.construct_parabolic_B
+
+    def twisted(W, L):
+        a, *rest = search(W, L)
+        return [Assignment(a.L, a.element, a.centralizer,
+                           a.phi * sign_character(a.centralizer), a.psi, a.route), *rest]
+
+    monkeypatch.setattr(conjectures, "construct_parabolic_B", twisted)
+    assert main(["verify", "b", "B3"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "failed"
+    assert [c["label"] for c in data["checks"] if not c["ok"]] == \
+        ["descent-top-sum", "psi-twist"]
 
 
 PARITY = [("verify", "a", "A3"), ("verify", "a", "B3"), ("table", "I2(7)")]
