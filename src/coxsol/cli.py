@@ -239,8 +239,7 @@ def cmd_table(args) -> CommandOutput:
     W = _build(args)
     if W.rank != 2:
         raise UsageError("the table subcommand needs a dihedral group")
-    data = dihedral_table(W.matrix[0, 1], args.max_elements)
-    data["group"] = W.spec
+    data = dihedral_table(W)
     rows = [[r["label"]] + r["values"] for r in data["rows"]]
     tables = [("characters", ["character"] + data["columns"], rows)]
     notes = [f"group: {W.spec}", f"order: {data['order']}"]

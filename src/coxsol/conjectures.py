@@ -19,8 +19,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterGroup, Subgroup, build_group,
-                      subset_label)
+from .coxeter import CoxeterGroup, Subgroup, subset_label
 from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_json,
                     exponent_character, linear_character, linear_characters,
                     regular_character, rotation_character, sign_character,
@@ -391,7 +390,16 @@ def _lift_product(W: CoxeterGroup, L, N: Subgroup, base: Assignment) -> Assignme
 
 
 def _module_route(W: CoxeterGroup, L, N: Subgroup):
-    """Both normalizer modules are lines here, so they are their own characters."""
+    """Both normalizer modules are lines here, so they are their own characters.
+
+    Those characters live on N = N_W(W_L), and the assignment puts them on
+    C = C_W(w_L), so C must be N.  It is, for m_ab = 2 and w_L = s_a s_b:
+      N in C: n in N permutes the two reflections s_a, s_b of the Klein
+        group W_L, so it fixes their product w_L;
+      C in N: c keeps Fix(w_L) = Fix(W_L), so it normalizes the pointwise
+        stabilizer of that space, which is W_L (Steinberg).
+    PrerequisiteFailed when C is not N.
+    """
     WL = W.parabolic(L)
     cusp = WL.cuspidal_classes()
     w = WL.longest_element()
@@ -400,7 +408,8 @@ def _module_route(W: CoxeterGroup, L, N: Subgroup):
             "the longest element is not the one cuspidal class of W_L")
     C = W.centralizer(w)
     if C.members != N.members:
-        return _search_C(W, L, N)
+        raise PrerequisiteFailed(
+            "the centralizer of the longest element of W_L is not its normalizer")
     phi, psi = (linear_character(C, {c: cf(c) for c in C.members})
                 for cf in (parabolic_ideal_character(W, L),
                            top_component_tilde(W, L)))
@@ -737,17 +746,16 @@ def _as_int(value) -> int:
     return int(q)
 
 
-def dihedral_table(m: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict:
-    """All shape characters of a dihedral group, tabulated on class representatives.
+def dihedral_table(W: CoxeterGroup) -> dict:
+    """All shape characters of the rank 2 group W = I2(m), tabulated on class
+    representatives.
 
     Columns are the identity, the reflection classes, for even m the rotation
     of half order, then the remaining rotation classes; rows run through the
     descent ideal characters, the regular character, the arrangement component
     characters and the whole arrangement character.
     """
-    if m < 2:
-        raise ValueError("the table needs a dihedral group, m >= 2")
-    W = build_group(f"I2({m})", max_elements)
+    m = W.matrix[0, 1]
     full = W.full()
     D = descent_algebra(W)
     family = D.character_family()
@@ -776,5 +784,5 @@ def dihedral_table(m: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict:
         add(f"Psi[{subset_label(shape.canonical)}]",
             shape_component_character(W, shape))
     add("omega", whole_space_character(W))
-    return {"group": f"I2({m})", "m": m, "order": W.order,
+    return {"group": W.spec, "m": m, "order": W.order,
             "columns": [label for _, label in cols], "rows": rows}

@@ -196,12 +196,14 @@ class CoxeterGroup:
         the Cartan entry a_ij = 2 B(alpha_i, alpha_j), or the negated pairings
         of its negative if that is already a root.  As s_i is an involution
         commuting with -1, s_i(v) = w also gives s_i(w) = v and s_i(-v) = -w,
-        so only the images not known that way are looked up.
+        so only the images not known that way are looked up.  Both +-alpha_i
+        are seeded before the walk, so s_i never makes a new root from its own
+        pair, and a new root keeps the sign of its preimage.
         """
         r = self.rank
         cartan = [tuple(2 * b for b in row) for row in self.form]
         self.roots = []
-        self.root_index = {}
+        root_index = {}
         self.root_positive = []
         self.root_negative_of = []
         self.simple_root = []
@@ -212,7 +214,7 @@ class CoxeterGroup:
         def add_root(vec, pairs, positive, negative=None):
             idx = len(self.roots)
             self.roots.append(vec)
-            self.root_index[linalg.vec_key(vec)] = idx
+            root_index[linalg.vec_key(vec)] = idx
             pairing.append(pairs)
             self.root_positive.append(positive)
             neg_of.append(negative)
@@ -231,6 +233,7 @@ class CoxeterGroup:
         for i in range(r):
             vec = tuple(-self._one if j == i else self._zero for j in range(r))
             add_root(vec, tuple(-a for a in cartan[i]), False, self.simple_root[i])
+        self._simple_of = {a: s for s, a in enumerate(self.simple_root)}
 
         # every root passes through the frontier once, so every image is recorded
         frontier = list(range(len(self.roots)))
@@ -246,23 +249,16 @@ class CoxeterGroup:
                         image[i][ri] = ri
                         continue
                     img = vec[:i] + (vec[i] - c,) + vec[i + 1:]
-                    idx = self.root_index.get(linalg.vec_key(img))
+                    idx = root_index.get(linalg.vec_key(img))
                     if idx is None:
-                        # a simple reflection flips the sign only of its own root pair
-                        if ri == self.simple_root[i]:
-                            positive = False
-                        elif neg_of[ri] == self.simple_root[i]:
-                            positive = True
-                        else:
-                            positive = self.root_positive[ri]
-                        other = self.root_index.get(linalg.vec_key(tuple(-x for x in img)))
+                        other = root_index.get(linalg.vec_key(tuple(-x for x in img)))
                         if other is None:
                             a = cartan[i]
                             new_pairs = tuple(-c if j == i else p - c * a[j] if a[j] else p
                                               for j, p in enumerate(pairs))
                         else:
                             new_pairs = tuple(-p for p in pairing[other])
-                        idx = add_root(img, new_pairs, positive, other)
+                        idx = add_root(img, new_pairs, self.root_positive[ri], other)
                         nxt.append(idx)
                         if len(self.roots) > 2 * max_elements:
                             raise InfiniteOrTooLarge(
@@ -294,11 +290,9 @@ class CoxeterGroup:
             nxt = []
             for w in frontier:
                 pw = self.perms[w]
-                for s in range(r):
-                    # ascent iff w(alpha_s) is positive; each descent w * s is
-                    # shorter, so it was reached earlier, with s as an ascent
-                    if not self.root_positive[pw[self.simple_root[s]]]:
-                        continue
+                # each descent w * s is shorter, so it was reached earlier,
+                # with s as an ascent
+                for s in self.on_simple(w, range(r))[0]:
                     child = tuple(pw[j] for j in gen_perms[s])
                     c = index.get(child)
                     if c is None:
@@ -346,6 +340,22 @@ class CoxeterGroup:
             if len(own) != 1:
                 raise NotClosed("a reflection does not negate exactly one positive root")
             self.reflection_root[t] = own[0]
+
+    def on_simple(self, x: int, J):
+        """(ascents, image): how x moves the simple roots of J.
+
+        ascents lists the s in J with x(alpha_s) > 0, that is l(x s) > l(x),
+        and image maps each s in J with x(alpha_s) = alpha_t to t; both keep
+        J's order.  Other modules read the root permutations only through it.
+        """
+        px, ascents, image = self.perms[x], [], {}
+        for s in J:
+            b = px[self.simple_root[s]]
+            if self.root_positive[b]:
+                ascents.append(s)
+                if b in self._simple_of:
+                    image[s] = self._simple_of[b]
+        return ascents, image
 
     def cached(self, key, build):
         """The value under key in the group's one store, made by build() once.  Keys
@@ -438,8 +448,7 @@ class CoxeterGroup:
                 if lengths[mt[g][d]] < lengths[d]:
                     u, d = mt[u][g], mt[g][d]
                     stripped = True
-        simple = {self.simple_root[s] for s in J}
-        if any(self.perms[d][a] not in simple for a in simple):
+        if set(self.on_simple(d, J)[1].values()) != set(J):
             raise NotNormalizing(f"{self.word_str(c)} does not normalize W_J for J={tuple(J)}")
         return u, d
 
@@ -448,12 +457,11 @@ class CoxeterGroup:
 
         With c = u * d as in normalizer_factors, d permutes the simple roots of
         J, and the determinant is sign(u) = (-1)^(l(c) - l(d)) times the sign
-        of that permutation.
+        of that permutation, whose inversions are read in J's sorted order.
         """
         J = tuple(sorted(J))
         _, d = self.normalizer_factors(c, J)
-        where = {self.simple_root[s]: i for i, s in enumerate(J)}
-        image = [where[self.perms[d][self.simple_root[s]]] for s in J]
+        image = list(self.on_simple(d, J)[1].values())
         flips = self.lengths[c] - self.lengths[d]
         flips += sum(1 for i, a in enumerate(image) for b in image[i + 1:] if a > b)
         return Fraction(-1 if flips % 2 else 1)
@@ -467,13 +475,8 @@ class CoxeterGroup:
     def transversal(self, J, within=None):
         """Minimal right coset transversal X_J, optionally inside a parabolic."""
         pool = within.sorted_members if within is not None else range(self.order)
-        simple = [self.simple_root[s] for s in J]
-        out = []
-        for w in pool:
-            pwi = self.perms[self.inv_table[w]]
-            if all(self.root_positive[pwi[a]] for a in simple):
-                out.append(w)
-        return out
+        return [w for w in pool
+                if len(self.on_simple(self.inv_table[w], J)[0]) == len(J)]
 
     def subset_images(self, J, within=None):
         """{x: K} for the x in X_J (inside a parabolic, if given) with J^x = K in S.
@@ -484,14 +487,11 @@ class CoxeterGroup:
         in L, because a generator in W_L is one of L's.
         """
         pool = within.sorted_members if within is not None else range(self.order)
-        simple = {a: i for i, a in enumerate(self.simple_root)}
-        roots = [self.simple_root[s] for s in J]
         out = {}
         for x in pool:
-            pxi = self.perms[self.inv_table[x]]
-            K = [simple.get(pxi[a]) for a in roots]
-            if None not in K:
-                out[x] = tuple(sorted(K))
+            image = self.on_simple(self.inv_table[x], J)[1]
+            if len(image) == len(J):
+                out[x] = tuple(sorted(image.values()))
         return out
 
     def complement_in_normalizer(self, J):

@@ -9,9 +9,10 @@ sums over a conjugacy class of subsets are orthogonal.
 Elements of the descent algebra are kept as coordinate vectors along the
 x_J and multiplied with Solomon's structure constants
 x_J * x_K = sum_{d in X_J cap X_K^-1} x_{J^d cap K}, J^d = {d^-1 s d : s in J}
-cap S (Solomon 1976), read off the root permutations in one pass over the
-group, as are the incidence matrix and the number of elements of each X_K
-whose inverse lies in each conjugacy class.
+cap S (Solomon 1976), read off how each element moves the simple roots
+(`CoxeterGroup.on_simple`) in one pass over the group, as are the incidence
+matrix and the number of elements of each X_K whose inverse lies in each
+conjugacy class.
 
 The character of the right ideal eQU of an idempotent e is the trace formula
 chi(w) = sum_{g in U} e(g w^-1 g^-1) (Solomon 1976), so it is a sum of
@@ -148,32 +149,22 @@ class DescentAlgebra:
         K lies in below(x) = {t : x(alpha_t) > 0}.  x^-1 s x is a generator t
         exactly when x^-1(alpha_s) = +-alpha_t, with + for s in above(x); this
         partial map s -> t on above(x) reads off J^x = {x^-1 s x : s in J} cap S
-        for x in X_J.  Then
+        for x in X_J.  above(x) and that map are W.on_simple(x^-1, L), and
+        below(x) is the ascents of W.on_simple(x, L).  Then
           m[K][J] = |{x in X_K : J^x lies in S}| for J in K,
           x_J * x_K = sum over d in X_J cap X_K^-1 of x_{J^d cap K}
         (Solomon 1976), and counts[K][k] = |{x in X_K : x^-1 in class k}|.
         The pairs (x^-1, above(x)) are kept for `element`.
         """
         W, U = self.W, self.universe
-        simple = {a: s for s, a in enumerate(W.simple_root)}
-        roots = [(s, W.simple_root[s]) for s in self.L]
         by_image, by_class = Counter(), Counter()
         self._above = []
         for x in U.sorted_members:
             xinv = W.inv(x)
-            px, pxi = W.perms[x], W.perms[xinv]
-            above = below = 0
-            image = []
-            for s, a in roots:
-                b = pxi[a]
-                if W.root_positive[b]:
-                    above |= 1 << s
-                    if b in simple:
-                        image.append((s, simple[b]))
-                if W.root_positive[px[a]]:
-                    below |= 1 << s
+            ascents, image = W.on_simple(xinv, self.L)
+            above, below = _mask(ascents), _mask(W.on_simple(x, self.L)[0])
             self._above.append((xinv, above))
-            by_image[above, tuple(image), below] += 1
+            by_image[above, tuple(image.items()), below] += 1
             by_class[above, U.class_of(xinv)] += 1
 
         n = len(self.subsets)
@@ -369,9 +360,8 @@ def parabolic_ideal_character(W: CoxeterGroup, L) -> ClassFunction:
     if any(c and K not in pos for K, c in zip(amb.subsets, cL)):
         raise NotInvariant("e_L has a coordinate at a subset that is not inside L")
     p = [cL[amb._subset_pos[J]] for J in rel.subsets]
-    simple = {W.simple_root[s]: s for s in L}
     for n in NL.generators:
-        image = {s: simple.get(W.perms[n][W.simple_root[s]]) for s in L}
+        image = W.on_simple(n, L)[1]
         if set(image.values()) != set(L):
             raise NotInvariant("the complement does not permute the simple roots of L")
         moved = [pos[tuple(sorted(image[s] for s in J))] for J in rel.subsets]

@@ -401,7 +401,7 @@ def test_intertwiner_rejects_even_m():
 
 
 def test_table_odd_layout():
-    data = dihedral_table(5)
+    data = dihedral_table(build_group("I2(5)"))
     assert data["columns"] == ["e", "s1", "(s1*s2)^1", "(s1*s2)^2"]
     rows = {r["label"]: r["values"] for r in data["rows"]}
     assert rows["Phi[]"] == [1, 1, 1, 1]
@@ -414,7 +414,7 @@ def test_table_odd_layout():
 
 
 def test_table_even_layout():
-    data = dihedral_table(6)
+    data = dihedral_table(build_group("I2(6)"))
     assert data["columns"] == ["e", "s1", "s2", "w0", "(s1*s2)^1", "(s1*s2)^2"]
     rows = {r["label"]: r["values"] for r in data["rows"]}
     # k = 3 is odd: the two singleton ideal characters take values -1 and +1
@@ -428,19 +428,14 @@ def test_table_even_layout():
 
 
 def test_table_even_k_even():
-    rows = {r["label"]: r["values"] for r in dihedral_table(4)["rows"]}
+    rows = {r["label"]: r["values"] for r in dihedral_table(build_group("I2(4)"))["rows"]}
     assert rows["Phi[s1]"] == [2, 0, 0, -2, 0]
     assert rows["Psi[s1]"] == [2, 2, 0, 2, 0]
 
 
-def test_table_rejects_tiny_m():
-    with pytest.raises(ValueError):
-        dihedral_table(1)
-
-
 def test_row_consistency_phi_sum_is_regular():
     for m in (5, 8):
-        data = dihedral_table(m)
+        data = dihedral_table(build_group(f"I2({m})"))
         rows = {r["label"]: r["values"] for r in data["rows"]}
         phis = [v for lab, v in rows.items() if lab.startswith("Phi")]
         summed = [sum(col) for col in zip(*phis)]

@@ -167,8 +167,9 @@ def test_group_tables_match_composed_permutations(spec):
     assert W.mult_table == mult
     assert W.inv_table == inv
     form = cyclotomic_form(W)
+    index = {linalg.vec_key(v): k for k, v in enumerate(W.roots)}
     for i, g in enumerate(W.generators):
-        images = [W.root_index[linalg.vec_key(_apply_gen(form, i, v))] for v in W.roots]
+        images = [index[linalg.vec_key(_apply_gen(form, i, v))] for v in W.roots]
         assert W.perms[g] == tuple(images), (spec, i)
     conjugates = {W.conj(g, x) for g in W.generators for x in range(W.order)}
     assert W.reflections == sorted(conjugates)

@@ -12,8 +12,8 @@ import pytest
 
 import coxsol
 from coxsol import conjectures, orlik_solomon
-from coxsol.chars import (NotInvariant, NotLinear, linear_character,
-                          rotation_character, sign_character)
+from coxsol.chars import (ClassFunction, NotInvariant, NotLinear, linear_character,
+                          linear_characters, rotation_character, sign_character)
 from coxsol.cli import main
 from coxsol.conjectures import (Assignment, construct_parabolic_B, PrerequisiteFailed,
                                 verify_b, verify_c)
@@ -21,7 +21,7 @@ from coxsol.coxeter import (CoxeterGroup, CoxeterMatrix, NotClosed, NotNormalizi
                             Shape, build_group, matrix_from_spec)
 from coxsol.descent import NotIdempotent, descent_algebra, parabolic_ideal_character
 from coxsol.orlik_solomon import IntersectionLattice, OrbitMismatch, RankGuard, os_algebra
-from oracles import check
+from oracles import check, from_json
 
 BAD_INPUTS = """
 import sys
@@ -369,3 +369,129 @@ def test_cli_output_is_the_same_under_optimize():
             for case in json.loads(plain.stdout)["cases"]:
                 routes |= {a["route"] for a in case.get("assignments", {}).values()}
     assert {"product", "module", "coset-split"} <= routes
+
+
+def test_module_route_needs_the_centralizer_to_be_the_normalizer(monkeypatch, capsys):
+    # the centralizer of w_L = s1*s3 taken inside W_L only: the module route
+    # refuses it, and no search stands in for it
+    centralizer = CoxeterGroup.centralizer
+
+    def inside_support(W, w, within=None):
+        if within is None:
+            within = W.parabolic(W.words[w])
+        return centralizer(W, w, within)
+
+    monkeypatch.setattr(CoxeterGroup, "centralizer", inside_support)
+    assert main(["verify", "c", "A3", "--L", "s1,s3"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "failed"
+    assert data["checks"][0] == {
+        "label": "construction", "ok": False,
+        "detail": "the centralizer of the longest element of W_L is not its normalizer"}
+    assert "assignments" not in data
+
+
+def _element(W, word):
+    return next(w for w in range(W.order) if W.word_str(w) == word)
+
+
+def _twisting(construct, L, which, values):
+    """construct with the first assignment at L changed: phi or psi (which)
+    times the linear character of its centralizer with the given values at
+    the named words, which generate the centralizer."""
+    def twisted(W, J):
+        a, *rest = construct(W, J)
+        if tuple(J) != L:
+            return [a, *rest]
+        C = a.centralizer
+        lam = next(x for x in linear_characters(C)
+                   if all(x(_element(W, word)) == v for word, v in values.items()))
+        phi = a.phi * lam if which == "phi" else a.phi
+        psi = a.psi * lam if which == "psi" else a.psi
+        return [Assignment(a.L, a.element, C, phi, psi, a.route), *rest]
+    return twisted
+
+
+def _phi_tilde_plus_one_at(word):
+    """Phi~ with 1 added at the class of the named word of the normalizer."""
+    phi_tilde = conjectures.parabolic_ideal_character
+
+    def moved(W, L):
+        cf = phi_tilde(W, L)
+        k = cf.carrier.class_of(_element(W, word))
+        return ClassFunction(cf.carrier, [v + (i == k) for i, v in enumerate(cf.values)])
+    return moved
+
+
+# label: (argv, name and replacement of the construction or character it
+# perturbs, failed labels of the report, failed labels of each failing case of
+# verify a, and (case, label, class) of one nonzero residual)
+PERTURBED_CHECKS = {
+    "arrangement-top-sum": (
+        ["verify", "b", "B3"], "construct_parabolic_B",
+        _twisting(construct_parabolic_B, (0, 1, 2), "psi", {"s1*s2*s3": -1}),
+        ["arrangement-top-sum", "psi-twist"], {}, (None, "arrangement-top-sum", "s1*s2*s3")),
+    "regular-sum": (
+        ["verify", "a", "A3"], "construct_C",
+        _twisting(conjectures.construct_C, (0,), "phi", {"s1": 1, "s3": -1}),
+        ["regular-sum", "element-twist"], {"s1": ["descent-tilde-sum", "psi-twist"]},
+        (None, "regular-sum", "s1")),
+    "arrangement-sum": (
+        ["verify", "a", "A3"], "construct_C",
+        _twisting(conjectures.construct_C, (0,), "psi", {"s1": 1, "s3": -1}),
+        ["arrangement-sum", "element-twist"], {"s1": ["arrangement-tilde-sum", "psi-twist"]},
+        (None, "arrangement-sum", "s1")),
+    "element-twist": (
+        ["verify", "a", "A3"], "construct_C",
+        _twisting(conjectures.construct_C, (0,), "phi", {"s1": -1, "s3": -1}),
+        ["element-twist"],
+        {"s1": ["descent-tilde-sum", "psi-twist", "restriction-assignments"]},
+        ("s1", "descent-tilde-sum", "s3")),
+    "descent-tilde-sum": (
+        ["verify", "c", "A3", "--L", "s1,s3"], "construct_C",
+        _twisting(conjectures.construct_C, (0, 2), "phi",
+                  {"s1": 1, "s3": 1, "s2*s1*s3*s2": -1}),
+        ["descent-tilde-sum", "psi-twist"], {}, (None, "descent-tilde-sum", "s2*s1*s3*s2")),
+    "arrangement-tilde-sum": (
+        ["verify", "c", "A3", "--L", "s1,s3"], "construct_C",
+        _twisting(conjectures.construct_C, (0, 2), "psi",
+                  {"s1": 1, "s3": 1, "s2*s1*s3*s2": -1}),
+        ["arrangement-tilde-sum", "psi-twist"], {}, (None, "arrangement-tilde-sum", "s2*s1*s3*s2")),
+    "tilde-twist": (
+        ["verify", "c", "A3", "--L", "s1"], "parabolic_ideal_character",
+        _phi_tilde_plus_one_at("s3"),
+        ["descent-tilde-sum", "tilde-twist", "tilde-induction"], {},
+        (None, "descent-tilde-sum", "s3")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PERTURBED_CHECKS))
+def test_one_perturbed_input_fails_its_check(label, monkeypatch, capsys):
+    """Each row changes one input and names every check that then fails.
+
+    A row that multiplies phi or psi of one assignment by a linear character
+    lam of its centralizer also fails the twist check between them: psi-twist
+    in its case, and in verify a element-twist, as the unchanged assignment
+    passed both and so had alpha_w = alpha_L on its centralizer.  So
+    element-twist fails only together with psi-twist of its case.  A sum
+    stays when phi * lam is conjugate to phi in the group it is induced to:
+    on C_W(s1) = <s1> x <s3> of A3, lam = sign gives phi conjugated by the
+    longest element, which swaps s1 and s3, so regular-sum holds in the
+    element-twist row while the case's Phi~ sum, induced only to the
+    normalizer <s1> x <s3>, fails.  tilde-twist fails only together with a
+    tilde sum or psi-twist: inducing psi = phi * eps * alpha_L from C to N
+    gives ind(phi) * eps * alpha_L, so the two tilde sums and psi-twist imply
+    it; its row moves Phi~ at s3, off W_L, so tilde-restriction holds and
+    tilde-induction fails.
+    """
+    argv, name, replacement, failed, cases, (case, residual, word) = PERTURBED_CHECKS[label]
+    monkeypatch.setattr(conjectures, name, replacement)
+    assert main(argv) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "failed"
+    assert [c["label"] for c in data["checks"] if not c["ok"]] == failed
+    assert {sub["L"]: [c["label"] for c in sub["checks"] if not c["ok"]]
+            for sub in data.get("cases", []) if not sub["ok"]} == cases
+    where = data if case is None else next(sub for sub in data["cases"] if sub["L"] == case)
+    res = where["residuals"][residual]
+    assert from_json(dict(zip(res["classes"], res["values"]))[word])
