@@ -3,13 +3,14 @@
 A group is built from a Coxeter matrix.  The bilinear form has entries
 -cos(pi/m(i,j)): a Fraction for m in {2, 3} (0 and -1/2), and otherwise
 realised exactly in Q(zeta_n) with n = 2*lcm of the off-diagonal orders.
-Root coordinates are elements of Q(zeta_n).  The root system is closed up
-from the simple roots by a walk that carries each root's pairings
+Root coordinates are elements of Q(zeta_n).  The positive roots are closed
+up from the simple roots by a walk that carries each root's pairings
 2*B(v, alpha_j): s_i(v) is v with coordinate i lowered by its i-th pairing,
 one subtraction and no product, and only a new root gets pairings, from at
 most rank products with the Cartan entries 2*B(alpha_i, alpha_j).  A group
-whose orders are all 2 or 3 is built without a cyclotomic product.  Every
-element is stored as the permutation it induces on the roots.
+whose orders are all 2 or 3 is built without a cyclotomic product.  With N
+positive roots, root i is alpha_i, root k < N is positive and root k + N is
+-root k.  Every element is stored as the permutation it induces on the roots.
 Lengths, reduced words, conjugacy classes, coset transversals, shapes,
 normalizers, fixed-space dimensions and determinants on root spans are all
 derived from that data; the determinant on a subspace over Q(zeta_n),
@@ -188,55 +189,36 @@ class CoxeterGroup:
         self._one = rational(1, n)
 
     def _build_roots(self, max_elements):
-        """Close the simple roots under the simple reflections, breadth first.
+        """Close the simple roots under the simple reflections, breadth first,
+        walking the positive roots only.
+
+        s_i sends alpha_i to -alpha_i and permutes the other positive roots
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.4), so the walk
+        never applies s_i to alpha_i and every root it makes is positive.  It
+        reaches every positive root: a non-simple one, b, has some j with
+        B(b, alpha_j) > 0 (as B(b, b) > 0), and s_j(b) is a positive root of
+        smaller height, so b lies on a walk up from a simple root.  Root i is
+        alpha_i, and with N positive roots, root k + N is -root k; the roots
+        are these 2N, and s_i(-b) = -s_i(b) fills in the negative half.
 
         Each root v carries its pairings c_j = 2 B(v, alpha_j), so s_i(v) is v
         with coordinate i lowered by c_i, and c_i = 0 means s_i fixes v.  Only
         a new root gets pairings: 2 B(s_i v, alpha_j) = c_j - c_i a_ij, with
-        the Cartan entry a_ij = 2 B(alpha_i, alpha_j), or the negated pairings
-        of its negative if that is already a root.  As s_i is an involution
-        commuting with -1, s_i(v) = w also gives s_i(w) = v and s_i(-v) = -w,
-        so only the images not known that way are looked up.  Both +-alpha_i
-        are seeded before the walk, so s_i never makes a new root from its own
-        pair, and a new root keeps the sign of its preimage.
+        the Cartan entry a_ij = 2 B(alpha_i, alpha_j).  As s_i is an
+        involution, s_i(v) = w also gives s_i(w) = v, so only the images not
+        known that way are computed.
         """
         r = self.rank
         cartan = [tuple(2 * b for b in row) for row in self.form]
-        self.roots = []
-        root_index = {}
-        self.root_positive = []
-        self.root_negative_of = []
-        self.simple_root = []
-        neg_of = self.root_negative_of
-        pairing = []
-        image = [{} for _ in range(r)]  # image[i][k]: the index of s_i(root k)
-
-        def add_root(vec, pairs, positive, negative=None):
-            idx = len(self.roots)
-            self.roots.append(vec)
-            root_index[linalg.vec_key(vec)] = idx
-            pairing.append(pairs)
-            self.root_positive.append(positive)
-            neg_of.append(negative)
-            if negative is not None:
-                neg_of[negative] = idx
-            return idx
-
-        def record(i, v, w):
-            image[i][v], image[i][w] = w, v
-            if neg_of[v] is not None and neg_of[w] is not None:
-                image[i][neg_of[v]], image[i][neg_of[w]] = neg_of[w], neg_of[v]
-
-        for i in range(r):
-            vec = tuple(self._one if j == i else self._zero for j in range(r))
-            self.simple_root.append(add_root(vec, cartan[i], True))
-        for i in range(r):
-            vec = tuple(-self._one if j == i else self._zero for j in range(r))
-            add_root(vec, tuple(-a for a in cartan[i]), False, self.simple_root[i])
-        self._simple_of = {a: s for s, a in enumerate(self.simple_root)}
+        self.roots = [tuple(self._one if j == i else self._zero for j in range(r))
+                      for i in range(r)]
+        root_index = {linalg.vec_key(v): i for i, v in enumerate(self.roots)}
+        pairing = list(cartan)
+        # image[i][k]: the index of s_i(root k); s_i(alpha_i) is filled in below
+        image = [{i: None} for i in range(r)]
 
         # every root passes through the frontier once, so every image is recorded
-        frontier = list(range(len(self.roots)))
+        frontier = list(range(r))
         while frontier:
             nxt = []
             for ri in frontier:
@@ -251,29 +233,26 @@ class CoxeterGroup:
                     img = vec[:i] + (vec[i] - c,) + vec[i + 1:]
                     idx = root_index.get(linalg.vec_key(img))
                     if idx is None:
-                        other = root_index.get(linalg.vec_key(tuple(-x for x in img)))
-                        if other is None:
-                            a = cartan[i]
-                            new_pairs = tuple(-c if j == i else p - c * a[j] if a[j] else p
-                                              for j, p in enumerate(pairs))
-                        else:
-                            new_pairs = tuple(-p for p in pairing[other])
-                        idx = add_root(img, new_pairs, self.root_positive[ri], other)
+                        idx = root_index[linalg.vec_key(img)] = len(self.roots)
+                        self.roots.append(img)
+                        a = cartan[i]
+                        pairing.append(tuple(-c if j == i else p - c * a[j] if a[j] else p
+                                             for j, p in enumerate(pairs)))
                         nxt.append(idx)
-                        if len(self.roots) > 2 * max_elements:
+                        if idx >= max_elements:
                             raise InfiniteOrTooLarge(
-                                f"root system exceeded {2 * max_elements} roots")
-                    record(i, ri, idx)
+                                f"root system exceeded {max_elements} positive roots")
+                    image[i][ri], image[i][idx] = idx, ri
             frontier = nxt
-        # -w(a) = w(-a) lies in the orbit too, and the later of the two links them
-        if None in neg_of:
-            raise NotClosed("a root has no negative in the root system")
-        self.n_roots = len(self.roots)
-        self.positive_roots = [i for i in range(self.n_roots) if self.root_positive[i]]
-        # the sign rule is exact, and each pair +-b has one positive member
-        if 2 * len(self.positive_roots) != self.n_roots:
-            raise NotClosed("the positive roots are not half of the roots")
-        return [tuple(row[k] for k in range(self.n_roots)) for row in image]
+        N = self.n_positive = len(self.roots)
+        self.roots += [tuple(-x for x in v) for v in self.roots]
+        self.n_roots = 2 * N
+        perms = []
+        for i, row in enumerate(image):
+            row[i] = i + N
+            half = [row[k] for k in range(N)]
+            perms.append(tuple(half + [(k + N) % (2 * N) for k in half]))
+        return perms
 
     def _build_elements(self, gen_perms, max_elements):
         r = self.rank
@@ -325,7 +304,7 @@ class CoxeterGroup:
 
         self.longest = max(range(self.order), key=lambda w: self.lengths[w])
         # the longest element sends every positive root to a negative one
-        if self.lengths[self.longest] != len(self.positive_roots):
+        if self.lengths[self.longest] != self.n_positive:
             raise NotClosed("the longest element does not negate every positive root")
 
     def _build_reflections(self):
@@ -335,7 +314,7 @@ class CoxeterGroup:
         self.reflection_root = {}
         for t in self.reflections:
             pt = self.perms[t]
-            own = [i for i in self.positive_roots if pt[i] == self.root_negative_of[i]]
+            own = [k for k in range(self.n_positive) if pt[k] == k + self.n_positive]
             # s_a sends a root b to -b only when b is a multiple of a, that is +-a
             if len(own) != 1:
                 raise NotClosed("a reflection does not negate exactly one positive root")
@@ -347,14 +326,15 @@ class CoxeterGroup:
         ascents lists the s in J with x(alpha_s) > 0, that is l(x s) > l(x),
         and image maps each s in J with x(alpha_s) = alpha_t to t; both keep
         J's order.  Other modules read the root permutations only through it.
+        Root s is alpha_s, and root b is positive exactly when b < N.
         """
         px, ascents, image = self.perms[x], [], {}
         for s in J:
-            b = px[self.simple_root[s]]
-            if self.root_positive[b]:
+            b = px[s]
+            if b < self.n_positive:
                 ascents.append(s)
-                if b in self._simple_of:
-                    image[s] = self._simple_of[b]
+                if b < self.rank:
+                    image[s] = b
         return ascents, image
 
     def cached(self, key, build):
@@ -394,7 +374,7 @@ class CoxeterGroup:
     def matrix_of(self, w: int):
         """Rows are the images of the simple roots under w."""
         pw = self.perms[w]
-        return [self.roots[pw[self.simple_root[i]]] for i in range(self.rank)]
+        return [self.roots[pw[i]] for i in range(self.rank)]
 
     def det_on_subspace(self, w: int, basis):
         """Determinant of w on an invariant subspace with rref basis rows; a test oracle."""

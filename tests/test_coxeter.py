@@ -77,8 +77,10 @@ def test_group_counts(spec, order, nrefl, nclasses):
     assert len(W.reflections) == nrefl
     assert len(W.classes) == nclasses
     assert sum(c.size for c in W.classes) == order
-    assert 2 * len(W.positive_roots) == W.n_roots
-    assert W.lengths[W.longest] == len(W.positive_roots)
+    # one reflection per positive root, and w_0 negates them all
+    assert W.n_positive == nrefl
+    assert 2 * W.n_positive == W.n_roots
+    assert W.lengths[W.longest] == W.n_positive
 
 
 def test_rank_zero():
@@ -110,12 +112,13 @@ def test_dihedral_bound_checked_before_the_field(monkeypatch):
         CoxeterGroup(matrix_from_spec("A1xI2(6)"), max_elements=11)
 
 
-@pytest.mark.parametrize("spec", ["A3", "I2(7)"])
+@pytest.mark.parametrize("spec", ["A3", "I2(7)", "H3", "B4"])
 def test_length_is_inversion_count(spec):
+    # l(w) = #{k < N : w(root k) >= N}: the positive roots w sends to negative ones
     W = build_group(spec)
+    N = W.n_positive
     for w in range(W.order):
-        neg = sum(1 for i in W.positive_roots
-                  if not W.root_positive[W.perms[w][i]])
+        neg = sum(1 for k in range(N) if W.perms[w][k] >= N)
         assert neg == W.lengths[w]
         assert len(W.words[w]) == W.lengths[w]
         assert W.prod(W.generators[s] for s in W.words[w]) == w
@@ -249,8 +252,8 @@ def test_reflection_roots():
     W = build_group("B3")
     for t in W.reflections:
         i = W.reflection_root[t]
-        assert W.root_positive[i]
-        assert W.perms[t][i] == W.root_negative_of[i]
+        assert i < W.n_positive
+        assert W.perms[t][i] == i + W.n_positive
         # t fixes the hyperplane of its root: B(v, alpha_t) = 0 for fixed v
         fs = fixed_space(W, t)
         assert len(fs) == 2
@@ -285,7 +288,7 @@ def test_root_walk_multiplies_only_new_pairings(monkeypatch, spec):
     # images cost a subtraction; each new root's pairings cost at most rank products
     count = _cyclo_products(monkeypatch)
     W = CoxeterGroup(matrix_from_spec(spec))
-    assert 0 < count[0] <= W.rank * W.n_roots
+    assert 0 < count[0] <= W.rank * W.n_positive
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3"])

@@ -140,11 +140,21 @@ def cyclotomic_root_walk(W):
 def test_root_walk_matches_cyclotomic_walk(spec):
     W = build_group(spec)
     oracle = cyclotomic_root_walk(W)
-    assert [linalg.vec_key(v) for v in W.roots] == [linalg.vec_key(v) for v in oracle.roots]
-    assert W.root_positive == oracle.root_positive
-    assert W.root_negative_of == oracle.root_negative_of
-    assert W.simple_root == oracle.simple_root
-    assert [W.perms[g] for g in W.generators] == oracle.perms
+    N, r = W.n_positive, W.rank
+    # root i is alpha_i, and root k + N is -root k
+    assert [linalg.vec_key(v) for v in W.roots[:r]] == [linalg.vec_key(v) for v in oracle.roots[:r]]
+    assert W.n_roots == 2 * N == len(W.roots)
+    assert all(W.roots[k + N] == tuple(-x for x in W.roots[k]) for k in range(N))
+    # the same root set, relabelled by coordinates
+    label = {linalg.vec_key(v): k for k, v in enumerate(W.roots)}
+    assert len(label) == W.n_roots
+    relabel = [label[linalg.vec_key(v)] for v in oracle.roots]
+    assert sorted(relabel) == list(range(W.n_roots))
+    # k < N exactly for the positive roots, and negatives pair off by +-N
+    assert [k < N for k in relabel] == oracle.root_positive
+    assert [(k + N) % (2 * N) for k in relabel] == [relabel[j] for j in oracle.root_negative_of]
+    for i, g in enumerate(W.generators):
+        assert [W.perms[g][k] for k in relabel] == [relabel[j] for j in oracle.perms[i]], (spec, i)
 
 
 def composed_tables(W):
@@ -378,7 +388,7 @@ def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
     for J in W.all_subsets():
         assert _matches_determinant(alpha_parabolic(W, J), W.normalizer_of_parabolic(J),
                                     parabolic_fixed_space(W, J)), (spec, J)
-        span, _ = linalg.rref([W.roots[W.simple_root[j]] for j in J])
+        span, _ = linalg.rref([W.roots[j] for j in J])
         assert _matches_determinant(sigma_parabolic(W, J),
                                     W.complement_subgroup(J), span), (spec, J)
     for c in W.classes:

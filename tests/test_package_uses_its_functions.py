@@ -6,6 +6,10 @@ variable or as an attribute, anywhere outside its own `def`.  Dunder methods
 are called by the language, so they are left out.  The layer tracer in
 perfbench/ patches some functions and methods by name, so those may stay in
 the package while the tracer names them.
+
+The root system is read only inside `coxeter.py`: how an element moves the
+simple roots goes through `CoxeterGroup.on_simple`, so no other module reads
+the root permutations, the roots or their counts.
 """
 
 import ast
@@ -16,6 +20,11 @@ import coxsol
 from test_perfbench_targets import _targets
 
 PACKAGE = Path(coxsol.__file__).parent
+ROOT_MODEL = {"perms", "roots", "n_roots", "n_positive"}
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _used_names(node) -> Counter:
@@ -38,7 +47,7 @@ def _definitions(tree):
 
 def test_every_function_is_used_by_the_package():
     traced = {(module, cls, attr) for module, cls, attr, _ in _targets()}
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     used = sum((_used_names(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -49,3 +58,10 @@ def test_every_function_is_used_by_the_package():
             if used[name] == _used_names(fn)[name]:
                 unused.append(".".join(filter(None, (module, cls, name))))
     assert unused == []
+
+
+def test_only_coxeter_reads_the_root_model():
+    readers = sorted({(module, n.attr) for module, tree in _package_trees().items()
+                      if module != "coxeter" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr in ROOT_MODEL})
+    assert readers == []

@@ -297,14 +297,14 @@ def test_complement_must_be_closed(monkeypatch):
 
 
 def test_uncovered_cuspidal_class_fails_verification(monkeypatch):
+    # the construction runs; the coverage check of verify_b catches the gap
     W = build_group("I2(5)")
     dihedral = conjectures._dihedral_B
     monkeypatch.setattr(conjectures, "_dihedral_B",
                         lambda W, L: dihedral(W, L)[:-1])
-    with pytest.raises(PrerequisiteFailed):
-        construct_parabolic_B(W, (0, 1))
     report = verify_b(W)
-    assert report.status == "failed" and not check(report, "construction")
+    assert report.status == "failed" and check(report, "construction")
+    assert not check(report, "cuspidal-coverage")
 
 
 def test_rotation_on_the_wrong_carrier_fails_verification(monkeypatch):
@@ -412,6 +412,26 @@ def _twisting(construct, L, which, values):
     return twisted
 
 
+def _doubling_at(construct, L):
+    """construct with the first assignment at L given twice."""
+    def doubled(W, J):
+        out = construct(W, J)
+        return out + out[:1] if tuple(J) == L else out
+    return doubled
+
+
+def _psi_top_plus_one_at(word):
+    """The top component character of W_L with 1 added at the class of the
+    named word."""
+    psi_top = conjectures.top_component_character
+
+    def moved(W, L):
+        cf = psi_top(W, L)
+        k = cf.carrier.class_of(_element(W, word))
+        return ClassFunction(cf.carrier, [v + (i == k) for i, v in enumerate(cf.values)])
+    return moved
+
+
 def _phi_tilde_plus_one_at(word):
     """Phi~ with 1 added at the class of the named word of the normalizer."""
     phi_tilde = conjectures.parabolic_ideal_character
@@ -425,8 +445,19 @@ def _phi_tilde_plus_one_at(word):
 
 # label: (argv, name and replacement of the construction or character it
 # perturbs, failed labels of the report, failed labels of each failing case of
-# verify a, and (case, label, class) of one nonzero residual)
+# verify a, and (case, label, class) of one nonzero residual, or None when
+# every residual is zero)
 PERTURBED_CHECKS = {
+    "class-partition": (
+        ["verify", "a", "A3"], "construct_C", _doubling_at(conjectures.construct_C, (0,)),
+        ["class-partition", "regular-sum", "arrangement-sum"],
+        {"s1": ["cuspidal-coverage", "descent-tilde-sum", "arrangement-tilde-sum",
+                "restriction-assignments", "degrees"]},
+        (None, "regular-sum", "e")),
+    "tilde-restriction": (
+        ["verify", "c", "A3", "--L", "s1"], "top_component_character",
+        _psi_top_plus_one_at("s1"),
+        ["tilde-restriction", "restriction-assignments"], {}, None),
     "arrangement-top-sum": (
         ["verify", "b", "B3"], "construct_parabolic_B",
         _twisting(construct_parabolic_B, (0, 1, 2), "psi", {"s1*s2*s3": -1}),
@@ -482,9 +513,21 @@ def test_one_perturbed_input_fails_its_check(label, monkeypatch, capsys):
     tilde sum or psi-twist: inducing psi = phi * eps * alpha_L from C to N
     gives ind(phi) * eps * alpha_L, so the two tilde sums and psi-twist imply
     it; its row moves Phi~ at s3, off W_L, so tilde-restriction holds and
-    tilde-induction fails.
+    tilde-induction fails.  The class-partition row gives the assignment of
+    the case s1 twice, so its class is gathered twice and both regular sums
+    count it twice; the case fails its coverage, its tilde sums and
+    restriction-assignments, and degrees.  The tilde-restriction row moves
+    the relative Psi, the top component character of W_L, at s1; only
+    tilde-restriction and restriction-assignments read it, so every
+    residual stays zero.
+
+    Two labels cannot fail alone.  degrees is the value at 1 of a top sum
+    or a tilde sum, so it fails only with descent-top-sum or
+    descent-tilde-sum.  centralizers-in-normalizer cannot fail once the
+    construction passed: every route's centralizer passes `_centralizer_in`
+    or the C = N check of `_module_route` first.
     """
-    argv, name, replacement, failed, cases, (case, residual, word) = PERTURBED_CHECKS[label]
+    argv, name, replacement, failed, cases, moved = PERTURBED_CHECKS[label]
     monkeypatch.setattr(conjectures, name, replacement)
     assert main(argv) == 1
     data = json.loads(capsys.readouterr().out)
@@ -492,6 +535,11 @@ def test_one_perturbed_input_fails_its_check(label, monkeypatch, capsys):
     assert [c["label"] for c in data["checks"] if not c["ok"]] == failed
     assert {sub["L"]: [c["label"] for c in sub["checks"] if not c["ok"]]
             for sub in data.get("cases", []) if not sub["ok"]} == cases
+    if moved is None:
+        assert not any(from_json(v) for res in data["residuals"].values()
+                       for v in res["values"])
+        return
+    case, residual, word = moved
     where = data if case is None else next(sub for sub in data["cases"] if sub["L"] == case)
     res = where["residuals"][residual]
     assert from_json(dict(zip(res["classes"], res["values"]))[word])
