@@ -83,7 +83,7 @@ def _build(args):
 
 def cmd_group(args) -> CommandOutput:
     W = _build(args)
-    cuspidal = W.full().cuspidal_classes()
+    cuspidal = W.cuspidal_classes(range(W.rank))
     classes = [{"rep": W.word_str(c.rep), "size": c.size,
                 "length": W.length(c.rep), "cuspidal": c in cuspidal}
                for c in W.classes]

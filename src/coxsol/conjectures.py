@@ -233,7 +233,7 @@ def _search_pools(W: CoxeterGroup, L, target: Subgroup, phi_top, psi_top,
     and the sum is Ind(phi)(g) twist(g).  The search cap is checked on the
     pool sizes before anything is induced."""
     classes = []
-    for cl in W.parabolic(L).cuspidal_classes():
+    for cl in W.cuspidal_classes(L):
         C = _centralizer_in(W, cl.rep, target, within)
         classes.append((cl.rep, C, linear_characters(C)))
     _search_cut([len(chis) for *_, chis in classes])
@@ -393,9 +393,8 @@ def _module_route(W: CoxeterGroup, L, N: Subgroup):
         stabilizer of that space, which is W_L (Steinberg).
     PrerequisiteFailed when C is not N.
     """
-    WL = W.parabolic(L)
-    cusp = WL.cuspidal_classes()
-    w = WL.longest_element()
+    cusp = W.cuspidal_classes(L)
+    w = W.parabolic(L).longest_element()
     if len(cusp) != 1 or w not in cusp[0].members:
         raise PrerequisiteFailed(
             "the longest element is not the one cuspidal class of W_L")
@@ -460,9 +459,9 @@ def _search_C(W: CoxeterGroup, L, N: Subgroup):
 # -- the verifications ------------------------------------------------------------------
 
 
-def _construct(report: ConjectureReport, G: Subgroup, construct, W, L):
+def _construct(report: ConjectureReport, construct, W, L):
     """construct(W, L) into the report, with the construction and
-    cuspidal-coverage checks on G; None when the construction fails."""
+    cuspidal-coverage checks on W_L; None when the construction fails."""
     try:
         assignments = construct(W, L)
     except (SearchExhausted, PrerequisiteFailed) as exc:
@@ -473,8 +472,9 @@ def _construct(report: ConjectureReport, G: Subgroup, construct, W, L):
     report.assignments = assignments
     report.add("construction", True,
                ",".join(sorted({a.route for a in assignments})))
+    G = W.parabolic(L)
     covered = [G.class_of(a.element) for a in assignments]
-    cusp = {G.class_of(c.rep) for c in G.cuspidal_classes()}
+    cusp = {G.class_of(c.rep) for c in W.cuspidal_classes(L)}
     report.add("cuspidal-coverage",
                set(covered) == cusp and len(covered) == len(cusp))
     return assignments
@@ -489,7 +489,7 @@ def verify_b(W: CoxeterGroup) -> ConjectureReport:
     top = D.shape_of(S)
     phi_top = D.ideal_character(top)
     psi_top = shape_component_character(W, top)
-    assignments = _construct(report, full, construct_parabolic_B, W, S)
+    assignments = _construct(report, construct_parabolic_B, W, S)
     if assignments is None:
         return report
     report.add_residual("descent-top-sum",
@@ -515,7 +515,7 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
     alphaL = alpha_parabolic(W, L)
     phi_tilde = parabolic_ideal_character(W, L)
     psi_tilde = top_component_tilde(W, L)
-    assignments = _construct(report, WL, construct_C, W, L)
+    assignments = _construct(report, construct_C, W, L)
     if assignments is None:
         return report
     report.add("centralizers-in-normalizer",

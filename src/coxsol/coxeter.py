@@ -8,13 +8,14 @@ up from the simple roots by a walk that carries each root's pairings
 2*B(v, alpha_j): s_i(v) is v with coordinate i lowered by its i-th pairing,
 one subtraction and no product, and only a new root gets pairings, from at
 most rank products with the Cartan entries 2*B(alpha_i, alpha_j).  A group
-whose orders are all 2 or 3 is built without a cyclotomic product.  With N
-positive roots, root i is alpha_i, root k < N is positive and root k + N is
--root k.  Every element is stored as the permutation it induces on the roots.
-Lengths, reduced words, conjugacy classes, coset transversals, shapes,
-normalizers, fixed-space dimensions and determinants on root spans are all
-derived from that data; the determinant on a subspace over Q(zeta_n),
-`det_on_subspace`, remains as a test oracle.
+whose orders are all 2 or 3 is built without a cyclotomic product.  `roots`
+holds the N positive roots: root i is alpha_i, and root k + N is -root k,
+which `matrix_of` negates on demand.  Every element is stored as the
+permutation it induces on the 2N roots.  Lengths, reduced words, conjugacy
+classes, cuspidal classes, coset transversals, shapes, normalizers,
+fixed-space dimensions and determinants on root spans are all derived from
+that data; the determinant on a subspace over Q(zeta_n), `det_on_subspace`,
+remains as a test oracle.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ class CoxeterGroup:
         reaches every positive root: a non-simple one, b, has some j with
         B(b, alpha_j) > 0 (as B(b, b) > 0), and s_j(b) is a positive root of
         smaller height, so b lies on a walk up from a simple root.  Root i is
-        alpha_i, and with N positive roots, root k + N is -root k; the roots
-        are these 2N, and s_i(-b) = -s_i(b) fills in the negative half.
+        alpha_i, and with N positive roots, root k + N is -root k; only the N
+        are stored, and s_i(-b) = -s_i(b) fills in the negative half.
 
         Each root v carries its pairings c_j = 2 B(v, alpha_j), so s_i(v) is v
         with coordinate i lowered by c_i, and c_i = 0 means s_i fixes v.  Only
@@ -245,7 +246,6 @@ class CoxeterGroup:
                     image[i][ri], image[i][idx] = idx, ri
             frontier = nxt
         N = self.n_positive = len(self.roots)
-        self.roots += [tuple(-x for x in v) for v in self.roots]
         self.n_roots = 2 * N
         perms = []
         for i, row in enumerate(image):
@@ -311,14 +311,12 @@ class CoxeterGroup:
         full = self.full()
         self.reflections = sorted({t for g in self.generators
                                    for t in self.classes[full.class_of(g)].members})
-        self.reflection_root = {}
+        N = self.n_positive
         for t in self.reflections:
             pt = self.perms[t]
-            own = [k for k in range(self.n_positive) if pt[k] == k + self.n_positive]
             # s_a sends a root b to -b only when b is a multiple of a, that is +-a
-            if len(own) != 1:
+            if sum(pt[k] == k + N for k in range(N)) != 1:
                 raise NotClosed("a reflection does not negate exactly one positive root")
-            self.reflection_root[t] = own[0]
 
     def on_simple(self, x: int, J):
         """(ascents, image): how x moves the simple roots of J.
@@ -372,9 +370,11 @@ class CoxeterGroup:
     # -- reflection representation ----------------------------------------------
 
     def matrix_of(self, w: int):
-        """Rows are the images of the simple roots under w."""
-        pw = self.perms[w]
-        return [self.roots[pw[i]] for i in range(self.rank)]
+        """Rows are the images of the simple roots under w; root k >= N is
+        -root (k - N), negated here."""
+        N, roots = self.n_positive, self.roots
+        return [roots[k] if k < N else tuple(-x for x in roots[k - N])
+                for k in self.perms[w][:self.rank]]
 
     def det_on_subspace(self, w: int, basis):
         """Determinant of w on an invariant subspace with rref basis rows; a test oracle."""
@@ -410,6 +410,12 @@ class CoxeterGroup:
     def fix_dim(self, w: int) -> int:
         """Dimension of the fixed space of w."""
         return self.rank - self._closure_rank[self.full().class_of(w)]
+
+    def cuspidal_classes(self, J):
+        """The classes of W_J with no fixed points beyond the fixed space of
+        W_J, which has dimension rank - |J|."""
+        dim = self.rank - len(J)
+        return [c for c in self.parabolic(J).classes if self.fix_dim(c.rep) == dim]
 
     def normalizer_factors(self, c: int, J):
         """u and d with c = u * d, u in W_J and d the shortest element of W_J c.
@@ -647,23 +653,8 @@ class Subgroup:
         """The index of each member in sorted_members."""
         return {w: i for i, w in enumerate(self.sorted_members)}
 
-    @cached_property
-    def parabolic_subset(self):
-        """The J with this subgroup equal to W_J, or None.  J holds the generators
-        among the members; W_J lies in the members, so equal sizes mean W_J."""
-        W = self.parent
-        J = tuple(s for s, g in enumerate(W.generators) if g in self.members)
-        return J if len(W.closure(W.generators[s] for s in J)) == self.order else None
-
     def class_of(self, w: int) -> int:
         return self._class_index[w]
-
-    def cuspidal_classes(self):
-        """Classes with no fixed points beyond the fixed space of the parabolic."""
-        if self.parabolic_subset is None:
-            raise ValueError("cuspidal classes need parabolic root data")
-        dim = self.parent.rank - len(self.parabolic_subset)
-        return [c for c in self.classes if self.parent.fix_dim(c.rep) == dim]
 
     def longest_element(self) -> int:
         return max(self.sorted_members, key=lambda w: self.parent.lengths[w])

@@ -14,6 +14,9 @@ check those facts against.
 - Fixed spaces of elements and of standard parabolics, by row reduction
   (`linalg.nullspace` and `linalg.rank` left the package with them); powers
   by repeated multiplication; the number of hyperplanes an element fixes.
+- The root data the package does not store: the coordinates of all 2N
+  roots, root k + N being -root k, and the positive root each reflection
+  negates, read off its permutation.
 - Characters and elements the package no longer builds: sigma_J, the
   determinant on the root span of J on the complement N_J; the averaging
   idempotent of a subgroup; and a closed-form model of the top component
@@ -306,6 +309,19 @@ def nullspace(rows, ncols: int):
             v[p] = -row[f]
         out.append(tuple(v))
     return linalg.rref(out)[0] if out else []
+
+
+def all_roots(W):
+    """The coordinates of the 2N roots in the package's numbering."""
+    return W.roots + [tuple(-x for x in v) for v in W.roots]
+
+
+def reflection_roots(W) -> dict:
+    """{t: k} with k the one positive root that the reflection t negates."""
+    N, out = W.n_positive, {}
+    for t in W.reflections:
+        [out[t]] = [k for k in range(N) if W.perms[t][k] == k + N]
+    return out
 
 
 def _minus_identity(W, w: int):

@@ -264,7 +264,7 @@ def test_criterion_08_structural_lemmas():
                 expected = eps_all[n] * al(n)
                 assert sig(n) == expected, (spec, J, n)
                 assert permutation_sign(W, J, n) == expected, (spec, J, n)
-            for c in WJ.cuspidal_classes():
+            for c in W.cuspidal_classes(J):
                 w = c.rep
                 C = W.centralizer(w)
                 CJ = W.centralizer(w, within=WJ)

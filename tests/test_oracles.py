@@ -34,7 +34,11 @@ coordinates, read off the eigenlines of the rotation, against a row reduction
 per vector (`linalg.coords_in_span`).  The
 root system, closed up with carried pairings and rational Cartan entries,
 is checked against the walk that summed every image's pairing over the
-cyclotomic form.  The group tables, filled from a right-multiplication
+cyclotomic form.  The images of the simple roots, read off the root
+permutations with a negative root negated on demand, are checked against
+applying the letters of a reduced word; the cuspidal classes of each W_J,
+read off the parabolic closure, against fixed spaces found by row reduction.
+The group tables, filled from a right-multiplication
 table, are checked against composing root permutations.  The NBC basis, found by
 Bjorner's suffix criterion, is checked against the independent sets that
 hold no broken circuit.  The characters Psi, traces summed from Moebius
@@ -75,10 +79,10 @@ from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             rotation_idempotent)
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
-from oracles import (averaging, check_idempotent_family, dense_element, descent_x, e_shape,
-                     fixed_space, flat_rank, independent, inverse, nbc,
+from oracles import (all_roots, averaging, check_idempotent_family, dense_element, descent_x,
+                     e_shape, fixed_space, flat_rank, independent, inverse, nbc,
                      parabolic_fixed_space, pmul, power, quotient_linear_characters,
-                     reduce_fractions, sigma_parabolic, x_element)
+                     reduce_fractions, reflection_roots, sigma_parabolic, x_element)
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -141,12 +145,11 @@ def test_root_walk_matches_cyclotomic_walk(spec):
     W = build_group(spec)
     oracle = cyclotomic_root_walk(W)
     N, r = W.n_positive, W.rank
-    # root i is alpha_i, and root k + N is -root k
+    # root i is alpha_i; only the positive roots are stored, and root k + N is -root k
     assert [linalg.vec_key(v) for v in W.roots[:r]] == [linalg.vec_key(v) for v in oracle.roots[:r]]
-    assert W.n_roots == 2 * N == len(W.roots)
-    assert all(W.roots[k + N] == tuple(-x for x in W.roots[k]) for k in range(N))
+    assert len(W.roots) == N and W.n_roots == 2 * N
     # the same root set, relabelled by coordinates
-    label = {linalg.vec_key(v): k for k, v in enumerate(W.roots)}
+    label = {linalg.vec_key(v): k for k, v in enumerate(all_roots(W))}
     assert len(label) == W.n_roots
     relabel = [label[linalg.vec_key(v)] for v in oracle.roots]
     assert sorted(relabel) == list(range(W.n_roots))
@@ -176,10 +179,10 @@ def test_group_tables_match_composed_permutations(spec):
     mult, inv = composed_tables(W)
     assert W.mult_table == mult
     assert W.inv_table == inv
-    form = cyclotomic_form(W)
-    index = {linalg.vec_key(v): k for k, v in enumerate(W.roots)}
+    form, roots = cyclotomic_form(W), all_roots(W)
+    index = {linalg.vec_key(v): k for k, v in enumerate(roots)}
     for i, g in enumerate(W.generators):
-        images = [index[linalg.vec_key(_apply_gen(form, i, v))] for v in W.roots]
+        images = [index[linalg.vec_key(_apply_gen(form, i, v))] for v in roots]
         assert W.perms[g] == tuple(images), (spec, i)
     conjugates = {W.conj(g, x) for g in W.generators for x in range(W.order)}
     assert W.reflections == sorted(conjugates)
@@ -207,7 +210,7 @@ def test_flats_are_closed_root_spans(spec):
     W = build_group(spec)
     alg = os_algebra(W)
     lat = alg.lattice
-    root = {t: W.roots[W.reflection_root[t]] for t in W.reflections}
+    root = {t: W.roots[k] for t, k in reflection_roots(W).items()}
     for f in lat.flats:
         basis, pivots = linalg.rref([root[t] for t in f.key])
         assert len(basis) == f.rank, (spec, f.key)
@@ -405,6 +408,34 @@ def test_fix_dim_and_closure_match_fixed_spaces(spec):
         x, J = W.parabolic_closure(c.rep)
         assert set(W.words[W.conj(c.rep, x)]) == set(J)
         assert len(J) == W.rank - W.fix_dim(c.rep)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "D4", "A1xB3"])
+def test_cuspidal_classes_match_fixed_spaces(spec):
+    W = build_group(spec)
+    for J in W.all_subsets():
+        want = [c for c in W.parabolic(J).classes
+                if len(fixed_space(W, c.rep)) == W.rank - len(J)]
+        assert W.cuspidal_classes(J) == want, (spec, J)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(7)", "B4"])
+def test_matrix_of_matches_the_reduced_words(spec):
+    # s_i1 s_i2 ... s_ik applies its last letter first: s_i1 to the images
+    # under the suffix, kept per suffix; matrix_of negates a stored root
+    # wherever w sends a simple root negative
+    W = build_group(spec)
+    form = cyclotomic_form(W)
+    images = {(): W.roots[:W.rank]}
+
+    def image(word):
+        if word not in images:
+            images[word] = [_apply_gen(form, word[0], v) for v in image(word[1:])]
+        return images[word]
+
+    for w in range(W.order):
+        assert ([linalg.vec_key(v) for v in W.matrix_of(w)]
+                == [linalg.vec_key(v) for v in image(W.words[w])]), (spec, W.word_str(w))
 
 
 def row_reduced_character(D, shape):

@@ -7,6 +7,10 @@ are called by the language, so they are left out.  The layer tracer in
 perfbench/ patches some functions and methods by name, so those may stay in
 the package while the tracer names them.
 
+Every attribute the package stores on an object (`x.name = ...`) is read by
+name somewhere in the package; writing into it (`x.name[k] = ...`) is not a
+read.  State that only tests read is derived in `tests/oracles.py`.
+
 The root system is read only inside `coxeter.py`: how an element moves the
 simple roots goes through `CoxeterGroup.on_simple`, so no other module reads
 the root permutations, the roots or their counts.
@@ -58,6 +62,20 @@ def test_every_function_is_used_by_the_package():
             if used[name] == _used_names(fn)[name]:
                 unused.append(".".join(filter(None, (module, cls, name))))
     assert unused == []
+
+
+def test_every_stored_attribute_is_read_by_the_package():
+    stored, read = set(), Counter()
+    for module, tree in _package_trees().items():
+        written_into = {id(n.value) for n in ast.walk(tree)
+                        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                if isinstance(n.ctx, ast.Store):
+                    stored.add((module, n.attr))
+                elif id(n) not in written_into:
+                    read[n.attr] += 1
+    assert sorted(f"{module}.{name}" for module, name in stored if not read[name]) == []
 
 
 def test_only_coxeter_reads_the_root_model():
