@@ -6,6 +6,9 @@ character of the subset idempotent and the top component character of the
 parabolic reflection arrangement.  This module builds linear characters on
 centralizers of cuspidal elements of W_L whose inductions reassemble both
 characters, and verifies all the resulting identities in exact arithmetic.
+The normalizer assignments at L extend those of W_L itself: one lift reads
+each assignment of W_L on the centralizer of its element in the normalizer,
+and the subsets no lift covers are searched.
 
 Verification results are returned as ConjectureReport objects: a list of
 labelled boolean checks, never a bare assertion, so a failing identity is
@@ -21,9 +24,8 @@ from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, subset_label
 from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_json,
-                    exponent_character, linear_character, linear_characters,
-                    regular_character, rotation_character, sign_character,
-                    trivial_character)
+                    linear_character, linear_characters, regular_character,
+                    rotation_character, sign_character, trivial_character)
 from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (os_algebra, shape_component_character,
@@ -339,115 +341,76 @@ def _walk(pools, start):
             sums[e + 1] = tuple(map(operator.add, sums[e], pools[e][index[e]]))
 
 
-# -- assignments on ambient centralizers, one route per kind of subset -----------------
+# -- assignments on ambient centralizers: lifts of the parabolic ones ------------------
 
 
 def construct_C(W: CoxeterGroup, L):
     """Assignments for the normalizer identities at the subset L.
 
-    Bulky subsets (the complement centralizes W_L) lift the parabolic
-    assignment across the direct product.  Non bulky dihedral parabolics use
-    the degree one module for m = 2 and a coset split of the centralizer for
-    odd m; anything else is searched.
+    Three kinds of subset lift every assignment of `construct_parabolic_B` at
+    its own element w (`_lift`); the route names the kind: "product" for a
+    bulky L (the complement centralizes W_L), "module" for a non bulky
+    commuting pair, m = 2, and "coset-split" for a non bulky odd dihedral L,
+    with the fold w_L.  Anything else is searched.
+
+    Write c in C = C_N(w) as c = u * d (`normalizer_factors`), u in W_L and d
+    permuting the simple roots of L.  The lift reads the base phi at u, which
+    must lie in the base centralizer C_{W_L}(w):
+      bulky L: d centralizes W_L, so u = c * d^-1 commutes with w;
+      m = 2: W_L is abelian, so C_{W_L}(w) = W_L;
+      odd m: let r = s_a s_b and w = r^j, so C_{W_L}(w) = <r>.  Conjugation
+        by w_L swaps s_a and s_b, and d either fixes both roots, centralizing
+        W_L, or swaps them, acting on W_L as w_L does.  Let e(c) be 1 when d
+        swaps them and 0 otherwise.  A swapping d inverts r, and c centralizes
+        r^j != r^-j, so u inverts r^j exactly when e(c) = 1: then u is a
+        reflection and the fold u * w_L is a rotation.  So u w_L^e(c) = r^k,
+        and
+          c c' = u (d u' d^-1) d d' = r^k w_L^e(c) w_L^e(c) r^k' w_L^e(c') w_L^e(c) d d'
+               = r^(k + k') w_L^(e(c) + e(c')) d d',
+        where d d' permutes the simple roots of L, so it is the d of c c' and
+        k adds.  Reading u from the other side, w_L * u = r^-k when
+        e(c) = 1, so that map adds only where the k of the swapping c vanish.
     """
     L = tuple(sorted(L))
     N = W.normalizer_of_parabolic(L)
     if W.is_bulky(L):
-        return [_lift_product(W, L, N, base)
-                for base in construct_parabolic_B(W, L)]
-    if len(L) == 2:
-        a, b = L
-        m = W.matrix[a, b]
-        if m == 2:
-            return _module_route(W, L, N)
-        if m % 2:
-            return _coset_split_route(W, L, N)
-    return _search_C(W, L, N)
+        route, fold = "product", None
+    elif len(L) == 2 and W.matrix[L] == 2:
+        route, fold = "module", None
+    elif len(L) == 2 and W.matrix[L] % 2:
+        route, fold = "coset-split", W.parabolic(L).longest_element()
+    else:
+        return _search_C(W, L, N)
+    return [_lift(W, L, N, base, route, fold) for base in construct_parabolic_B(W, L)]
 
 
-def _lift_product(W: CoxeterGroup, L, N: Subgroup, base: Assignment) -> Assignment:
+def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route, fold) -> Assignment:
+    """The base assignment extended to C = C_N(w): phi(u * d) = base phi(u),
+    with u replaced by u * fold when it leaves the base centralizer, and
+    psi = phi * sign * alpha_L.  PrerequisiteFailed when u still leaves it,
+    when the values are not a linear character of C, or when phi and psi do
+    not restrict to the base assignment."""
     C = _centralizer_in(W, base.element, N)
+    inside = base.centralizer.members
     values = {}
     for c in C.sorted_members:
         u, _ = W.normalizer_factors(c, L)
-        if u not in base.centralizer.members:
+        if fold is not None and u not in inside:
+            u = W.mult(u, fold)
+        if u not in inside:
             raise PrerequisiteFailed(
                 "the W_L factor of a centralizing element leaves the base centralizer")
         values[c] = base.phi(u)
-    phi = linear_character(C, values)
+    try:
+        phi = linear_character(C, values)
+    except NotLinear:
+        raise PrerequisiteFailed(f"the {route} lift of the base phi is not "
+                                 "multiplicative") from None
     psi = phi * sign_character(C) * alpha_parabolic(W, L).restrict(C)
     if phi.restrict(base.centralizer) != base.phi or \
             psi.restrict(base.centralizer) != base.psi:
         raise PrerequisiteFailed("the lift does not restrict to the base assignment")
-    return Assignment(L, base.element, C, phi, psi, "product")
-
-
-def _module_route(W: CoxeterGroup, L, N: Subgroup):
-    """Both normalizer modules are lines here, so they are their own characters.
-
-    Those characters live on N = N_W(W_L), and the assignment puts them on
-    C = C_W(w_L), so C must be N.  It is, for m_ab = 2 and w_L = s_a s_b:
-      N in C: n in N permutes the two reflections s_a, s_b of the Klein
-        group W_L, so it fixes their product w_L;
-      C in N: c keeps Fix(w_L) = Fix(W_L), so it normalizes the pointwise
-        stabilizer of that space, which is W_L (Steinberg).
-    PrerequisiteFailed when C is not N.
-    """
-    cusp = W.cuspidal_classes(L)
-    w = W.parabolic(L).longest_element()
-    if len(cusp) != 1 or w not in cusp[0].members:
-        raise PrerequisiteFailed(
-            "the longest element is not the one cuspidal class of W_L")
-    C = W.centralizer(w)
-    if C.members != N.members:
-        raise PrerequisiteFailed(
-            "the centralizer of the longest element of W_L is not its normalizer")
-    phi, psi = (linear_character(C, {c: cf(c) for c in C.members})
-                for cf in (parabolic_ideal_character(W, L),
-                           top_component_tilde(W, L)))
-    return [Assignment(L, w, C, phi, psi, "module")]
-
-
-def _coset_split_route(W: CoxeterGroup, L, N: Subgroup):
-    """Split each centralizer along rotation and reflection parts of W_L.
-
-    Write c = u * d as in `normalizer_factors`, u in W_L and d permuting the
-    simple roots a, b of L, and r = s_a s_b.  The value at c is the rotation
-    character at u when u is a rotation, and at u * w_L when u is a
-    reflection.  The rotation character sends r^k to zeta_m^(j k), so the
-    values are the exponent map c -> j k, checked to be additive in Z/m.
-
-    Why it is additive.  As m is odd, conjugation by w_L swaps s_a and s_b,
-    and d either fixes both roots, centralizing W_L, or swaps them, acting on
-    W_L as w_L does.  Let e(c) be 1 when d swaps them and 0 otherwise.  A
-    swapping d inverts r, and c centralizes r^j != r^-j, so u inverts r^j
-    exactly when e(c) = 1: then u is a reflection, otherwise a rotation, and
-    u = r^k w_L^e(c) for the k the value reads.  Hence
-        c c' = u (d u' d^-1) d d' = r^k w_L^e(c) w_L^e(c) r^k' w_L^e(c') w_L^e(c) d d'
-             = r^(k + k') w_L^(e(c) + e(c')) d d',
-    and d d' permutes the simple roots of L, so it is the d of c c' and k
-    adds.  Reading u from the other side, w_L * u = r^-k when e(c) = 1, so
-    that map adds only where the k of the swapping c vanish.
-    """
-    rot = W.rotations(L)
-    m = len(rot)
-    power = {x: k for k, x in enumerate(rot)}
-    wL = W.parabolic(L).longest_element()
-    alphaL = alpha_parabolic(W, L)
-    out = []
-    for j in range(1, (m - 1) // 2 + 1):
-        C = _centralizer_in(W, rot[j], N)
-        ex = {}
-        for c in C.sorted_members:
-            u, _ = W.normalizer_factors(c, L)
-            ex[c] = j * power[u if u in power else W.mult(u, wL)] % m
-        try:
-            phi = exponent_character(C, m, ex)
-        except NotLinear:
-            raise PrerequisiteFailed("coset split values are not multiplicative") from None
-        psi = phi * sign_character(C) * alphaL.restrict(C)
-        out.append(Assignment(L, rot[j], C, phi, psi, "coset-split"))
-    return out
+    return Assignment(L, base.element, C, phi, psi, route)
 
 
 def _search_C(W: CoxeterGroup, L, N: Subgroup):

@@ -458,10 +458,9 @@ class CoxeterGroup:
         """All subsets of the generator index set, by size then lexicographically."""
         return subsets(range(self.rank))
 
-    def transversal(self, J, within=None):
-        """Minimal right coset transversal X_J, optionally inside a parabolic."""
-        pool = within.sorted_members if within is not None else range(self.order)
-        return [w for w in pool
+    def transversal(self, J):
+        """Minimal right coset transversal X_J."""
+        return [w for w in range(self.order)
                 if len(self.on_simple(self.inv_table[w], J)[0]) == len(J)]
 
     def subset_images(self, J, within=None):

@@ -489,8 +489,10 @@ def group_sum(W, elems) -> Element:
 
 
 def x_element(W, J, within=None) -> Element:
-    """Sum of the inverses of the minimal coset representatives X_J."""
-    return group_sum(W, (W.inv(x) for x in W.transversal(J, within=within)))
+    """Sum of the inverses of the minimal coset representatives X_J, or of
+    X_J cap W_L = X_J^L inside the parabolic `within`."""
+    return group_sum(W, (W.inv(x) for x in W.transversal(J)
+                         if within is None or x in within.members))
 
 
 def descent_x(D, J) -> Element:

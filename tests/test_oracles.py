@@ -23,11 +23,12 @@ is checked against the closure of the commutators of all pairs.  Linear
 characters, built from exponent maps on H with one root of unity per class,
 are checked against the same maps built through a multiplication table of
 H/H', and against a root of unity per member validated by `linear_character`;
-so are the rotation characters and the coset split of an odd dihedral
-parabolic, both exponent maps on the powers of its rotation, and those powers
-are checked against `W.power`.  The shape of a flat, read off the subset it
-comes from, is checked against the orbits of the standard flats under the
-generators.
+so are the rotation characters of a dihedral parabolic, exponent maps on the
+powers of its rotation, and those powers are checked against `oracles.power`.
+The coset-split lift of an odd dihedral parabolic, which reads the rotation
+characters, is checked against Cyclo values per member.  The shape of a
+flat, read off the subset it comes from, is checked against the orbits of
+the standard flats under the generators.
 The intertwiner check, made on generators of the normalizer, is checked
 against the same check on every member of the complement N_L, and its a-side
 coordinates, read off the eigenlines of the rotation, against a row reduction
@@ -69,7 +70,8 @@ from coxsol import chars, conjectures, cyclo, linalg
 from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabolic,
                           commutator_subgroup, det_character, linear_character,
                           linear_characters, rotation_character, trivial_character)
-from coxsol.conjectures import SearchExhausted, check_intertwiner, verify_a, verify_b
+from coxsol.conjectures import (SearchExhausted, check_intertwiner, construct_C, verify_a,
+                                verify_b)
 from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
                             matrix_from_spec)
 from coxsol.cyclo import (Cyclo, cos_pi_over, cyclotomic_polynomial, euler_phi,
@@ -525,7 +527,7 @@ def counted_incidence(D):
     """m[K][J] = |X_K cap {x in X_J : J^x in S}| for J in K, by transversals."""
     W = D.W
     sharp = {J: set(W.subset_images(J, within=D.universe)) for J in D.subsets}
-    trans = {J: set(W.transversal(J, within=D.universe)) for J in D.subsets}
+    trans = {J: set(W.transversal(J)) & D.universe.members for J in D.subsets}
     return [[len(trans[K] & sharp[J]) if set(J) <= set(K) else 0
              for J in D.subsets] for K in D.subsets]
 
@@ -773,8 +775,9 @@ def all_members_intertwiner(W, L):
 
 
 def cyclo_coset_split(W, L):
-    """The coset split `_coset_split_route` replaced: rotation character
-    values as a Cyclo per member, checked by `linear_character`."""
+    """The coset split as rotation character values, a Cyclo per member,
+    checked by `linear_character`, with a reflection factor read from
+    whichever side gives a linear character."""
     a, b = L
     m = W.matrix[a, b]
     st = W.mult(W.generators[a], W.generators[b])
@@ -804,7 +807,7 @@ def test_coset_split_matches_cyclo_values(spec):
              and W.matrix[L[0], L[1]] % 2 and not W.is_bulky(L)]
     assert split, spec
     for L in split:
-        got = conjectures._coset_split_route(W, L, W.normalizer_of_parabolic(L))
+        got = construct_C(W, L)
         assert {a.route for a in got} == {"coset-split"}
         want = cyclo_coset_split(W, L)
         assert [(a.element, a.centralizer, a.phi) for a in got] == want, (spec, L)

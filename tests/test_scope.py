@@ -1,7 +1,9 @@
 """The Coxeter types of rank <= 4: `verify a` and `verify b` across the
 reducible ones of rank 3 and 4 and the connected ones of rank <= 3, each
 output checked against a pinned digest, and |W| and the class count of the
-connected ones against closed forms.
+connected ones against closed forms.  At every canonical subset L of every
+connected and reducible type but I2(6)xI2(6), the normalizer assignments of
+`construct_C` extend the assignments of W_L itself.
 
 The types come from generators over the classification, not from lists
 written by hand, and their number is asserted, so a family that goes
@@ -16,7 +18,8 @@ import math
 
 import pytest
 
-from coxsol.conjectures import verify_a, verify_b
+from coxsol import conjectures
+from coxsol.conjectures import construct_C, construct_parabolic_B, verify_a, verify_b
 from coxsol.coxeter import _NAMED, build_group, matrix_from_spec
 
 # -- the connected types, from the classification -------------------------------------
@@ -273,6 +276,42 @@ def test_verify_b_connected(spec):
 @pytest.mark.parametrize("spec", CONNECTED_LOW_RANK)
 def test_verify_a_connected(spec):
     check_verify_a(spec)
+
+
+# -- conjecture C at L extends conjecture B at L ------------------------------------
+
+
+# over about 2 s in-process; they run with the slow tests
+SLOW_EXTENDS = {"F4", "I2(4)xI2(6)", "I2(5)xI2(6)"}
+
+
+def _extension_rows():
+    return [pytest.param(spec, marks=pytest.mark.slow) if spec in SLOW_EXTENDS else spec
+            for spec in connected_types() + reducible_types({3, 4}) if spec not in EXHAUSTED]
+
+
+@pytest.mark.parametrize("spec", _extension_rows())
+def test_every_C_assignment_extends_its_B_assignment(spec, monkeypatch):
+    """construct_C(W, L) gives the elements of construct_parabolic_B(W, L) in
+    the same order, and each phi and psi restricts on C_{W_L}(w), the base
+    centralizer, to the base's; the searched subsets included.  The bases
+    are built once per L, for the lift and for the comparison."""
+    built = {}
+
+    def bases_at(W, L):
+        if L not in built:
+            built[L] = construct_parabolic_B(W, L)
+        return built[L]
+
+    monkeypatch.setattr(conjectures, "construct_parabolic_B", bases_at)
+    W = build_group(spec)
+    for shape in W.shapes():
+        L = tuple(sorted(shape.canonical))
+        lifted, bases = construct_C(W, L), bases_at(W, L)
+        assert [a.element for a in lifted] == [b.element for b in bases], (spec, L)
+        for a, b in zip(lifted, bases):
+            assert a.phi.restrict(b.centralizer) == b.phi, (spec, L, a.route)
+            assert a.psi.restrict(b.centralizer) == b.psi, (spec, L, a.route)
 
 
 # -- the connected types: |W| and classes against closed forms ---------------------

@@ -372,8 +372,8 @@ def test_cli_output_is_the_same_under_optimize():
 
 
 def test_module_route_needs_the_centralizer_to_be_the_normalizer(monkeypatch, capsys):
-    # the centralizer of w_L = s1*s3 taken inside W_L only: the module route
-    # refuses it, and no search stands in for it
+    # the centralizer of w_L = s1*s3 taken inside W_L only: the lift still
+    # builds, but its inductions to N miss both tilde characters
     centralizer = CoxeterGroup.centralizer
 
     def inside_support(W, w, within=None):
@@ -385,10 +385,54 @@ def test_module_route_needs_the_centralizer_to_be_the_normalizer(monkeypatch, ca
     assert main(["verify", "c", "A3", "--L", "s1,s3"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "failed"
-    assert data["checks"][0] == {
+    assert data["checks"][0] == {"label": "construction", "ok": True, "detail": "module"}
+    assert [c["label"] for c in data["checks"] if not c["ok"]] == \
+        ["descent-tilde-sum", "arrangement-tilde-sum", "mackey", "degrees"]
+
+
+def test_a_lift_that_is_not_multiplicative_fails_the_construction(monkeypatch, capsys):
+    # the bases of a bulky L with phi doubled off the identity: the product
+    # lift refuses the values instead of raising an internal error
+    W = build_group("B3")
+    assert W.is_bulky((0, 1))
+    bases = conjectures.construct_parabolic_B
+
+    def doubled(W, L):
+        out = []
+        for a in bases(W, L):
+            C = a.centralizer
+            phi = ClassFunction(C, [v if c.rep == W.identity else 2 * v
+                                    for c, v in zip(C.classes, a.phi.values)])
+            out.append(Assignment(a.L, a.element, C, phi, a.psi, a.route))
+        return out
+
+    monkeypatch.setattr(conjectures, "construct_parabolic_B", doubled)
+    assert main(["verify", "c", "B3", "--L", "s1,s2"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "failed"
+    assert data["checks"] == [{
         "label": "construction", "ok": False,
-        "detail": "the centralizer of the longest element of W_L is not its normalizer"}
-    assert "assignments" not in data
+        "detail": "the product lift of the base phi is not multiplicative"}]
+
+
+def test_a_wrong_phi_tilde_fails_the_module_case_descent_sum(monkeypatch):
+    # Phi~ times the character of N that is -1 off W_L: the module case's phi
+    # comes from the base, not from Phi~, so the descent tilde sum sees it
+    W = build_group("A3")
+    L = (0, 2)
+    WL = W.parabolic(L)
+    phi_tilde = conjectures.parabolic_ideal_character
+
+    def off_WL(W, J):
+        cf = phi_tilde(W, J)
+        return cf * ClassFunction.from_function(
+            cf.carrier, lambda n: Fraction(1 if n in WL.members else -1))
+
+    monkeypatch.setattr(conjectures, "parabolic_ideal_character", off_WL)
+    report = verify_c(W, L)
+    assert [a.route for a in report.assignments] == ["module"]
+    assert [lab for lab, ok, _ in report.checks if not ok] == \
+        ["descent-tilde-sum", "tilde-twist", "tilde-induction"]
 
 
 def _element(W, word):
@@ -525,7 +569,7 @@ def test_one_perturbed_input_fails_its_check(label, monkeypatch, capsys):
     or a tilde sum, so it fails only with descent-top-sum or
     descent-tilde-sum.  centralizers-in-normalizer cannot fail once the
     construction passed: every route's centralizer passes `_centralizer_in`
-    or the C = N check of `_module_route` first.
+    first.
     """
     argv, name, replacement, failed, cases, moved = PERTURBED_CHECKS[label]
     monkeypatch.setattr(conjectures, name, replacement)
