@@ -8,7 +8,7 @@ centralizers of cuspidal elements of W_L whose inductions reassemble both
 characters, and verifies all the resulting identities in exact arithmetic.
 The normalizer assignments at L extend those of W_L itself: one lift reads
 each assignment of W_L on the centralizer of its element in the normalizer,
-and the subsets no lift covers are searched.
+at every subset, so only the assignments of W_L itself are searched.
 
 Verification results are returned as ConjectureReport objects: a list of
 labelled boolean checks, never a bare assertion, so a failing identity is
@@ -160,9 +160,9 @@ def _total(class_functions):
     return functools.reduce(operator.add, class_functions)
 
 
-def _centralizer_in(W: CoxeterGroup, w: int, N: Subgroup, within=None) -> Subgroup:
-    """The centralizer of w (inside `within`, or in W), which must lie in N."""
-    C = W.centralizer(w, within=within)
+def _centralizer_in(W: CoxeterGroup, w: int, N: Subgroup) -> Subgroup:
+    """The centralizer of w in W, which must lie in N."""
+    C = W.centralizer(w)
     if not C.members <= N.members:
         raise PrerequisiteFailed(
             "centralizer of a cuspidal element leaves the normalizer")
@@ -191,8 +191,8 @@ def construct_parabolic_B(W: CoxeterGroup, L):
     if len(L) == 2:
         return _dihedral_B(W, L)
     D = descent_algebra(W, L)
-    return _search_pools(W, L, WL, D.ideal_character(D.shape_of(L)),
-                         top_component_character(W, L), sign_character(WL), within=WL)
+    return _search_pools(W, L, D.ideal_character(D.shape_of(L)),
+                         top_component_character(W, L))
 
 
 def _dihedral_B(W: CoxeterGroup, L):
@@ -223,29 +223,30 @@ def _dihedral_B(W: CoxeterGroup, L):
     return out
 
 
-def _search_pools(W: CoxeterGroup, L, target: Subgroup, phi_top, psi_top,
-                  twist, within=None):
-    """Search the linear characters phi of the centralizers (inside `within`,
-    or in W, and inside the target) of the cuspidal classes of W_L, with
-    psi = phi * twist, for inductions to the target adding up to the tops.
+def _search_pools(W: CoxeterGroup, L, phi_top, psi_top):
+    """Search the linear characters phi of the centralizers in W_L of the
+    cuspidal classes of W_L, with psi = phi * sign, for inductions to W_L
+    adding up to the tops.
 
-    Each phi is induced once.  Ind(phi * twist|_C)(g) is 1/|C| times the sum,
-    over x in the target with x g x^-1 in C, of phi(x g x^-1) twist(x g x^-1);
-    twist is a class function on the target, so twist(x g x^-1) = twist(g)
-    and the sum is Ind(phi)(g) twist(g).  The search cap is checked on the
-    pool sizes before anything is induced."""
+    Each phi is induced once.  Ind(phi * sign|_C)(g) is 1/|C| times the sum,
+    over x in W_L with x g x^-1 in C, of phi(x g x^-1) sign(x g x^-1); the
+    sign is a class function on W_L, so sign(x g x^-1) = sign(g) and the sum
+    is Ind(phi)(g) sign(g).  The search cap is checked on the pool sizes
+    before anything is induced."""
+    WL = W.parabolic(L)
+    sign = sign_character(WL)
     classes = []
     for cl in W.cuspidal_classes(L):
-        C = _centralizer_in(W, cl.rep, target, within)
+        C = W.centralizer(cl.rep, within=WL)
         classes.append((cl.rep, C, linear_characters(C)))
     _search_cut([len(chis) for *_, chis in classes])
     pools = []
     for w, C, chis in classes:
-        tw = twist.restrict(C)
+        tw = sign.restrict(C)
         opts = []
         for chi in chis:
-            ind = chi.induce(target)
-            opts.append((w, C, chi, chi * tw, ind, ind * twist))
+            ind = chi.induce(WL)
+            opts.append((w, C, chi, chi * tw, ind, ind * sign))
         pools.append(opts)
     return _search(L, phi_top, psi_top, pools)
 
@@ -345,62 +346,64 @@ def _walk(pools, start):
 
 
 def construct_C(W: CoxeterGroup, L):
-    """Assignments for the normalizer identities at the subset L.
-
-    Three kinds of subset lift every assignment of `construct_parabolic_B` at
-    its own element w (`_lift`); the route names the kind: "product" for a
+    """Assignments for the normalizer identities at the subset L: every
+    assignment of `construct_parabolic_B` lifted to C = C_N(w) at its own
+    element w (`_lift`).  The route names the case of L: "product" for a
     bulky L (the complement centralizes W_L), "module" for a non bulky
-    commuting pair, m = 2, and "coset-split" for a non bulky odd dihedral L,
-    with the fold w_L.  Anything else is searched.
+    commuting pair, m = 2, and "coset-split" for every other L.
 
-    Write c in C = C_N(w) as c = u * d (`normalizer_factors`), u in W_L and d
-    permuting the simple roots of L.  The lift reads the base phi at u, which
-    must lie in the base centralizer C_{W_L}(w):
+    Write c in C as c = u * d (`normalizer_factors`), u in W_L and d
+    permuting the simple roots of L; w_L is the longest element of W_L.
+    The lift reads the base phi at u when u lies in the base centralizer
+    C_{W_L}(w), else -eps(w_L) times the base phi at the fold u * w_L.
+    Whether c folds depends only on its image in N / W_L: the c' of C with
+    that image are the h * c with h in C cap W_L = C_{W_L}(w), and
+    c' = (h u) d, where h u lies in C_{W_L}(w) exactly when u does.
       bulky L: d centralizes W_L, so u = c * d^-1 commutes with w;
-      m = 2: W_L is abelian, so C_{W_L}(w) = W_L;
-      odd m: let r = s_a s_b and w = r^j, so C_{W_L}(w) = <r>.  Conjugation
-        by w_L swaps s_a and s_b, and d either fixes both roots, centralizing
-        W_L, or swaps them, acting on W_L as w_L does.  Let e(c) be 1 when d
-        swaps them and 0 otherwise.  A swapping d inverts r, and c centralizes
-        r^j != r^-j, so u inverts r^j exactly when e(c) = 1: then u is a
-        reflection and the fold u * w_L is a rotation.  So u w_L^e(c) = r^k,
-        and
-          c c' = u (d u' d^-1) d d' = r^k w_L^e(c) w_L^e(c) r^k' w_L^e(c') w_L^e(c) d d'
-               = r^(k + k') w_L^(e(c) + e(c')) d d',
-        where d d' permutes the simple roots of L, so it is the d of c c' and
-        k adds.  Reading u from the other side, w_L * u = r^-k when
-        e(c) = 1, so that map adds only where the k of the swapping c vanish.
+      m = 2: W_L is abelian, so C_{W_L}(w) = W_L; neither case folds.
+    Where each d acts on W_L as conjugation by w_L^e(c), e(c) in {0, 1} (at
+    an odd dihedral L, a d that swaps the roots of L does), e adds, and
+    g(c) = u w_L^e(c) is a homomorphism into C_{W_L}(w):
+      d w d^-1 = w_L^e w w_L^e, so g(c) centralizes w, and
+      c c' = u (d u' d^-1) d d' = u w_L^e u' w_L^e d d', so
+      g(c c') = u w_L^e u' w_L^e w_L^(e + e') = g(c) g(c').
+    If w_L leaves C_{W_L}(w), u does exactly when e(c) = 1, and phi is
+    (base phi o g) * (-eps(w_L))^e; else nothing folds and phi is
+    (base phi o g) * (base phi(w_L))^e, linear characters both.  The fold
+    is u * w_L: w_L * u is g(c) conjugated by w_L, which does not add.  At
+    an odd dihedral L, w_L is a reflection, so -eps(w_L) = 1.  Where w_L has
+    even length, (-1)^e is a character too, and -1 is the sign that the
+    identities select: with +1 the Phi~ and Psi~ sums fail at every folded
+    rank 3 L in scope.  The tilde-sum residuals of `verify_c` check it on
+    every run, and `linear_character` checks that phi is multiplicative
+    where the premise on d is not proved.
     """
     L = tuple(sorted(L))
     N = W.normalizer_of_parabolic(L)
-    if W.is_bulky(L):
-        route, fold = "product", None
-    elif len(L) == 2 and W.matrix[L] == 2:
-        route, fold = "module", None
-    elif len(L) == 2 and W.matrix[L] % 2:
-        route, fold = "coset-split", W.parabolic(L).longest_element()
-    else:
-        return _search_C(W, L, N)
-    return [_lift(W, L, N, base, route, fold) for base in construct_parabolic_B(W, L)]
+    route = ("product" if W.is_bulky(L) else
+             "module" if len(L) == 2 and W.matrix[L] == 2 else "coset-split")
+    return [_lift(W, L, N, base, route) for base in construct_parabolic_B(W, L)]
 
 
-def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route, fold) -> Assignment:
-    """The base assignment extended to C = C_N(w): phi(u * d) = base phi(u),
-    with u replaced by u * fold when it leaves the base centralizer, and
-    psi = phi * sign * alpha_L.  PrerequisiteFailed when u still leaves it,
-    when the values are not a linear character of C, or when phi and psi do
-    not restrict to the base assignment."""
+def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route) -> Assignment:
+    """The base assignment extended to C = C_N(w) as `construct_C` says, with
+    psi = phi * sign * alpha_L.  PrerequisiteFailed when u * w_L also leaves
+    the base centralizer, when the values are not a linear character of C,
+    or when phi and psi do not restrict to the base assignment."""
     C = _centralizer_in(W, base.element, N)
     inside = base.centralizer.members
+    wL = W.parabolic(L).longest_element()
+    flip = W.length(wL) % 2 == 0
     values = {}
     for c in C.sorted_members:
         u, _ = W.normalizer_factors(c, L)
-        if fold is not None and u not in inside:
-            u = W.mult(u, fold)
+        folded = u not in inside
+        if folded:
+            u = W.mult(u, wL)
         if u not in inside:
             raise PrerequisiteFailed(
                 "the W_L factor of a centralizing element leaves the base centralizer")
-        values[c] = base.phi(u)
+        values[c] = -base.phi(u) if folded and flip else base.phi(u)
     try:
         phi = linear_character(C, values)
     except NotLinear:
@@ -411,12 +414,6 @@ def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route, fold) -> Ass
             psi.restrict(base.centralizer) != base.psi:
         raise PrerequisiteFailed("the lift does not restrict to the base assignment")
     return Assignment(L, base.element, C, phi, psi, route)
-
-
-def _search_C(W: CoxeterGroup, L, N: Subgroup):
-    return _search_pools(W, L, N, parabolic_ideal_character(W, L),
-                         top_component_tilde(W, L),
-                         sign_character(N) * alpha_parabolic(W, L))
 
 
 # -- the verifications ------------------------------------------------------------------

@@ -292,20 +292,30 @@ def test_os_output_matches_recorded_digest(capsys, command):
 
 # (exit code, SHA-256 of stdout) of rank-4 commands, recorded before Phi~ was
 # read in x_J coordinates of the parabolic (`verify b` on A4 and D4 before linear
-# characters were built on H itself); rows slower than about 2 s are slow
+# characters were built on H itself; `verify a` on D4, B4 and F4 and the
+# `verify c` rows when the non bulky rank 3 subsets became lifts, not
+# searches); rows slower than about 2 s are slow
 RANK4_PINS = {
     "descent A4": (0, "79b4d07e99596595e618cb1683261936fb70d6d3b37ed65f3525ce70ed872ee0"),
     "descent B4": (0, "809e712a2a4f867525615019dd87ea2cf255a34a68acafdaeebd1744cd73552d"),
     "descent D4": (0, "59c104f62b6b5cbca0edf8df65280ac3c915afb7181bbe0370adf1f6ff059ef6"),
     "descent F4": (0, "f600543155ef90715d57599f1d1072c83b5139b3378413e52521256e4e441f06"),
     "verify a A4": (0, "583429319de4dc4fd1ecc9feaa45f2f79ab8bf86909531a19f3634a1cc1f67b6"),
-    "verify a D4": (0, "f63bb770ce74920eaf45f2a7dec2d5f51ab27bbbb80940ad745cad1d8a15cfcf"),
-    "verify a B4": (0, "d6d5ef8e720c21aea228ec5874a9af352d6fbd7ab780c905bf9ce74a4ddbb07c"),
-    "verify a F4": (0, "b8724e8a530fc71a4b6d1880830063e45c9a18dc544292c8d7d6332a2bd7ffb0"),
+    "verify a D4": (0, "ccd83568678be40a2305628e1f6056d54686fd10dc5fb2ace5a607632360c5a6"),
+    "verify a B4": (0, "fb37b9c26a3ee7a15712d898378d7404a8399d42a8a378135cc221dc336547d8"),
+    "verify a F4": (0, "2713fba1fcb1d20fc756d1163090a65d663a7910ccf85d222f7cf747f4192884"),
     "verify b A4": (0, "4893b85d1d363a27817bad02881fcd252d5f1aee40b1cacd5bc84679822b6137"),
     "verify b D4": (0, "305a41aa81437aa7f187a0e6264f0a0ef58c2fbb9cdffd0078867776a37db049"),
     "verify b B4": (0, "8958a36a73bd1d425a20e942017355c8359218abb0f83c8dc027e015632c6d0a"),
     "verify b F4": (0, "fd49c5be9bf487527e2ffcb774ecf8e03c264f2a070eeb9565a09419bcd94fc1"),
+    "verify c B4 --L s1,s3,s4":
+        (0, "398069b7ffcc30cb6b0c94576d41410e94e1edaee1af29be84203e9c3b96f2c1"),
+    "verify c D4 --L s1,s2,s3":
+        (0, "a933fe2535fd296fdc4669c5f98bb08674e63378c7f2ccbb4012d3ed29a040f9"),
+    "verify c F4 --L s1,s2,s4":
+        (0, "877502588e652fd779c3e98be531a3fc9ae4f1c35248aa278407a9ee8e0b82f6"),
+    "verify c A1xH3 --L s1,s2,s3":
+        (0, "c831aa0c5451fa7a19258fd719b33f4a5fe831d1f1c8085d5be2bb3b06a01aaa"),
 }
 SLOW_PINS = {"verify a B4", "verify a F4", "verify b F4"}
 

@@ -1002,14 +1002,10 @@ def test_search_cap_is_checked_before_inducing(monkeypatch):
     def refuse(self, target):
         raise AssertionError("an option was induced")
 
-    W = build_group("A3")
-    L = (0, 1, 2)
-    WL = W.parabolic(L)
     monkeypatch.setattr(ClassFunction, "induce", refuse)
     monkeypatch.setattr(conjectures, "SEARCH_CAP", 0)
     with pytest.raises(SearchExhausted, match="exceed the search cap"):
-        conjectures._search_pools(W, L, WL, None, None, trivial_character(WL),
-                                  within=WL)
+        conjectures._search_pools(build_group("A3"), (0, 1, 2), None, None)
 
 
 # -- cyclotomic arithmetic against the validating constructor ----------------------

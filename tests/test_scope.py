@@ -111,6 +111,8 @@ CONNECTED_LOW_RANK = [spec for spec in connected_types() if len(matrix_from_spec
 
 # (exit code, SHA-256 of stdout) of `coxsol verify a|b <type>`, recorded before
 # linear characters were built on H itself and flats were joined by containment
+# (`verify a` on A1xA3, A1xB3 and A1xH3 when their non bulky rank 3 subsets
+# became lifts, not searches)
 SCOPE_PINS = {
     "verify a A1": (0, "86be8ec7996de225b0a38ff56a37c767ca99b89fd53f8433cbd14339572ef6d1"),
     "verify b A1": (0, "dd9200d384466956e97c89d6d6ddbba8ff7cdc5aa2f7381da088f34b9537d968"),
@@ -136,11 +138,11 @@ SCOPE_PINS = {
     "verify b A1xI2(5)": (0, "e8346651e6ed9c45e3de0f93608c9ecc31598b57ee01333a924fdf894f5bfef3"),
     "verify a A1xI2(6)": (0, "308dd99db339cc7cccb3c0603a28588b474344263cb0d6b2463b333231563a49"),
     "verify b A1xI2(6)": (0, "d0999e92e3027b9c46cf735be74710c03d82167d34a305200b391237f3b2d269"),
-    "verify a A1xA3": (0, "aa0ae38b74c7265b3d77a3994def2f960f76bb90c30555d8113d83c316dd7a44"),
+    "verify a A1xA3": (0, "aa3ecb6654e3d95c9f21fa95f7c75bc13c00c1682623686c455d4a40fe3ddb65"),
     "verify b A1xA3": (0, "5d069f46d45232eb4ba2ed5ec050d580be58320dbc0b5fc66754f910d42bdbd1"),
-    "verify a A1xB3": (0, "c22c6182ebf885528b5eb5cef4e926ee9cdd62b950038eb2fa3097dd6d2e1be6"),
+    "verify a A1xB3": (0, "310af96fecb6e7cd76b6d8fcfe21b4450722cdd96ebcbdeb1dce9386cfd37a92"),
     "verify b A1xB3": (0, "335fb86da9789831abb4928fc458ecec39c608d0b42927b2b4c8f2968a1f7167"),
-    "verify a A1xH3": (0, "15375d6180f7655148535ada20e286ba780360678b0689d08cddab1d93cac878"),
+    "verify a A1xH3": (0, "82338f32bdfeaf4e53bb5de4285bdca9dcae121bebf26b6eccf9711319e87ce9"),
     "verify b A1xH3": (0, "e97f9965b87f83d66ddcf1a1429a20a3fe67f552315b12e14db976e1f9905ba9"),
     "verify a I2(3)xI2(3)":
         (0, "e51944ce07436de9415f766cd9787175fc06a83b0f7f6cd3ef0b11ea0487e747"),
@@ -294,8 +296,9 @@ def _extension_rows():
 def test_every_C_assignment_extends_its_B_assignment(spec, monkeypatch):
     """construct_C(W, L) gives the elements of construct_parabolic_B(W, L) in
     the same order, and each phi and psi restricts on C_{W_L}(w), the base
-    centralizer, to the base's; the searched subsets included.  The bases
-    are built once per L, for the lift and for the comparison."""
+    centralizer, to the base's.  The bases are built once per L, for the
+    lift and for the comparison, before construct_C runs; construct_C itself
+    never searches, and every route it names is a case of the lift."""
     built = {}
 
     def bases_at(W, L):
@@ -303,11 +306,19 @@ def test_every_C_assignment_extends_its_B_assignment(spec, monkeypatch):
             built[L] = construct_parabolic_B(W, L)
         return built[L]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct_C searched")
+
     monkeypatch.setattr(conjectures, "construct_parabolic_B", bases_at)
     W = build_group(spec)
     for shape in W.shapes():
         L = tuple(sorted(shape.canonical))
-        lifted, bases = construct_C(W, L), bases_at(W, L)
+        bases = bases_at(W, L)
+        with monkeypatch.context() as patched:
+            patched.setattr(conjectures, "_search", refuse)
+            patched.setattr(conjectures, "_search_pools", refuse)
+            lifted = construct_C(W, L)
+        assert {a.route for a in lifted} <= {"product", "module", "coset-split"}, (spec, L)
         assert [a.element for a in lifted] == [b.element for b in bases], (spec, L)
         for a, b in zip(lifted, bases):
             assert a.phi.restrict(b.centralizer) == b.phi, (spec, L, a.route)
