@@ -173,26 +173,22 @@ def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> ClassFunction:
 
 
 def alpha_parabolic(W: CoxeterGroup, J) -> ClassFunction:
-    """Determinant on the fixed space of W_J, on the normalizer of W_J."""
-    return _fixed_space_det(W, W.normalizer_of_parabolic(J), J, W.identity)
+    """Determinant on the fixed space of W_J, on the normalizer of W_J.
 
+    V is the orthogonal sum of the fixed space of W_J and the span of the
+    roots of J, and the normalizer keeps both.  So the sign, the determinant
+    on V, is alpha_J times the determinant on the root span, which is +-1
+    (`det_on_root_span`), and alpha_J is the product of the two.
 
-def alpha_element(W: CoxeterGroup, w: int) -> ClassFunction:
-    """Determinant on the fixed space of w, on the centralizer of w.
-
-    With x W_J x^-1 the parabolic closure of w, x maps the fixed space of W_J
-    onto that of w, and x^-1 c x normalizes W_J for c centralizing w.
+    For w cuspidal in W_J this is also alpha_w on C_W(w): w fixes the fixed
+    space of W_J, whose dimension rank - |J| is that of its own fixed space
+    (`cuspidal_classes`), so the two are equal.  A c in C_W(w) keeps the
+    fixed space of w, so it normalizes its pointwise stabilizer, W_J
+    (Steinberg), and alpha_w(c) = alpha_J(c).
     """
-    x, J = W.parabolic_closure(w)
-    return _fixed_space_det(W, W.centralizer(w), J, x)
-
-
-def _fixed_space_det(W: CoxeterGroup, carrier: Subgroup, J, x) -> ClassFunction:
-    """Determinant on x times the fixed space of W_J, for a carrier that
-    normalizes x W_J x^-1: the sign over the determinant on the root span."""
-    sign = sign_character(carrier)
-    return ClassFunction.from_function(
-        carrier, lambda c: sign(c) * W.det_on_root_span(W.conj(c, x), J))
+    N = W.normalizer_of_parabolic(J)
+    sign = sign_character(N)
+    return ClassFunction.from_function(N, lambda c: sign(c) * W.det_on_root_span(c, J))
 
 
 def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:

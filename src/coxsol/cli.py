@@ -181,7 +181,6 @@ def cmd_os(args) -> CommandOutput:
     whole = alg.whole_character(full)
     payload = {
         "group": W.spec,
-        "seed_order": args.seed_order,
         "dimensions": dims,
         "total_dimension": sum(dims),
         "classes": classes,
@@ -312,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("os", help="Orlik-Solomon algebra data")
     p.add_argument("spec")
-    p.add_argument("--seed-order", type=int, default=None,
-                   help="a hyperplane-order seed, echoed as seed_order; no dimension "
-                        "or character depends on the order of the hyperplanes")
     common(p)
 
     p = sub.add_parser("verify", help="verify one of the conjectures")

@@ -23,9 +23,9 @@ import operator
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, subset_label
-from .chars import (NotLinear, alpha_element, alpha_parabolic, class_function_json,
-                    linear_character, linear_characters, regular_character,
-                    rotation_character, sign_character, trivial_character)
+from .chars import (NotLinear, alpha_parabolic, class_function_json, linear_character,
+                    linear_characters, regular_character, rotation_character,
+                    sign_character, trivial_character)
 from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (os_algebra, shape_component_character,
@@ -441,7 +441,8 @@ def _construct(report: ConjectureReport, construct, W, L):
 
 
 def verify_b(W: CoxeterGroup) -> ConjectureReport:
-    """Top identities of W itself: inductions from cuspidal centralizers."""
+    """Top identities of W itself: inductions from cuspidal centralizers.
+    psi-twist reads alpha_w on C_W(w) as alpha_S, as `alpha_parabolic` says."""
     report = ConjectureReport("B", W)
     S = tuple(range(W.rank))
     full = W.full()
@@ -458,7 +459,7 @@ def verify_b(W: CoxeterGroup) -> ConjectureReport:
                         _sum_induced((a.psi for a in assignments), full) - psi_top)
     report.add("psi-twist", all(
         a.psi == a.phi * sign_character(a.centralizer)
-        * alpha_element(W, a.element).restrict(a.centralizer)
+        * alpha_parabolic(W, a.L).restrict(a.centralizer)
         for a in assignments))
     report.add("degrees", phi_top.degree == sum(
         Fraction(full.order, a.centralizer.order) for a in assignments))
@@ -521,7 +522,12 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
 
 
 def verify_a(W: CoxeterGroup) -> ConjectureReport:
-    """All subset identities at once, plus the global regular decompositions."""
+    """All subset identities at once, plus the global regular decompositions.
+
+    element-twist compares psi with phi * sign * alpha_w, read as alpha_L
+    on the centralizer of each element w, cuspidal in W_L (`alpha_parabolic`).
+    That is the psi-twist check of the case L, so element-twist cannot fail
+    alone once every case's psi-twist passes."""
     report = ConjectureReport("A", W)
     full = W.full()
     gathered = []
@@ -543,7 +549,7 @@ def verify_a(W: CoxeterGroup) -> ConjectureReport:
                         - whole_space_character(W))
     report.add("element-twist", all(
         a.psi == a.phi * sign_character(a.centralizer)
-        * alpha_element(W, a.element).restrict(a.centralizer)
+        * alpha_parabolic(W, a.L).restrict(a.centralizer)
         for a in gathered))
     return report
 

@@ -12,10 +12,11 @@ whose orders are all 2 or 3 is built without a cyclotomic product.  `roots`
 holds the N positive roots: root i is alpha_i, and root k + N is -root k,
 which `matrix_of` negates on demand.  Every element is stored as the
 permutation it induces on the 2N roots.  Lengths, reduced words, conjugacy
-classes, cuspidal classes, coset transversals, shapes, normalizers,
-fixed-space dimensions and determinants on root spans are all derived from
-that data; the determinant on a subspace over Q(zeta_n), `det_on_subspace`,
-remains as a test oracle.
+classes, coset transversals, shapes, normalizers and determinants on root
+spans are all derived from that data; a cuspidal class is read off the
+letters of reduced words, and bulkiness off how the generators of N_J move
+the simple roots of J.  The determinant on a subspace over Q(zeta_n),
+`det_on_subspace`, remains as a test oracle.
 """
 
 from __future__ import annotations
@@ -172,9 +173,6 @@ class CoxeterGroup:
         self._build_form()
         self._build_elements(self._build_roots(max_elements), max_elements)
         self.classes = self.full().classes
-        # the rank of the parabolic closure: the smallest support in the class
-        self._closure_rank = [min(len(set(self.words[x])) for x in c.members)
-                              for c in self.classes]
         self._build_reflections()
 
     # -- construction --------------------------------------------------------
@@ -394,28 +392,22 @@ class CoxeterGroup:
         q = d.as_rational() if isinstance(d, Cyclo) else d
         return q if q is not None else d
 
-    def parabolic_closure(self, w: int):
-        """An x and a J such that x W_J x^-1 is the smallest parabolic containing w.
-
-        J is the support of a conjugate x^-1 w x of smallest support.  By
-        Steinberg's theorem x W_J x^-1 is the pointwise stabilizer of the fixed
-        space of w, which therefore has dimension rank - |J|.
-        """
-        k = self._closure_rank[self.full().class_of(w)]
-        for x in range(self.order):
-            J = set(self.words[self.conj(w, x)])
-            if len(J) == k:
-                return x, tuple(sorted(J))
-
-    def fix_dim(self, w: int) -> int:
-        """Dimension of the fixed space of w."""
-        return self.rank - self._closure_rank[self.full().class_of(w)]
-
     def cuspidal_classes(self, J):
-        """The classes of W_J with no fixed points beyond the fixed space of
-        W_J, which has dimension rank - |J|."""
-        dim = self.rank - len(J)
-        return [c for c in self.parabolic(J).classes if self.fix_dim(c.rep) == dim]
+        """The cuspidal classes of W_J: those in which every element's reduced
+        word uses all of J, that is, which meet no W_K with K a proper subset
+        of J (Geck and Pfeiffer 2000, section 3.1).  All reduced words of an
+        element use the same letters (Tits), so the stored word decides it.
+
+        Equivalently, w fixes no nonzero vector of the span of the roots of
+        J, so its fixed space is that of W_J, of dimension rank - |J|.  An
+        element of W_K fixes a nonzero vector of that span, orthogonal to
+        the roots of K.  Conversely, if w fixes such a v, the stabilizer of v
+        in W_J is a parabolic subgroup of W_J (Steinberg) that contains w,
+        and a proper one, as W_J fixes no nonzero vector of the span; so it
+        is conjugate in W_J to some W_K with K a proper subset of J.
+        """
+        return [c for c in self.parabolic(J).classes
+                if all(len(set(self.words[x])) == len(J) for x in c.members)]
 
     def normalizer_factors(self, c: int, J):
         """u and d with c = u * d, u in W_J and d the shortest element of W_J c.
@@ -497,13 +489,15 @@ class CoxeterGroup:
         return sub
 
     def is_bulky(self, J) -> bool:
-        """Whether every element of N_J centralizes W_J."""
-        members = self.parabolic(J).sorted_members
-        for n in self.complement_subgroup(J).sorted_members:
-            for u in members:
-                if self.mult_table[n][u] != self.mult_table[u][n]:
-                    return False
-        return True
+        """Whether every element of N_J centralizes W_J.
+
+        An n in N_J permutes the simple roots of J, and n s n^-1 = s_{n(alpha_s)},
+        so n centralizes W_J exactly when it fixes every alpha_s, s in J.
+        The map from n to its permutation of J is a homomorphism, so it is
+        trivial on N_J when it is trivial on the generators of N_J.
+        """
+        return all(self.on_simple(n, J)[1] == dict(zip(J, J))
+                   for n in self.complement_subgroup(J).generators)
 
     def shapes(self, within=None):
         """Partition of the subsets (of S, or of within's generator set) by conjugacy."""
@@ -622,14 +616,17 @@ class Subgroup:
 
     @cached_property
     def classes(self):
+        """The conjugacy classes, each represented by its least member, in
+        the order of their representatives.  The walk is in sorted order, so
+        the w that opens a class is its least member: a smaller one would
+        have been seen first and marked w seen."""
         W, seen, classes = self.parent, set(), []
         for w in self.sorted_members:
             if w in seen:
                 continue
             members = frozenset(W.conj(w, x) for x in self.sorted_members)
             seen |= members
-            classes.append(ConjugacyClass(min(members), members))
-        classes.sort(key=lambda c: c.rep)
+            classes.append(ConjugacyClass(w, members))
         return classes
 
     @cached_property

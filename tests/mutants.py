@@ -53,4 +53,29 @@ MUTANTS = [
            ("tests/test_conjectures.py::test_verify_a_rank3[A3]",
             "tests/test_cli.py::test_output_matches_recorded_digest[verify a I2(7)]",
             "tests/test_conjectures.py::test_verify_rank4[a-D4-192]")),
+    # a class of W_J counted cuspidal when its words miss one letter of J
+    Mutant("cuspidal-misses-a-letter", "coxeter.py",
+           "len(set(self.words[x])) == len(J)",
+           "len(set(self.words[x])) >= len(J) - 1",
+           ("tests/test_coxeter.py::test_cuspidal_classes",
+            "tests/test_cli.py::test_group_dihedral_nine",
+            "tests/test_oracles.py::test_cuspidal_classes_match_fixed_spaces[A3]",
+            "tests/test_oracles.py::test_cuspidal_classes_match_fixed_spaces[D4]")),
+    # bulky when the first generator of N_J fixes the simple roots of J,
+    # whatever the others do
+    Mutant("bulky-first-generator-only", "coxeter.py",
+           "for n in self.complement_subgroup(J).generators)",
+           "for n in self.complement_subgroup(J).generators[:1])",
+           ("tests/test_oracles.py::test_is_bulky_matches_commutation[D4]",
+            "tests/test_oracles.py::test_is_bulky_matches_commutation[A1xB3]",
+            "tests/test_cli.py::test_output_matches_recorded_digest[group A1xB3]",
+            "tests/test_cli.py::test_rank4_output_matches_pin[verify a D4]")),
+    # alpha_L read as the determinant on the root span, without the sign
+    Mutant("alpha-without-sign", "chars.py",
+           "sign(c) * W.det_on_root_span(c, J)",
+           "W.det_on_root_span(c, J)",
+           ("tests/test_chars.py::test_alpha_parabolic",
+            "tests/test_oracles.py::test_alpha_and_sigma_match_cyclotomic_determinants[A3]",
+            "tests/test_scope.py::test_verify_b_connected[A3]",
+            "tests/test_cli.py::test_verify_b_verified")),
 ]

@@ -14,6 +14,12 @@ check those facts against.
 - Fixed spaces of elements and of standard parabolics, by row reduction
   (`linalg.nullspace` and `linalg.rank` left the package with them); powers
   by repeated multiplication; the number of hyperplanes an element fixes.
+- The parabolic closure of an element, by a scan of W for a conjugate of
+  smallest support, and the fixed-space dimension and the determinant
+  alpha_w on the fixed space of w read off it; bulkiness by commuting every
+  element of N_J with every element of W_J.  The package reads alpha_w as
+  alpha_L for w cuspidal in W_L, cuspidality off the letters of reduced
+  words and bulkiness off the generators of N_J.
 - The root data the package does not store: the coordinates of all 2N
   roots, root k + N being -root k, and the positive root each reflection
   negates, read off its permutation.
@@ -339,6 +345,45 @@ def parabolic_fixed_space(W, J):
     """Basis of the common fixed space of the standard parabolic W_J."""
     rows = [r for s in J for r in _minus_identity(W, W.generators[s])]
     return nullspace(rows, W.rank)
+
+
+def parabolic_closure(W, w: int):
+    """An x and a J such that x W_J x^-1 is the smallest parabolic containing w.
+
+    J is the support of a conjugate x^-1 w x of smallest support.  By
+    Steinberg's theorem x W_J x^-1 is the pointwise stabilizer of the fixed
+    space of w, which therefore has dimension rank - |J|.
+    """
+    supports = [set(W.words[W.conj(w, x)]) for x in range(W.order)]
+    k = min(map(len, supports))
+    x = next(x for x, J in enumerate(supports) if len(J) == k)
+    return x, tuple(sorted(supports[x]))
+
+
+def fix_dim(W, w: int) -> int:
+    """Dimension of the fixed space of w, off its parabolic closure."""
+    return W.rank - len(parabolic_closure(W, w)[1])
+
+
+def alpha_element(W, w: int) -> ClassFunction:
+    """Determinant on the fixed space of w, on the centralizer of w.
+
+    With x W_J x^-1 the parabolic closure of w, x maps the fixed space of W_J
+    onto that of w, and x^-1 c x normalizes W_J for c centralizing w; so the
+    value at c is the sign over the determinant of x^-1 c x on the root span.
+    """
+    x, J = parabolic_closure(W, w)
+    C = W.centralizer(w)
+    sign = chars.sign_character(C)
+    return ClassFunction.from_function(
+        C, lambda c: sign(c) * W.det_on_root_span(W.conj(c, x), J))
+
+
+def commutes_with_parabolic(W, J) -> bool:
+    """Whether every element of N_J commutes with every element of W_J."""
+    members = W.parabolic(J).sorted_members
+    return all(W.mult(n, u) == W.mult(u, n)
+               for n in W.complement_subgroup(J).sorted_members for u in members)
 
 
 def power(W, x: int, k: int) -> int:

@@ -7,13 +7,14 @@ import pytest
 from coxsol import chars
 from coxsol.chars import (
     CarrierMismatch, NotASubgroup, NotInComplement, NotLinear,
-    alpha_element, alpha_parabolic, commutator_subgroup, exponent_character,
+    alpha_parabolic, commutator_subgroup, exponent_character,
     linear_character, linear_characters, rotation_character,
     sign_character, trivial_character,
 )
 from coxsol.coxeter import _NAMED, Subgroup, build_group
 from coxsol.cyclo import zeta
-from oracles import inner, power, reflection_fix_character, sigma_parabolic
+from oracles import (alpha_element, inner, power, reflection_fix_character,
+                     sigma_parabolic)
 
 
 def test_class_function_basics():
@@ -243,6 +244,9 @@ def test_alpha_element():
     assert alpha(t) == 1  # reflections fix their own hyperplane pointwise
     c = W.centralizer(t)
     assert alpha.carrier.members == c.members
+    # t = s1 is cuspidal in W_{s1}, so alpha_t is alpha_{s1} on its centralizer
+    assert t == W.generators[0]
+    assert alpha == alpha_parabolic(W, (0,)).restrict(c)
 
 
 def test_reflection_fix_character():

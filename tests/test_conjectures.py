@@ -8,9 +8,8 @@ import pytest
 
 from coxsol import conjectures
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
-from coxsol.chars import (ClassFunction, NotLinear, alpha_element, exponent_character,
-                          linear_characters, rotation_character, sign_character,
-                          trivial_character)
+from coxsol.chars import (ClassFunction, NotLinear, exponent_character, linear_characters,
+                          rotation_character, sign_character, trivial_character)
 from coxsol.conjectures import (UnsupportedCase, check_intertwiner, construct_C,
                                 construct_parabolic_B, dihedral_table,
                                 integer_vectors, subset_label, verify, verify_a,
@@ -18,7 +17,7 @@ from coxsol.conjectures import (UnsupportedCase, check_intertwiner, construct_C,
 from coxsol.cyclo import Cyclo, zeta
 from coxsol.descent import descent_algebra
 from coxsol.orlik_solomon import top_component_character
-from oracles import check, power
+from oracles import alpha_element, check, power
 
 
 # -- base assignments --------------------------------------------------------------

@@ -11,7 +11,7 @@ from coxsol.coxeter import (
 )
 from coxsol.cyclo import Cyclo
 from coxsol.descent import descent_algebra
-from oracles import fixed_space, parabolic_fixed_space, reflection_roots
+from oracles import fix_dim, fixed_space, parabolic_fixed_space, reflection_roots
 from test_oracles import bilinear, cyclotomic_form
 
 
@@ -297,7 +297,7 @@ def test_fixed_space_dims(spec):
     W = build_group(spec)
     for J in W.all_subsets():
         assert len(parabolic_fixed_space(W, J)) == W.rank - len(J)
-    assert W.fix_dim(W.identity) == W.rank
+    assert fix_dim(W, W.identity) == W.rank
 
 
 def test_cuspidal_classes():
@@ -309,7 +309,7 @@ def test_cuspidal_classes():
     W = build_group("H3")
     assert len(W.cuspidal_classes(range(3))) == 4
     cusp = W.cuspidal_classes((1, 0))
-    assert len(cusp) == 2 and all(W.fix_dim(c.rep) == 1 for c in cusp)
+    assert len(cusp) == 2 and all(fix_dim(W, c.rep) == 1 for c in cusp)
     for spec, count in [("A4", 1), ("B4", 5), ("D4", 3), ("F4", 9)]:
         assert len(build_group(spec).cuspidal_classes(range(4))) == count, spec
 

@@ -67,7 +67,7 @@ from types import SimpleNamespace
 import pytest
 
 from coxsol import chars, conjectures, cyclo, linalg
-from coxsol.chars import (ClassFunction, NotLinear, alpha_element, alpha_parabolic,
+from coxsol.chars import (ClassFunction, NotLinear, alpha_parabolic,
                           commutator_subgroup, det_character, linear_character,
                           linear_characters, rotation_character, trivial_character)
 from coxsol.conjectures import (SearchExhausted, check_intertwiner, construct_C, verify_a,
@@ -81,10 +81,12 @@ from coxsol.descent import (DescentAlgebra, GroupAlgebraElement, NotIdempotent,
                             rotation_idempotent)
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra, shape_component_character,
                                   top_component_character, top_component_tilde)
-from oracles import (all_roots, averaging, check_idempotent_family, dense_element, descent_x,
-                     e_shape, fixed_space, flat_rank, independent, inverse, nbc,
+from oracles import (all_roots, alpha_element, averaging, check_idempotent_family,
+                     commutes_with_parabolic, dense_element, descent_x, e_shape, fix_dim,
+                     fixed_space, flat_rank, independent, inverse, nbc, parabolic_closure,
                      parabolic_fixed_space, pmul, power, quotient_linear_characters,
                      reduce_fractions, reflection_roots, sigma_parabolic, x_element)
+from test_scope import connected_types, reducible_types
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
 
@@ -405,20 +407,35 @@ def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
 def test_fix_dim_and_closure_match_fixed_spaces(spec):
     W = build_group(spec)
     for w in range(W.order):
-        assert W.fix_dim(w) == len(fixed_space(W, w)), (spec, w)
+        assert fix_dim(W, w) == len(fixed_space(W, w)), (spec, w)
     for c in W.classes:
-        x, J = W.parabolic_closure(c.rep)
+        x, J = parabolic_closure(W, c.rep)
         assert set(W.words[W.conj(c.rep, x)]) == set(J)
-        assert len(J) == W.rank - W.fix_dim(c.rep)
+        assert len(J) == W.rank - fix_dim(W, c.rep)
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "D4", "A1xB3"])
+# every type in scope, I2(6)xI2(6) included as neither check searches, and
+# dihedral types past the scope's labels
+SUBSET_TYPES = connected_types() + reducible_types({3, 4}) + [
+    "I2(7)", "I2(9)", "I2(11)", "I2(12)"]
+
+
+@pytest.mark.parametrize("spec", SUBSET_TYPES)
 def test_cuspidal_classes_match_fixed_spaces(spec):
+    # cuspidal by support: exactly the classes of W_J whose fixed space is
+    # that of W_J, read by row reduction at the class representative
     W = build_group(spec)
     for J in W.all_subsets():
         want = [c for c in W.parabolic(J).classes
                 if len(fixed_space(W, c.rep)) == W.rank - len(J)]
         assert W.cuspidal_classes(J) == want, (spec, J)
+
+
+@pytest.mark.parametrize("spec", SUBSET_TYPES)
+def test_is_bulky_matches_commutation(spec):
+    W = build_group(spec)
+    got = {J: W.is_bulky(J) for J in W.all_subsets()}
+    assert got == {J: commutes_with_parabolic(W, J) for J in W.all_subsets()}, spec
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(7)", "B4"])

@@ -1,9 +1,11 @@
 """The Coxeter types of rank <= 4: `verify a` and `verify b` across the
 reducible ones of rank 3 and 4 and the connected ones of rank <= 3, each
-output checked against a pinned digest, and |W| and the class count of the
-connected ones against closed forms.  At every canonical subset L of every
-connected and reducible type but I2(6)xI2(6), the normalizer assignments of
-`construct_C` extend the assignments of W_L itself.
+output checked against a pinned digest and each assignment's alpha_w against
+alpha_L, and |W| and the class count of the connected ones, and of I2(m) for
+m <= 16 after `verify a` and `table`, against closed forms.  At every
+canonical subset L of every connected and reducible type but I2(6)xI2(6),
+the normalizer assignments of `construct_C` extend the assignments of W_L
+itself.
 
 The types come from generators over the classification, not from lists
 written by hand, and their number is asserted, so a family that goes
@@ -19,8 +21,11 @@ import math
 import pytest
 
 from coxsol import conjectures
+from coxsol.chars import alpha_parabolic, det_character
+from coxsol.cli import main
 from coxsol.conjectures import construct_C, construct_parabolic_B, verify_a, verify_b
 from coxsol.coxeter import _NAMED, build_group, matrix_from_spec
+from oracles import fixed_space, from_json
 
 # -- the connected types, from the classification -------------------------------------
 
@@ -245,10 +250,21 @@ def _assert_verified(report, spec):
     assert report.residuals and all(r.is_zero() for r in report.residuals.values()), spec
 
 
+def _assert_alpha_w_is_alpha_L(W, assignments, spec):
+    """The determinant on the fixed space of each assignment's w, by row
+    reduction, is alpha_L on the centralizer of w, for w cuspidal in W_L."""
+    for a in assignments:
+        alpha_w = det_character(W, a.centralizer, fixed_space(W, a.element))
+        assert alpha_w == alpha_parabolic(W, a.L).restrict(a.centralizer), \
+            (spec, a.L, W.word_str(a.element))
+
+
 def check_verify_b(spec):
-    report = verify_b(build_group(spec))
+    W = build_group(spec)
+    report = verify_b(W)
     _assert_pinned(report, "b", spec)
     _assert_verified(report, spec)
+    _assert_alpha_w_is_alpha_L(W, report.assignments, spec)
 
 
 def check_verify_a(spec):
@@ -256,6 +272,8 @@ def check_verify_a(spec):
     report = verify_a(W)
     _assert_pinned(report, "a", spec)
     _assert_verified(report, spec)
+    _assert_alpha_w_is_alpha_L(
+        W, [a for sub in report.subreports for a in sub.assignments], spec)
     assert [sub.L for sub in report.subreports] == \
         [tuple(sorted(shape.canonical)) for shape in W.shapes()], spec
 
@@ -360,3 +378,23 @@ def test_connected_type_orders_and_classes(spec):
     W = build_group(spec)
     assert (W.order, len(W.classes)) == closed_form(spec), spec
     assert sum(c.size for c in W.classes) == W.order, spec
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", range(2, 17))
+def test_rank2_theorem_for_every_m(m, capsys):
+    """The paper proves its inductive conjecture in rank 2: for I2(m),
+    `verify a` verifies with zero residuals and builds every assignment by a
+    closed form, and `table` has |W| = 2m and one column per class."""
+    spec = f"I2({m})"
+    assert main(["verify", "a", spec]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "verified", spec
+    reports = [data] + data["cases"]
+    assert all(from_json(v).is_zero() for r in reports
+               for res in r["residuals"].values() for v in res["values"]), spec
+    assert all(a["route"] != "search" for case in data["cases"]
+               for a in case["assignments"].values()), spec
+    assert main(["table", spec, "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert (table["order"], len(table["columns"])) == closed_form(spec), spec

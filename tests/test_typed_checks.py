@@ -546,8 +546,8 @@ def test_one_perturbed_input_fails_its_check(label, monkeypatch, capsys):
 
     A row that multiplies phi or psi of one assignment by a linear character
     lam of its centralizer also fails the twist check between them: psi-twist
-    in its case, and in verify a element-twist, as the unchanged assignment
-    passed both and so had alpha_w = alpha_L on its centralizer.  So
+    in its case, and in verify a element-twist, which compares the same
+    psi with the same phi * sign * alpha_L on the centralizer.  So
     element-twist fails only together with psi-twist of its case.  A sum
     stays when phi * lam is conjugate to phi in the group it is induced to:
     on C_W(s1) = <s1> x <s3> of A3, lam = sign gives phi conjugated by the
