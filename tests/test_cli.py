@@ -12,7 +12,8 @@ import pytest
 import coxsol
 from coxsol.cli import main
 from coxsol.coxeter import CoxeterGroup, build_group
-from oracles import from_json
+from coxsol.orlik_solomon import os_algebra
+from oracles import from_json, nbc
 
 
 def run(capsys, *argv):
@@ -80,6 +81,21 @@ def test_os_dihedral(capsys):
     assert sorted(a["angle"] for a in data["angles"]) == [0, 1, 2, 3, 4]
     whole = [from_json(v).as_rational() for v in data["whole"]]
     assert whole[0] == 10
+
+
+@pytest.mark.parametrize("spec", ["A3", "H3", "I2(7)", "A1xI2(5)"])
+def test_os_seed_order_invariance(capsys, spec):
+    # what os prints is what the NBC basis of a shuffled hyperplane order gives
+    data = run_json(capsys, "os", spec)
+    W = build_group(spec)
+    alg = os_algebra(W)
+    shuffled = nbc(alg, 13)
+    assert shuffled.order != sorted(W.reflections)
+    assert data["dimensions"] == [len(level) for level in shuffled.nbc_basis]
+    assert data["classes"] == [W.word_str(c.rep) for c in W.full().classes]
+    whole = shuffled.component_character(range(len(alg.lattice.flats)), W.full())
+    assert [from_json(v).as_rational() for v in data["whole"]] == list(whole.values)
+    assert ("angles" in data) == (spec == "I2(7)")
 
 
 def test_os_takes_no_seed_order(capsys):
