@@ -13,6 +13,7 @@ The rotation characters of a dihedral parabolic are exponent maps on the
 powers of its rotation, with M = m.  The commutator subgroup is the normal
 closure of the commutators of the subgroup's generators: their closure, grown
 by conjugates under the generators until no new element appears.
+The twist eps * alpha_L is the determinant on the root span of L, a +-1.
 """
 
 from __future__ import annotations
@@ -172,23 +173,24 @@ def det_character(W: CoxeterGroup, carrier: Subgroup, basis) -> ClassFunction:
     return ClassFunction.from_function(carrier, lambda w: W.det_on_subspace(w, basis))
 
 
-def alpha_parabolic(W: CoxeterGroup, J) -> ClassFunction:
-    """Determinant on the fixed space of W_J, on the normalizer of W_J.
+def twist_character(W: CoxeterGroup, L) -> ClassFunction:
+    """eps * alpha_L, the twist from phi to psi, on the normalizer N of W_L:
+    the determinant on the span of the roots of L (`det_on_root_span`).
 
-    V is the orthogonal sum of the fixed space of W_J and the span of the
-    roots of J, and the normalizer keeps both.  So the sign, the determinant
-    on V, is alpha_J times the determinant on the root span, which is +-1
-    (`det_on_root_span`), and alpha_J is the product of the two.
+    V is the orthogonal sum of the fixed space of W_L and the root span.
+    N keeps the fixed space, as n W_L n^-1 = W_L, and so its orthogonal
+    complement, the root span.  So eps, the determinant on V, is alpha_L,
+    the determinant on the fixed space, times the determinant on the root
+    span; both are +-1, so eps * alpha_L is the latter.
 
-    For w cuspidal in W_J this is also alpha_w on C_W(w): w fixes the fixed
-    space of W_J, whose dimension rank - |J| is that of its own fixed space
+    For w cuspidal in W_L this is also eps * alpha_w on C_W(w): w fixes the
+    fixed space of W_L, whose dimension rank - |L| is that of its own
     (`cuspidal_classes`), so the two are equal.  A c in C_W(w) keeps the
-    fixed space of w, so it normalizes its pointwise stabilizer, W_J
-    (Steinberg), and alpha_w(c) = alpha_J(c).
+    fixed space of w, so it normalizes its pointwise stabilizer, W_L
+    (Steinberg), and alpha_w(c) = alpha_L(c).
     """
-    N = W.normalizer_of_parabolic(J)
-    sign = sign_character(N)
-    return ClassFunction.from_function(N, lambda c: sign(c) * W.det_on_root_span(c, J))
+    return ClassFunction.from_function(W.normalizer_of_parabolic(L),
+                                       lambda c: W.det_on_root_span(c, L))
 
 
 def rotation_character(W: CoxeterGroup, L, j: int) -> ClassFunction:

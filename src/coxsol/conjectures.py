@@ -8,7 +8,9 @@ centralizers of cuspidal elements of W_L whose inductions reassemble both
 characters, and verifies all the resulting identities in exact arithmetic.
 The normalizer assignments at L extend those of W_L itself: one lift reads
 each assignment of W_L on the centralizer of its element in the normalizer,
-at every subset, so only the assignments of W_L itself are searched.
+at every subset, so only the assignments of W_L itself are searched, or,
+past the search cap on a disconnected graph, built from its components.
+Each psi is phi times the twist eps * alpha_L (`twist_character`).
 
 Verification results are returned as ConjectureReport objects: a list of
 labelled boolean checks, never a bare assertion, so a failing identity is
@@ -18,14 +20,15 @@ reported rather than raised.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 
 from .coxeter import CoxeterGroup, Subgroup, subset_label
-from .chars import (NotLinear, alpha_parabolic, class_function_json, linear_character,
-                    linear_characters, regular_character, rotation_character,
-                    sign_character, trivial_character)
+from .chars import (NotLinear, class_function_json, linear_character, linear_characters,
+                    regular_character, rotation_character, sign_character,
+                    trivial_character, twist_character)
 from .cyclo import Cyclo, rational
 from .descent import descent_algebra, parabolic_ideal_character, rotation_idempotent
 from .orlik_solomon import (os_algebra, shape_component_character,
@@ -177,8 +180,10 @@ def construct_parabolic_B(W: CoxeterGroup, L):
 
     Closed forms cover parabolics of rank at most two; larger ones fall back
     to a bounded search through the linear characters of the centralizers.
-    Both callers check, through `_construct`, that the elements cover each
-    cuspidal class of W_L once.
+    Where that search is exhausted and the Coxeter graph of L is
+    disconnected, the assignments are products of the components' own
+    (`_component_products`).  Both callers check, through `_construct`,
+    that the elements cover each cuspidal class of W_L once.
     """
     L = tuple(sorted(L))
     WL = W.parabolic(L)
@@ -191,14 +196,61 @@ def construct_parabolic_B(W: CoxeterGroup, L):
     if len(L) == 2:
         return _dihedral_B(W, L)
     D = descent_algebra(W, L)
-    return _search_pools(W, L, D.ideal_character(D.shape_of(L)),
-                         top_component_character(W, L))
+    try:
+        return _search_pools(W, L, D.ideal_character(D.shape_of(L)),
+                             top_component_character(W, L))
+    except SearchExhausted:
+        parts = _components(W, L)
+        if len(parts) == 1:
+            raise
+        return _component_products(W, L, parts)
+
+
+def _components(W: CoxeterGroup, L) -> list:
+    """The vertex sets of the connected components of the Coxeter graph on L."""
+    parts = []
+    for s in L:
+        linked = [p for p in parts if any(W.matrix[s, t] > 2 for t in p)]
+        parts = [p for p in parts if p not in linked] + [{s}.union(*linked)]
+    return sorted(tuple(sorted(p)) for p in parts)
+
+
+def _component_products(W: CoxeterGroup, L, parts) -> list:
+    """The assignments of W_L = W_L1 x ... x W_Lk built from those of the
+    components W_Li: element w = w_1 ... w_k and centralizer C_1 x ... x C_k,
+    phi and psi the products of the components' values, route "components".
+
+    The factors commute, so w is cuspidal in W_L, C_{W_L}(w) is the product
+    of the C_{W_Li}(w_i), and the products run over every cuspidal class of
+    W_L once.  Characters of the factors multiply to a character of the
+    product, and so do their inductions, the tops, and the twists, the
+    determinants on orthogonal root spans.  `linear_character` checks that
+    the values are given on exactly C_{W_L}(w) and multiply.
+    """
+    WL = W.parabolic(L)
+    out = []
+    for combo in itertools.product(*(construct_parabolic_B(W, p) for p in parts)):
+        w = W.prod(a.element for a in combo)
+        C = W.centralizer(w, within=WL)
+        phi, psi = {}, {}
+        for cs in itertools.product(*(a.centralizer.sorted_members for a in combo)):
+            c = W.prod(cs)
+            phi[c] = math.prod(a.phi(x) for a, x in zip(combo, cs))
+            psi[c] = math.prod(a.psi(x) for a, x in zip(combo, cs))
+        try:
+            out.append(Assignment(L, w, C, linear_character(C, phi),
+                                  linear_character(C, psi), "components"))
+        except NotLinear:
+            raise PrerequisiteFailed("a product of component assignments is not "
+                                     "a linear character of its centralizer") from None
+    return out
 
 
 def _dihedral_B(W: CoxeterGroup, L):
     rot = W.rotations(L)
     m = len(rot)
     WL = W.parabolic(L)
+    twist = twist_character(W, L)
     out = []
     if m % 2:
         js = [(j, j) for j in range(1, (m - 1) // 2 + 1)]
@@ -212,7 +264,7 @@ def _dihedral_B(W: CoxeterGroup, L):
             raise PrerequisiteFailed(
                 "a rotation centralizer is not the rotation subgroup")
         out.append(Assignment(L, w, chi.carrier, chi,
-                              chi * sign_character(chi.carrier), "dihedral"))
+                              chi * twist.restrict(chi.carrier), "dihedral"))
     if m % 2 == 0:
         w0 = WL.longest_element()
         C = W.centralizer(w0, within=WL)
@@ -225,16 +277,16 @@ def _dihedral_B(W: CoxeterGroup, L):
 
 def _search_pools(W: CoxeterGroup, L, phi_top, psi_top):
     """Search the linear characters phi of the centralizers in W_L of the
-    cuspidal classes of W_L, with psi = phi * sign, for inductions to W_L
-    adding up to the tops.
+    cuspidal classes of W_L, with psi = phi * twist, for inductions to W_L
+    adding up to the tops.  On W_L the twist is the sign.
 
-    Each phi is induced once.  Ind(phi * sign|_C)(g) is 1/|C| times the sum,
-    over x in W_L with x g x^-1 in C, of phi(x g x^-1) sign(x g x^-1); the
-    sign is a class function on W_L, so sign(x g x^-1) = sign(g) and the sum
-    is Ind(phi)(g) sign(g).  The search cap is checked on the pool sizes
-    before anything is induced."""
+    Each phi is induced once.  Ind(phi * twist|_C)(g) is 1/|C| times the sum,
+    over x in W_L with x g x^-1 in C, of phi(x g x^-1) twist(x g x^-1); the
+    twist is a class function on W_L, so twist(x g x^-1) = twist(g) and the
+    sum is Ind(phi)(g) twist(g).  The search cap is checked on the pool
+    sizes before anything is induced."""
     WL = W.parabolic(L)
-    sign = sign_character(WL)
+    twist = twist_character(W, L).restrict(WL)
     classes = []
     for cl in W.cuspidal_classes(L):
         C = W.centralizer(cl.rep, within=WL)
@@ -242,11 +294,11 @@ def _search_pools(W: CoxeterGroup, L, phi_top, psi_top):
     _search_cut([len(chis) for *_, chis in classes])
     pools = []
     for w, C, chis in classes:
-        tw = sign.restrict(C)
+        tw = twist.restrict(C)
         opts = []
         for chi in chis:
             ind = chi.induce(WL)
-            opts.append((w, C, chi, chi * tw, ind, ind * sign))
+            opts.append((w, C, chi, chi * tw, ind, ind * twist))
         pools.append(opts)
     return _search(L, phi_top, psi_top, pools)
 
@@ -387,9 +439,9 @@ def construct_C(W: CoxeterGroup, L):
 
 def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route) -> Assignment:
     """The base assignment extended to C = C_N(w) as `construct_C` says, with
-    psi = phi * sign * alpha_L.  PrerequisiteFailed when u * w_L also leaves
-    the base centralizer, when the values are not a linear character of C,
-    or when phi and psi do not restrict to the base assignment."""
+    psi = phi * twist (`twist_character`).  PrerequisiteFailed when u * w_L
+    also leaves the base centralizer, when the values are not a linear
+    character of C, or when phi and psi do not restrict to the base."""
     C = _centralizer_in(W, base.element, N)
     inside = base.centralizer.members
     wL = W.parabolic(L).longest_element()
@@ -409,7 +461,7 @@ def _lift(W: CoxeterGroup, L, N: Subgroup, base: Assignment, route) -> Assignmen
     except NotLinear:
         raise PrerequisiteFailed(f"the {route} lift of the base phi is not "
                                  "multiplicative") from None
-    psi = phi * sign_character(C) * alpha_parabolic(W, L).restrict(C)
+    psi = phi * twist_character(W, L).restrict(C)
     if phi.restrict(base.centralizer) != base.phi or \
             psi.restrict(base.centralizer) != base.psi:
         raise PrerequisiteFailed("the lift does not restrict to the base assignment")
@@ -442,7 +494,7 @@ def _construct(report: ConjectureReport, construct, W, L):
 
 def verify_b(W: CoxeterGroup) -> ConjectureReport:
     """Top identities of W itself: inductions from cuspidal centralizers.
-    psi-twist reads alpha_w on C_W(w) as alpha_S, as `alpha_parabolic` says."""
+    psi-twist reads eps * alpha_w on C_W(w) as the twist of S (`twist_character`)."""
     report = ConjectureReport("B", W)
     S = tuple(range(W.rank))
     full = W.full()
@@ -458,8 +510,7 @@ def verify_b(W: CoxeterGroup) -> ConjectureReport:
     report.add_residual("arrangement-top-sum",
                         _sum_induced((a.psi for a in assignments), full) - psi_top)
     report.add("psi-twist", all(
-        a.psi == a.phi * sign_character(a.centralizer)
-        * alpha_parabolic(W, a.L).restrict(a.centralizer)
+        a.psi == a.phi * twist_character(W, a.L).restrict(a.centralizer)
         for a in assignments))
     report.add("degrees", phi_top.degree == sum(
         Fraction(full.order, a.centralizer.order) for a in assignments))
@@ -472,8 +523,7 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
     report = ConjectureReport("C", W, L)
     WL = W.parabolic(L)
     N = W.normalizer_of_parabolic(L)
-    eps = sign_character(N)
-    alphaL = alpha_parabolic(W, L)
+    twist = twist_character(W, L)
     phi_tilde = parabolic_ideal_character(W, L)
     psi_tilde = top_component_tilde(W, L)
     assignments = _construct(report, construct_C, W, L)
@@ -486,9 +536,8 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
     report.add_residual("arrangement-tilde-sum",
                         _sum_induced((a.psi for a in assignments), N) - psi_tilde)
     report.add("psi-twist", all(
-        a.psi == a.phi * sign_character(a.centralizer) * alphaL.restrict(a.centralizer)
-        for a in assignments))
-    report.add("tilde-twist", psi_tilde == phi_tilde * eps * alphaL)
+        a.psi == a.phi * twist.restrict(a.centralizer) for a in assignments))
+    report.add("tilde-twist", psi_tilde == phi_tilde * twist)
 
     Drel = descent_algebra(W, L)
     phi_rel = Drel.ideal_character(Drel.shape_of(L))
@@ -524,8 +573,8 @@ def verify_c(W: CoxeterGroup, L) -> ConjectureReport:
 def verify_a(W: CoxeterGroup) -> ConjectureReport:
     """All subset identities at once, plus the global regular decompositions.
 
-    element-twist compares psi with phi * sign * alpha_w, read as alpha_L
-    on the centralizer of each element w, cuspidal in W_L (`alpha_parabolic`).
+    element-twist compares psi with phi * eps * alpha_w, read as the twist
+    of L on C_W(w) for each element w, cuspidal in W_L (`twist_character`).
     That is the psi-twist check of the case L, so element-twist cannot fail
     alone once every case's psi-twist passes."""
     report = ConjectureReport("A", W)
@@ -548,8 +597,7 @@ def verify_a(W: CoxeterGroup) -> ConjectureReport:
                         _sum_induced((a.psi for a in gathered), full)
                         - whole_space_character(W))
     report.add("element-twist", all(
-        a.psi == a.phi * sign_character(a.centralizer)
-        * alpha_parabolic(W, a.L).restrict(a.centralizer)
+        a.psi == a.phi * twist_character(W, a.L).restrict(a.centralizer)
         for a in gathered))
     return report
 
@@ -571,7 +619,7 @@ def verify(W: CoxeterGroup, conjecture: str, L=None) -> ConjectureReport:
 
 
 def check_intertwiner(W: CoxeterGroup, L) -> bool:
-    """e_L f_j -> a_L f_j intertwines the normalizer actions up to sign * alpha.
+    """e_L f_j -> a_L f_j intertwines the normalizer actions up to eps * alpha_L.
 
     Both families are indexed by the nontrivial rotation idempotents f_j of
     the dihedral parabolic W_L; coordinates of the translated elements in the
@@ -583,7 +631,7 @@ def check_intertwiner(W: CoxeterGroup, L) -> bool:
     generate W_L, and the generators of N_L the rest.  The f_j are orthogonal
     idempotents, so the nonzero e_L f_j are independent and so are the a_L f_j;
     both coordinate matrices are then multiplicative in w, as translation and
-    the action are right actions, and sign * alpha_L is a character, so
+    the action are right actions, and the twist is a character, so
     agreement on generators gives agreement on every product of them.
     """
     L = tuple(sorted(L))
@@ -598,7 +646,7 @@ def _normalizer_generators(W: CoxeterGroup, L) -> list:
 
 def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
     """Whether e_L f_j -> a_L f_j intertwines the right actions of each of the
-    given normalizer elements up to sign * alpha, for every j != 0.
+    given normalizer elements up to the twist of L, for every j != 0.
 
     The a side is read off eigenlines, with no system solved.  Let r = st and
     w one of the elements.  Then r_w = w^-1 r w must be r or r^-1: it is for
@@ -633,13 +681,12 @@ def _intertwines_at(W: CoxeterGroup, L, elements) -> bool:
     avecs, image = a_side
 
     rot = W.rotations(L)
-    eps = sign_character(W.normalizer_of_parabolic(L))
-    alphaL = alpha_parabolic(W, L)
+    twist = twist_character(W, L)
     for w in elements:
         rw = W.conj(rot[1], w)
         if rw not in (rot[1], rot[-1]):
             return False
-        factor = eps(w) * alphaL(w)
+        factor = twist(w)
         for j in range(1, m):
             k = j if rw == rot[1] else m - j
             c = _multiple_of(image(j, w), avecs[k - 1])

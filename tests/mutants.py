@@ -70,12 +70,29 @@ MUTANTS = [
             "tests/test_oracles.py::test_is_bulky_matches_commutation[A1xB3]",
             "tests/test_cli.py::test_output_matches_recorded_digest[group A1xB3]",
             "tests/test_cli.py::test_rank4_output_matches_pin[verify a D4]")),
-    # alpha_L read as the determinant on the root span, without the sign
-    Mutant("alpha-without-sign", "chars.py",
-           "sign(c) * W.det_on_root_span(c, J)",
-           "W.det_on_root_span(c, J)",
-           ("tests/test_chars.py::test_alpha_parabolic",
-            "tests/test_oracles.py::test_alpha_and_sigma_match_cyclotomic_determinants[A3]",
-            "tests/test_scope.py::test_verify_b_connected[A3]",
-            "tests/test_cli.py::test_verify_b_verified")),
+    # the determinant on the root span of J read as sign(u) alone, without
+    # the sign of the permutation d makes of the simple roots of J
+    Mutant("root-span-without-inversions", "coxeter.py",
+           "flips += sum(1 for i, a in enumerate(image) for b in image[i + 1:] if a > b)",
+           "flips += 0",
+           ("tests/test_oracles.py::test_alpha_and_sigma_match_cyclotomic_determinants[A3]",
+            "tests/test_oracles.py::test_twist_is_sign_times_alpha[D4]",
+            "tests/test_acceptance.py::test_criterion_08_structural_lemmas",
+            "tests/test_cli.py::test_output_matches_recorded_digest[verify a A3]")),
+    # the twist read as eps, the determinant on V, not on the root span of L
+    Mutant("twist-read-as-sign", "chars.py",
+           "lambda c: W.det_on_root_span(c, L)",
+           "lambda c: Fraction((-1) ** W.lengths[c])",
+           ("tests/test_chars.py::test_twist_character",
+            "tests/test_oracles.py::test_twist_is_sign_times_alpha[A1]",
+            "tests/test_oracles.py::test_alpha_and_sigma_match_cyclotomic_determinants[I2(5)]",
+            "tests/test_cli.py::test_output_matches_recorded_digest[verify a I2(5)]")),
+    # a product of component assignments with psi built from the phis
+    Mutant("components-psi-from-phi", "conjectures.py",
+           "math.prod(a.psi(x)",
+           "math.prod(a.phi(x)",
+           ("tests/test_scope.py::"
+            "test_exhausted_search_on_a_disconnected_top_takes_the_components",
+            "tests/test_scope.py::test_every_C_assignment_extends_its_B_assignment"
+            "[I2(6)xI2(6)]")),
 ]

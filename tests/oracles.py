@@ -467,12 +467,6 @@ def quotient_linear_characters(H):
     return [lc for _, lc in out]
 
 
-def sigma_parabolic(W, J) -> ClassFunction:
-    """Determinant on the span of the roots of J, on the complement N_J."""
-    return ClassFunction.from_function(W.complement_subgroup(J),
-                                       lambda n: W.det_on_root_span(n, J))
-
-
 class Element(GroupAlgebraElement):
     """A group algebra element with sums, differences and scalar multiples.
 

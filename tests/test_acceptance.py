@@ -11,8 +11,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from coxsol.chars import (alpha_parabolic, linear_characters, sign_character,
-                          trivial_character)
+from coxsol.chars import (det_character, linear_characters, sign_character,
+                          trivial_character, twist_character)
 from coxsol.cli import main
 from coxsol.conjectures import check_intertwiner, verify_a, verify_b, verify_c
 from coxsol.coxeter import CoxeterGroup, CoxeterMatrix, build_group
@@ -21,8 +21,8 @@ from coxsol.chars import regular_character, rotation_character
 from coxsol.orlik_solomon import (flat_shape_map, os_algebra,
                                   shape_component_character,
                                   whole_space_character)
-from oracles import (averaging, check, check_idempotent_family, nbc, power,
-                     reflection_fix_character, sigma_parabolic)
+from oracles import (averaging, check, check_idempotent_family, nbc,
+                     parabolic_fixed_space, power, reflection_fix_character)
 
 DIHEDRALS = [f"I2({m})" for m in range(2, 13)]
 RANK3 = ["A3", "B3", "H3"]
@@ -258,11 +258,11 @@ def test_criterion_08_structural_lemmas():
             NJ = W.complement_subgroup(J)
             assert N.order == WJ.order * NJ.order, (spec, J)
             assert set(WJ.members) & set(NJ.members) == {W.identity}, (spec, J)
-            sig = sigma_parabolic(W, J)
-            al = alpha_parabolic(W, J)
+            twist = twist_character(W, J)
+            al = det_character(W, N, parabolic_fixed_space(W, J))
             for n in NJ.members:
                 expected = eps_all[n] * al(n)
-                assert sig(n) == expected, (spec, J, n)
+                assert twist(n) == expected, (spec, J, n)
                 assert permutation_sign(W, J, n) == expected, (spec, J, n)
             for c in W.cuspidal_classes(J):
                 w = c.rep

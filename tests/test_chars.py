@@ -7,14 +7,13 @@ import pytest
 from coxsol import chars
 from coxsol.chars import (
     CarrierMismatch, NotASubgroup, NotInComplement, NotLinear,
-    alpha_parabolic, commutator_subgroup, exponent_character,
-    linear_character, linear_characters, rotation_character,
-    sign_character, trivial_character,
+    commutator_subgroup, exponent_character, linear_character,
+    linear_characters, rotation_character, sign_character,
+    trivial_character, twist_character,
 )
 from coxsol.coxeter import _NAMED, Subgroup, build_group
 from coxsol.cyclo import zeta
-from oracles import (alpha_element, inner, power, reflection_fix_character,
-                     sigma_parabolic)
+from oracles import alpha_element, inner, power, reflection_fix_character
 
 
 def test_class_function_basics():
@@ -126,7 +125,7 @@ def test_linear_character_checks_every_generator():
 
 def test_not_in_complement():
     W = build_group("A3")
-    chi = sigma_parabolic(W, (0,))
+    chi = twist_character(W, (0,)).restrict(W.complement_subgroup((0,)))
     with pytest.raises(NotInComplement):
         chi(W.generators[0])
 
@@ -209,32 +208,23 @@ def test_a_character_build_forms_each_root_of_unity_once(monkeypatch):
     assert any(classes > M > 2 for M, _, classes in builds)
 
 
-def test_alpha_parabolic():
+def test_twist_character():
     W = build_group("H3")
+    eps = sign_character(W.full())
     for J in [(), (0,), (0, 1), (0, 1, 2)]:
-        alpha = alpha_parabolic(W, J)
-        N = W.normalizer_of_parabolic(J)
-        # members of W_J act trivially on the fixed space
+        twist = twist_character(W, J)
+        assert twist.carrier is W.normalizer_of_parabolic(J)
+        # members of W_J act trivially on the fixed space, so alpha_J is 1
         for u in W.parabolic(J).sorted_members:
-            assert alpha(u) == 1
-        for n in N.sorted_members:
-            assert alpha(n) in (1, -1)
-    # J = S: zero dimensional fixed space, trivial character
-    alpha = alpha_parabolic(W, (0, 1, 2))
-    assert all(v == 1 for v in alpha.values)
-    assert all(alpha(w) == 1 for w in alpha.carrier.members)
-
-
-def test_sigma_equals_sign_times_alpha():
-    for spec in ("A3", "B3", "H3", "I2(6)", "I2(7)", "A1xI2(5)"):
-        W = build_group(spec)
-        eps = sign_character(W.full())
-        for sh in W.shapes():
-            J = sh.canonical
-            sig = sigma_parabolic(W, J)
-            alpha = alpha_parabolic(W, J)
-            for n in W.complement_subgroup(J).sorted_members:
-                assert sig(n) == eps(n) * alpha(n)
+            assert twist(u) == eps(u)
+        for n in twist.carrier.sorted_members:
+            assert twist(n) in (1, -1)
+    # J = S: zero dimensional fixed space, the twist is the sign
+    twist = twist_character(W, (0, 1, 2))
+    assert twist == eps
+    assert all(twist(w) == eps(w) for w in twist.carrier.members)
+    # J = (): the root span is zero, the twist is trivial
+    assert twist_character(W, ()) == trivial_character(W.full())
 
 
 def test_alpha_element():
@@ -244,9 +234,10 @@ def test_alpha_element():
     assert alpha(t) == 1  # reflections fix their own hyperplane pointwise
     c = W.centralizer(t)
     assert alpha.carrier.members == c.members
-    # t = s1 is cuspidal in W_{s1}, so alpha_t is alpha_{s1} on its centralizer
+    # t = s1 is cuspidal in W_{s1}, so eps * alpha_t is the twist of {s1}
+    # on its centralizer
     assert t == W.generators[0]
-    assert alpha == alpha_parabolic(W, (0,)).restrict(c)
+    assert sign_character(c) * alpha == twist_character(W, (0,)).restrict(c)
 
 
 def test_reflection_fix_character():

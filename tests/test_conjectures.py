@@ -359,8 +359,8 @@ def test_intertwiner_odd_pairs(spec, L):
 
 @pytest.mark.parametrize("spec", ["I2(7)", "H3"])
 def test_intertwiner_fails_with_the_wrong_twist(monkeypatch, spec):
-    alpha = conjectures.alpha_parabolic
-    monkeypatch.setattr(conjectures, "alpha_parabolic", lambda W, L: -1 * alpha(W, L))
+    twist = conjectures.twist_character
+    monkeypatch.setattr(conjectures, "twist_character", lambda W, L: -1 * twist(W, L))
     assert check_intertwiner(build_group(spec), (0, 1)) is False
 
 

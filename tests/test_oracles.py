@@ -1,11 +1,11 @@
 """Structural shortcuts against the exact linear algebra they replaced.
 
-Flats, fixed-space dimensions and the determinant characters alpha and sigma
-are read off root permutations, and the descent ideal characters Phi and
-the normalizer characters Phi~ come from a trace formula.  Here each of them
-is recomputed by exact row reduction, for every dihedral group up to I2(12),
-the rank 3 groups and A1xI2(5); so is the m-matrix inverse, found by forward
-substitution.  The descent algebra multiplies x_J coordinates with Solomon's
+Flats, fixed-space dimensions and the twist eps * alpha_J, the determinant
+on the root span of J, are read off root permutations, and the descent ideal
+characters Phi and the normalizer characters Phi~ come from a trace formula.
+Here each of them is recomputed by exact row reduction, for every dihedral
+group up to I2(12), the rank 3 groups and A1xI2(5), and the twist on every
+type in scope; so is the m-matrix inverse, found by forward substitution.  The descent algebra multiplies x_J coordinates with Solomon's
 structure constants and reads Phi's class sums off class counts of the
 transversals; both are checked against dense products in the group algebra,
 and Phi against the trace formula after a dense e * e = e check.  Elements,
@@ -67,9 +67,9 @@ from types import SimpleNamespace
 import pytest
 
 from coxsol import chars, conjectures, cyclo, linalg
-from coxsol.chars import (ClassFunction, NotLinear, alpha_parabolic,
-                          commutator_subgroup, det_character, linear_character,
-                          linear_characters, rotation_character, trivial_character)
+from coxsol.chars import (ClassFunction, NotLinear, commutator_subgroup, det_character,
+                          linear_character, linear_characters, rotation_character,
+                          sign_character, trivial_character, twist_character)
 from coxsol.conjectures import (SearchExhausted, check_intertwiner, construct_C, verify_a,
                                 verify_b)
 from coxsol.coxeter import (_NAMED, CoxeterGroup, CoxeterMatrix, build_group,
@@ -85,7 +85,7 @@ from oracles import (all_roots, alpha_element, averaging, check_idempotent_famil
                      commutes_with_parabolic, dense_element, descent_x, e_shape, fix_dim,
                      fixed_space, flat_rank, independent, inverse, nbc, parabolic_closure,
                      parabolic_fixed_space, pmul, power, quotient_linear_characters,
-                     reduce_fractions, reflection_roots, sigma_parabolic, x_element)
+                     reduce_fractions, reflection_roots, x_element)
 from test_scope import connected_types, reducible_types
 
 GROUPS = [f"I2({m})" for m in range(2, 13)] + ["A3", "B3", "H3", "A1xI2(5)"]
@@ -391,13 +391,19 @@ def _matches_determinant(chi, carrier, basis) -> bool:
 
 @pytest.mark.parametrize("spec", GROUPS)
 def test_alpha_and_sigma_match_cyclotomic_determinants(spec):
+    """At every member of the normalizer of every W_J, the twist is sigma_J,
+    the determinant on the span of the roots of J, and eps times it is
+    alpha_J, the determinant on the fixed space of W_J, both by row
+    reduction; alpha_w on the centralizer of each class representative w is
+    the determinant on the fixed space of w."""
     W = build_group(spec)
     for J in W.all_subsets():
-        assert _matches_determinant(alpha_parabolic(W, J), W.normalizer_of_parabolic(J),
-                                    parabolic_fixed_space(W, J)), (spec, J)
+        N = W.normalizer_of_parabolic(J)
+        twist = twist_character(W, J)
         span, _ = linalg.rref([W.roots[j] for j in J])
-        assert _matches_determinant(sigma_parabolic(W, J),
-                                    W.complement_subgroup(J), span), (spec, J)
+        assert _matches_determinant(twist, N, span), (spec, J)
+        assert _matches_determinant(sign_character(N) * twist, N,
+                                    parabolic_fixed_space(W, J)), (spec, J)
     for c in W.classes:
         assert _matches_determinant(alpha_element(W, c.rep), W.centralizer(c.rep),
                                     fixed_space(W, c.rep)), (spec, c.rep)
@@ -418,6 +424,17 @@ def test_fix_dim_and_closure_match_fixed_spaces(spec):
 # dihedral types past the scope's labels
 SUBSET_TYPES = connected_types() + reducible_types({3, 4}) + [
     "I2(7)", "I2(9)", "I2(11)", "I2(12)"]
+
+
+@pytest.mark.parametrize("spec", SUBSET_TYPES)
+def test_twist_is_sign_times_alpha(spec):
+    """On the normalizer of every W_J, the twist is eps times alpha_J, the
+    determinant on the fixed space of W_J by row reduction."""
+    W = build_group(spec)
+    for J in W.all_subsets():
+        N = W.normalizer_of_parabolic(J)
+        alpha = det_character(W, N, parabolic_fixed_space(W, J))
+        assert twist_character(W, J) == sign_character(N) * alpha, (spec, J)
 
 
 @pytest.mark.parametrize("spec", SUBSET_TYPES)

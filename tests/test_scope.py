@@ -1,11 +1,12 @@
 """The Coxeter types of rank <= 4: `verify a` and `verify b` across the
 reducible ones of rank 3 and 4 and the connected ones of rank <= 3, each
-output checked against a pinned digest and each assignment's alpha_w against
-alpha_L, and |W| and the class count of the connected ones, and of I2(m) for
-m <= 16 after `verify a` and `table`, against closed forms.  At every
-canonical subset L of every connected and reducible type but I2(6)xI2(6),
-the normalizer assignments of `construct_C` extend the assignments of W_L
-itself.
+output checked against a pinned digest and each assignment's eps * alpha_w
+against the twist of L, and |W| and the class count of the connected ones,
+and of I2(m) for m <= 16 after `verify a` and `table`, against closed forms.
+At every canonical subset L of every connected and reducible type, the
+normalizer assignments of `construct_C` extend the assignments of W_L
+itself.  Where the search is exhausted on a disconnected graph, the
+assignments are products of the components' own.
 
 The types come from generators over the classification, not from lists
 written by hand, and their number is asserted, so a family that goes
@@ -21,7 +22,7 @@ import math
 import pytest
 
 from coxsol import conjectures
-from coxsol.chars import alpha_parabolic, det_character
+from coxsol.chars import det_character, sign_character, twist_character
 from coxsol.cli import main
 from coxsol.conjectures import construct_C, construct_parabolic_B, verify_a, verify_b
 from coxsol.coxeter import _NAMED, build_group, matrix_from_spec
@@ -107,17 +108,19 @@ def reducible_types(ranks):
     return out
 
 
-# over about 2 s in-process; they run with the slow tests
-SLOW_B = {"I2(4)xI2(6)", "I2(5)xI2(6)"}
-SLOW_A = {"A1xH3", "I2(4)xI2(5)", "I2(4)xI2(6)", "I2(5)xI2(5)", "I2(5)xI2(6)"}
-# the larger half of the search has 7 962 624 combinations, over SEARCH_CAP
-EXHAUSTED = {"I2(6)xI2(6)"}
+# over about 2 s in-process, or (I2(6)xI2(6)) past the search cap at the top,
+# where the assignments are products of the components'; they run with the
+# slow tests
+SLOW_B = {"I2(4)xI2(6)", "I2(5)xI2(6)", "I2(6)xI2(6)"}
+SLOW_A = {"A1xH3", "I2(4)xI2(5)", "I2(4)xI2(6)", "I2(5)xI2(5)", "I2(5)xI2(6)",
+          "I2(6)xI2(6)"}
 CONNECTED_LOW_RANK = [spec for spec in connected_types() if len(matrix_from_spec(spec).rows) <= 3]
 
 # (exit code, SHA-256 of stdout) of `coxsol verify a|b <type>`, recorded before
 # linear characters were built on H itself and flats were joined by containment
 # (`verify a` on A1xA3, A1xB3 and A1xH3 when their non bulky rank 3 subsets
-# became lifts, not searches)
+# became lifts, not searches; I2(6)xI2(6), exit 4 before, when its top
+# assignments became products of the components')
 SCOPE_PINS = {
     "verify a A1": (0, "86be8ec7996de225b0a38ff56a37c767ca99b89fd53f8433cbd14339572ef6d1"),
     "verify b A1": (0, "dd9200d384466956e97c89d6d6ddbba8ff7cdc5aa2f7381da088f34b9537d968"),
@@ -186,9 +189,9 @@ SCOPE_PINS = {
     "verify b I2(5)xI2(6)":
         (0, "b7c0eebf468aeb6e2c286a49f18132952ab278fcfa2da540de4e2d233de8b2b8"),
     "verify a I2(6)xI2(6)":
-        (4, "9e97a6eeeae938602ba86a93e53cc59b4e192f8b18e170f2e73556fa9c5c94d1"),
+        (0, "7cf7661ef325981a24eab763a315ddfb58ee9c5f182bf40290fd3e8da531e3d9"),
     "verify b I2(6)xI2(6)":
-        (4, "ceae30d5533963b8d90ee86a8b76b5a76d393a0d58ee4ef61dd6ae3b90e7680b"),
+        (0, "b97317db1d0a67f5b3e4eb8b76725a554a89a27949d44857f7887b5c9839cf45"),
     "verify a A1xA1xA1": (0, "e79a844aacfeb1fab38cb35c0b63e461c77441c337cda854c5be137b50b4b358"),
     "verify b A1xA1xA1": (0, "fed44619e733b657dd524acb32e62bcc4c09618c00d42553987d5fc872c8d5d8"),
     "verify a A1xA1xI2(3)":
@@ -215,14 +218,8 @@ SCOPE_PINS = {
 
 
 def _rows(slow):
-    rows = []
-    for spec in reducible_types({3, 4}):
-        if spec in EXHAUSTED:
-            rows.append(pytest.param(spec, marks=[pytest.mark.slow, pytest.mark.xfail(
-                strict=True, raises=AssertionError, reason="search cap exceeded")]))
-        else:
-            rows.append(pytest.param(spec, marks=pytest.mark.slow) if spec in slow else spec)
-    return rows
+    return [pytest.param(spec, marks=pytest.mark.slow) if spec in slow else spec
+            for spec in reducible_types({3, 4})]
 
 
 def test_reducible_type_counts():
@@ -240,9 +237,7 @@ def _assert_pinned(report, conjecture, spec):
     code = 0 if report.ok else 4 if report.status == "search-exhausted" else 1
     out = json.dumps(report.as_dict(), indent=2) + "\n"
     got = (code, hashlib.sha256(out.encode()).hexdigest())
-    if got != SCOPE_PINS[command]:
-        # not an AssertionError, which the strict xfail rows expect of the status
-        pytest.fail(f"{command}: {got} is not the pinned {SCOPE_PINS[command]}")
+    assert got == SCOPE_PINS[command], command
 
 
 def _assert_verified(report, spec):
@@ -251,11 +246,13 @@ def _assert_verified(report, spec):
 
 
 def _assert_alpha_w_is_alpha_L(W, assignments, spec):
-    """The determinant on the fixed space of each assignment's w, by row
-    reduction, is alpha_L on the centralizer of w, for w cuspidal in W_L."""
+    """eps times alpha_w, the determinant on the fixed space of each
+    assignment's w by row reduction, is the twist of L on the centralizer
+    of w, for w cuspidal in W_L."""
     for a in assignments:
         alpha_w = det_character(W, a.centralizer, fixed_space(W, a.element))
-        assert alpha_w == alpha_parabolic(W, a.L).restrict(a.centralizer), \
+        assert sign_character(a.centralizer) * alpha_w == \
+            twist_character(W, a.L).restrict(a.centralizer), \
             (spec, a.L, W.word_str(a.element))
 
 
@@ -288,6 +285,31 @@ def test_verify_a_reducible(spec):
     check_verify_a(spec)
 
 
+def test_exhausted_search_on_a_disconnected_top_takes_the_components(monkeypatch):
+    """With the search cap at 1, the search at the top of I2(3)xI2(4) is
+    exhausted, and its assignments are products of the rank 2 components'
+    closed forms; they verify with zero residuals."""
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 1)
+    W = build_group("I2(3)xI2(4)")
+    report = verify_b(W)
+    _assert_verified(report, "I2(3)xI2(4)")
+    assert {a.route for a in report.assignments} == {"components"}
+    _assert_alpha_w_is_alpha_L(W, report.assignments, "I2(3)xI2(4)")
+
+
+def test_a_search_under_the_cap_is_kept_on_a_disconnected_top():
+    report = verify_b(build_group("I2(3)xI2(4)"))
+    _assert_pinned(report, "b", "I2(3)xI2(4)")
+    assert {a.route for a in report.assignments} == {"search"}
+
+
+def test_exhausted_search_on_a_connected_top_stays_exhausted(monkeypatch):
+    monkeypatch.setattr(conjectures, "SEARCH_CAP", 1)
+    report = verify_b(build_group("B3"))
+    assert report.status == "search-exhausted"
+    assert not report.assignments
+
+
 @pytest.mark.parametrize("spec", CONNECTED_LOW_RANK)
 def test_verify_b_connected(spec):
     check_verify_b(spec)
@@ -307,7 +329,7 @@ SLOW_EXTENDS = {"F4", "I2(4)xI2(6)", "I2(5)xI2(6)"}
 
 def _extension_rows():
     return [pytest.param(spec, marks=pytest.mark.slow) if spec in SLOW_EXTENDS else spec
-            for spec in connected_types() + reducible_types({3, 4}) if spec not in EXHAUSTED]
+            for spec in connected_types() + reducible_types({3, 4})]
 
 
 @pytest.mark.parametrize("spec", _extension_rows())

@@ -13,7 +13,8 @@ import pytest
 import coxsol
 from coxsol import conjectures, orlik_solomon
 from coxsol.chars import (ClassFunction, NotInvariant, NotLinear, linear_character,
-                          linear_characters, rotation_character, sign_character)
+                          linear_characters, rotation_character, sign_character,
+                          trivial_character)
 from coxsol.cli import main
 from coxsol.conjectures import (Assignment, construct_parabolic_B, PrerequisiteFailed,
                                 verify_b, verify_c)
@@ -321,9 +322,11 @@ def test_rotation_on_the_wrong_carrier_fails_verification(monkeypatch):
 def test_lift_that_misses_its_base_fails_verification(monkeypatch):
     W = build_group("A3")
     assert W.is_bulky((0,))
-    # the sign in place of alpha: psi no longer restricts to the base psi
-    monkeypatch.setattr(conjectures, "alpha_parabolic",
-                        lambda W, L: sign_character(W.normalizer_of_parabolic(L)))
+    # the trivial character in place of the twist, eps * eps as when the sign
+    # stood in for alpha_L: psi = phi no longer restricts to the base psi.
+    # The sign alone would: on the rank 1 base, phi = eps and psi = 1
+    monkeypatch.setattr(conjectures, "twist_character",
+                        lambda W, L: trivial_character(W.normalizer_of_parabolic(L)))
     report = verify_c(W, (0,))
     assert report.status == "failed" and not check(report, "construction")
     assert "restrict" in report.checks[0][2]
